@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -170,6 +171,12 @@ class Factorization:
         return ("-" if self.sign < 0 else "") + body
 
 
+@lru_cache(maxsize=32)
+def _digit_bound(max_digits: int) -> int:
+    """10**max_digits: the smallest integer with more than max_digits digits."""
+    return 10**max_digits
+
+
 def factorize(
     n: int,
     *,
@@ -190,9 +197,10 @@ def factorize(
         raise ValueError("0 has no prime factorization")
     sign = 1 if n > 0 else -1
     m = abs(n)
-    if len(str(m)) > max_digits:
+    # compared as integers: str() of a huge m would hit the int-to-str limit
+    if m >= _digit_bound(max_digits):
         raise FactorizationIncomplete(
-            f"|n| has {len(str(m))} digits, above the {max_digits}-digit effort bound"
+            f"|n| has {m.bit_length()} bits, above the {max_digits}-digit effort bound"
         )
 
     counts: dict[int, int] = {}

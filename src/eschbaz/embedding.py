@@ -6,7 +6,8 @@ c is an isometry, but it changes the associated Bazaikin candidate
     q^c = (2(a1+c)+1, 2(a2+c)+1, 2(a3+c)+1, -(2(b2+c)+1), -(2(b3+c)+1)).
 
 This module decides, in exact integer arithmetic, for which shifts the
-candidate is non-singular (``nonsingular_shift``) and positively curved
+candidate is non-singular (``nonsingular_shift``; ``first_nonsingular_shift``
+is the three-gcd form used by box scans) and positively curved
 (``pc_shift_window``), produces certified non-singular shifts of the form
 +-2**(mu-1) * P**mu (``certified_shift``), tracks when two shifts can share
 the same |H^6| (``collision_locus``), and builds embedding certificates.
@@ -118,6 +119,39 @@ def nonsingular_shift(e: EschParams, c: int) -> bool:
         if any(gcd(pair_sum, a[k] - bl) != 1 for bl in b):
             return False
     return True
+
+
+def _singularity_moduli(f: EschParams) -> tuple[tuple[int, int], ...]:
+    """(s_k, D_k) for k = 1, 2, 3, with s_k = a_i + a_j + 1, D_k = prod_l (a_k - b_l).
+
+    For free f, shift c is non-singular iff gcd(s_k + 2c, D_k) == 1 for
+    every k: the three gcds of ``nonsingular_shift`` that share s_k + 2c
+    merge into one against their product (a zero difference zeroes D_k,
+    and gcd(x, 0) == 1 iff |x| == 1, as before).
+    """
+    (a1, a2, a3), (b1, b2, b3) = f.a, f.b
+    return (
+        (a2 + a3 + 1, (a1 - b1) * (a1 - b2) * (a1 - b3)),
+        (a1 + a3 + 1, (a2 - b1) * (a2 - b2) * (a2 - b3)),
+        (a1 + a2 + 1, (a3 - b1) * (a3 - b2) * (a3 - b3)),
+    )
+
+
+def first_nonsingular_shift(f: EschParams) -> int | None:
+    """The smallest shift in the curvature window with a non-singular candidate.
+
+    f must be free and in positive-curvature normal form; freeness is not
+    rechecked.  Each shift costs three gcds (see ``_singularity_moduli``)
+    and the walk stops at the first non-singular one.  None means every
+    shift in the window is singular.
+    """
+    window = pc_shift_window(f)
+    (s1, d1), (s2, d2), (s3, d3) = _singularity_moduli(f)
+    for c in window:
+        t = 2 * c
+        if gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1:
+            return c
+    return None
 
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:

@@ -7,12 +7,19 @@ enumerates every canonical free, positively curved Eschenburg parameter set
 inside a box and reports which of them admit no positively curved
 non-singular Bazaikin host under the shift construction.
 
-``scan_box`` shards its enumeration over worker processes; results are
-merged by deterministic sort, so output is identical for any worker count.
+``scan_box`` writes each space's normal form down directly while it
+enumerates, then decides each space with the three-gcd test of
+``first_nonsingular_shift``, stopping at the first non-singular shift of the
+curvature window; it builds no certificates.  The verification jobs keep
+the full-certificate path (``window_scan``), which is also the test oracle
+for the scan.  ``scan_box`` can shard its work over worker processes;
+results are merged by deterministic sort, so output is identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -22,7 +29,9 @@ from .embedding import (
     COHOM1_WINDOW_NOTE,
     EmbeddingCertificate,
     WindowReport,
+    first_nonsingular_shift,
     make_certificate,
+    pc_shift_window,
     window_scan,
 )
 from .eschenburg import (
@@ -32,7 +41,6 @@ from .eschenburg import (
     h4_order,
     is_free,
     is_pc_metric,
-    pc_normal_form,
 )
 
 
@@ -191,54 +199,47 @@ def verify_cohomogeneity_one(p_max: int) -> CohomogeneityOneSummary:
     )
 
 
-def _free6(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> bool:
-    return (
-        gcd(a1 - b1, a2 - b2) == 1
-        and gcd(a1 - b1, a2 - b3) == 1
-        and gcd(a1 - b2, a2 - b1) == 1
-        and gcd(a1 - b2, a2 - b3) == 1
-        and gcd(a1 - b3, a2 - b1) == 1
-        and gcd(a1 - b3, a2 - b2) == 1
-    )
-
-
 def _enumerate_chunk(args: tuple[list[tuple[int, int]], int]) -> set[tuple]:
-    """Free, positively curved canonical forms for a chunk of (a1, a2) pairs.
+    """Free, positively curved normal forms for a chunk of (a1, a2) pairs.
 
     Enumerates both inequality chains (b2, b3 below the a-interval with b1
     above, and the mirror image), so a space whose normal form overflows the
     box is still found through its mirrored canonical form.  Returns
-    normal-form keys, which is what makes global deduplication possible.
+    normal-form keys (a, b), which is what makes global deduplication
+    possible: a chain-1 hit is already in normal form, and a chain-2 hit
+    a=(a1, a2, 0), b=(b1, b2, b3) negates and re-sorts to
+    a=(a1, a1 - a2, 0), b=(a1 - b1, a1 - b3, a1 - b2).
     """
     apairs, max_abs = args
     found: set[tuple] = set()
     for a1, a2 in apairs:
         s = a1 + a2
+        # Freeness: gcd(a1 - b_s(1), a2 - b_s(2)) == 1 for all six
+        # permutations s, as in ``is_free`` with a3 = 0.
         # chain 1: b3 <= b2 <= -1, b1 = s - b2 - b3 <= max_abs (b1 > a1 holds)
         for b3 in range(-max_abs, 0):
+            x3, y3 = a1 - b3, a2 - b3
             for b2 in range(max(b3, s - max_abs - b3), 0):
                 b1 = s - b2 - b3
-                if _free6(a1, a2, 0, b1, b2, b3):
-                    f = pc_normal_form(EschParams((a1, a2, 0), (b1, b2, b3)))
-                    found.add((f.a, f.b))
+                x1, y1, x2, y2 = a1 - b1, a2 - b1, a1 - b2, a2 - b2
+                if (gcd(x3, y1) == 1 and gcd(x3, y2) == 1 and gcd(x1, y2) == 1
+                        and gcd(x1, y3) == 1 and gcd(x2, y1) == 1 and gcd(x2, y3) == 1):
+                    found.add(((a1, a2, 0), (b1, b2, b3)))
         # chain 2: b2 >= b3 >= a1 + 1, b2 <= max_abs, b1 = s - b2 - b3 >= -max_abs
         for b3 in range(a1 + 1, max_abs + 1):
+            x3, y3 = a1 - b3, a2 - b3
             for b2 in range(b3, min(max_abs, s + max_abs - b3) + 1):
                 b1 = s - b2 - b3
-                if _free6(a1, a2, 0, b1, b2, b3):
-                    f = pc_normal_form(EschParams((a1, a2, 0), (b1, b2, b3)))
-                    found.add((f.a, f.b))
+                x1, y1, x2, y2 = a1 - b1, a2 - b1, a1 - b2, a2 - b2
+                if (gcd(x3, y1) == 1 and gcd(x3, y2) == 1 and gcd(x1, y2) == 1
+                        and gcd(x1, y3) == 1 and gcd(x2, y1) == 1 and gcd(x2, y3) == 1):
+                    found.add(((a1, a1 - a2, 0), (x1, x3, x2)))
     return found
 
 
 def _scan_chunk(keys: list[tuple]) -> list[tuple]:
-    """Window-scan each normal form; returns (key, window bounds, verdicts)."""
-    out = []
-    for a, b in keys:
-        report = window_scan(EschParams(a, b))
-        verdicts = tuple(cert.baz_free for cert in report.certificates)
-        out.append(((a, b), report.window.start, report.window[-1], verdicts))
-    return out
+    """The normal-form keys whose whole curvature window is singular."""
+    return [(a, b) for a, b in keys if first_nonsingular_shift(EschParams(a, b)) is None]
 
 
 def _chunked(items: list, n_chunks: int) -> list[list]:
@@ -252,48 +253,58 @@ def _chunked(items: list, n_chunks: int) -> list[list]:
     return chunks
 
 
+def _pool_size(workers: int, n_tasks: int) -> int:
+    """Processes to start for ``workers`` requested: at most one per core and per task."""
+    return max(1, min(workers, os.cpu_count() or 1, n_tasks))
+
+
 def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, list[SurveyRow]]:
     """Survey every space with a canonical form inside the box.
 
     Enumerates canonical free, positively curved parameter sets with all
     entries bounded by max_abs in absolute value, deduplicates them by
-    normal form, window-scans each, and returns counts plus up to ``limit``
+    normal form, and decides each with the three-gcd test of
+    ``first_nonsingular_shift``, which stops at the first non-singular
+    shift of the curvature window.  Returns counts plus up to ``limit``
     counterexample rows sorted by |H^4| (ties broken lexicographically).
+    ``workers`` is capped at the core count (and at the number of (a1, a2)
+    pairs); a value of 1, or a cap of 1, scans in this process.
     """
     if max_abs < 1:
         raise ValueError(f"max_abs must be >= 1, got {max_abs}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     apairs = [(a1, a2) for a1 in range(max_abs + 1) for a2 in range(a1 + 1)]
+    processes = _pool_size(workers, len(apairs))
 
-    if workers <= 1:
+    if processes == 1:
         keys = _enumerate_chunk((apairs, max_abs))
-        scanned = _scan_chunk(sorted(keys))
+        singular = _scan_chunk(list(keys))
     else:
-        enum_chunks = [(chunk, max_abs) for chunk in _chunked(apairs, 4 * workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        enum_chunks = [(chunk, max_abs) for chunk in _chunked(apairs, 4 * processes)]
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             keys = set().union(*pool.map(_enumerate_chunk, enum_chunks))
-            scanned = []
-            for part in pool.map(_scan_chunk, _chunked(sorted(keys), 4 * workers)):
-                scanned.extend(part)
-        scanned.sort(key=lambda item: item[0])
+            singular = []
+            for part in pool.map(_scan_chunk, _chunked(list(keys), 4 * processes)):
+                singular.extend(part)
 
     rows = []
-    embeddable = 0
-    for (a, b), c_lo, c_hi, verdicts in scanned:
-        if any(verdicts):
-            embeddable += 1
-            continue
+    for a, b in singular:
         e = EschParams(a, b)
+        window = pc_shift_window(e)
         rows.append(
             SurveyRow(
                 esch=e,
-                window=range(c_lo, c_hi + 1),
-                verdicts=verdicts,
+                window=window,
+                verdicts=(False,) * len(window),
                 is_counterexample=True,
                 h4=h4_order(e),
             )
         )
-    stats = ScanStats(total=len(scanned), embeddable=embeddable, counterexamples=len(rows))
+    stats = ScanStats(
+        total=len(keys), embeddable=len(keys) - len(rows), counterexamples=len(rows)
+    )
     rows.sort(key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return stats, rows[:limit]

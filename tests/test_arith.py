@@ -154,6 +154,15 @@ def test_factorize_digit_limit():
         factorize(10**80 + 1, max_digits=64)
     # the bound is configurable
     assert factorize(10**3, max_digits=80).value == 1000
+    assert factorize(-999, max_digits=3).value == -999
+    with pytest.raises(FactorizationIncomplete):
+        factorize(1000, max_digits=3)
+
+
+def test_factorize_digit_limit_past_int_to_str_limit():
+    # 5001 digits: past the interpreter's 4300-digit int-to-str limit
+    with pytest.raises(FactorizationIncomplete):
+        factorize(10**5000 + 1)
 
 
 def test_factorization_type_rejects_garbage():

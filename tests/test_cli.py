@@ -53,6 +53,12 @@ def test_exit_two_on_malformed_input(capsys):
     assert code == 2
 
 
+def test_exit_two_on_scan_workers_below_one(capsys):
+    code, _, err = invoke(capsys, "scan", "--max-abs", "8", "--limit", "5", "--workers", "0")
+    assert code == 2
+    assert "workers must be >= 1" in err
+
+
 def test_exit_two_on_unknown_arguments(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys)[0] == 2

@@ -1,17 +1,34 @@
+import os
+import random
+from math import gcd
+
 import pytest
 
+from conftest import random_pc_esch
+from oracles import enumerate_normal_forms
 from eschbaz import (
     BazParams,
     EschParams,
     VerificationFailure,
     is_free,
     is_pc_metric,
+    make_certificate,
+    pc_normal_form,
+    pc_shift_window,
     scan_box,
     verify_cohomogeneity_one,
     verify_infinite_families,
     verify_known_counterexamples,
+    window_scan,
 )
-from eschbaz.survey import KNOWN_COUNTEREXAMPLES, SurveyRow
+from eschbaz.embedding import _singularity_moduli, first_nonsingular_shift
+from eschbaz.survey import (
+    KNOWN_COUNTEREXAMPLES,
+    SurveyRow,
+    _enumerate_chunk,
+    _pool_size,
+    _row_from_report,
+)
 
 
 def test_stored_rows_shape():
@@ -84,6 +101,8 @@ def test_scan_box_rows_are_counterexamples_and_sorted(box60):
     assert any(r.esch == EschParams((39, 0, 0), (55, -3, -13)) for r in rows)
     assert all(r.is_counterexample for r in rows)
     assert [r.h4 for r in rows] == sorted(r.h4 for r in rows)
+    # each row equals the one the full-certificate path builds
+    assert all(r == _row_from_report(window_scan(r.esch)) for r in rows)
 
 
 def test_scan_box_deterministic_across_workers():
@@ -107,6 +126,61 @@ def test_scan_box_validates_arguments():
         scan_box(0, 10)
     with pytest.raises(ValueError):
         scan_box(10, 0)
+    with pytest.raises(ValueError):
+        scan_box(10, 10, workers=0)
+
+
+def test_pool_size_is_bounded():
+    cores = os.cpu_count() or 1
+    assert _pool_size(10**6, 10**9) == cores
+    assert _pool_size(8, 3) == min(3, cores)
+    assert _pool_size(1, 10**9) == 1
+
+
+def _box_keys(max_abs):
+    apairs = [(a1, a2) for a1 in range(max_abs + 1) for a2 in range(a1 + 1)]
+    return _enumerate_chunk((apairs, max_abs))
+
+
+def test_enumerator_matches_normal_form_oracle():
+    for max_abs in range(1, 31):
+        assert _box_keys(max_abs) == enumerate_normal_forms(max_abs), max_abs
+
+
+def _kernel_verdict(f, c):
+    return all(gcd(s + 2 * c, d) == 1 for s, d in _singularity_moduli(f))
+
+
+def test_kernel_matches_certificates_on_every_window_in_box30():
+    checked = 0
+    for a, b in _box_keys(30):
+        f = EschParams(a, b)
+        window = pc_shift_window(f)
+        verdicts = [make_certificate(f, c).baz_free for c in window]
+        assert [_kernel_verdict(f, c) for c in window] == verdicts, f
+        first = next((c for c, ok in zip(window, verdicts) if ok), None)
+        assert first_nonsingular_shift(f) == first, f
+        checked += len(verdicts)
+    assert checked == 50_305
+
+
+def test_kernel_matches_certificates_off_the_window():
+    rng = random.Random(3001)
+    forms = []
+    while len(forms) < 100:
+        f = pc_normal_form(random_pc_esch(rng))
+        if is_free(f):
+            forms.append(f)
+    for f in forms:
+        for c in range(-200, 201):
+            assert _kernel_verdict(f, c) == make_certificate(f, c).baz_free, (f, c)
+
+
+def test_first_nonsingular_shift_on_stored_counterexamples():
+    for a, b, _window in KNOWN_COUNTEREXAMPLES:
+        assert first_nonsingular_shift(EschParams(a, b)) is None
+    # the running example's window 0..5 starts with two singular shifts
+    assert first_nonsingular_shift(EschParams((2, 0, 0), (15, -2, -11))) == 2
 
 
 def test_verification_failure_is_structured():
