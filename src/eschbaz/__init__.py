@@ -12,7 +12,6 @@ from .bazaikin import (
     freeness_failures,
     h6_order,
     is_free_baz,
-    is_free_baz_oracle,
     is_pc_baz,
     submanifolds,
 )
@@ -43,7 +42,6 @@ from .eschenburg import (
     family_cohomogeneity_two,
     h4_order,
     is_free,
-    is_free_oracle,
     is_pc_metric,
     kernel_order,
     pc_normal_form,

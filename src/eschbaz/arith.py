@@ -4,6 +4,16 @@ Everything is arbitrary precision on purpose: the certified shift values grow
 like 2**(mu-1) * P**mu for a product P of primes drawn from nine small
 differences, which leaves any fixed-width integer type behind almost
 immediately.  Plain Python ints are the point, not a convenience.
+
+``factorize`` is memoized by ``functools.lru_cache`` with a fixed
+``FACTORIZE_CACHE_SIZE`` (4096) entries, keyed on the input and the effort
+keywords.  Every check runs on each miss, ``Factorization`` is frozen, so
+sharing a cached result is safe, and errors are never cached.
+
+``to_decimal`` and ``from_decimal`` convert ints to and from decimal text
+``DECIMAL_CHUNK_DIGITS`` (600) digits at a time, below the interpreter's
+int/str digit limit (4300 by default, 640 at the lowest), so values of any
+size reach and leave the command line exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +26,9 @@ from typing import Iterable
 
 TRIAL_DIVISION_BOUND = 10**6
 MAX_DIGITS = 64
+FACTORIZE_CACHE_SIZE = 4096
+DECIMAL_CHUNK_DIGITS = 600
+_DECIMAL_CHUNK = 10**DECIMAL_CHUNK_DIGITS
 
 # Miller-Rabin with these bases is a deterministic primality proof below
 # 3_317_044_064_679_887_385_961_981 (25 digits).
@@ -38,6 +51,45 @@ def gcd(x: int, y: int) -> int:
     or == 2) fail automatically on degenerate all-equal parameters.
     """
     return math.gcd(x, y)
+
+
+def to_decimal(n: int) -> str:
+    """The decimal string of n, at any size.
+
+    ``str(n)`` refuses ints past the interpreter's digit limit; this
+    converts ``DECIMAL_CHUNK_DIGITS`` digits at a time instead.
+    """
+    if -_DECIMAL_CHUNK < n < _DECIMAL_CHUNK:
+        return str(n)
+    m = abs(n)
+    chunks = []
+    while m >= _DECIMAL_CHUNK:
+        m, low = divmod(m, _DECIMAL_CHUNK)
+        chunks.append(str(low).zfill(DECIMAL_CHUNK_DIGITS))
+    chunks.append(str(m))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
+
+
+def from_decimal(text: str) -> int:
+    """The int written in decimal by text, at any size; inverse of ``to_decimal``.
+
+    Short text goes to ``int`` as is.  Text longer than one chunk must be
+    an optional sign followed by ASCII digits (surrounding whitespace
+    allowed); anything else raises ValueError, as ``int`` would.
+    """
+    if len(text) <= DECIMAL_CHUNK_DIGITS:
+        return int(text)
+    body = text.strip()
+    sign = -1 if body.startswith("-") else 1
+    if body.startswith(("+", "-")):
+        body = body[1:]
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid decimal integer of length {len(text)}")
+    n = 0
+    for start in range(0, len(body), DECIMAL_CHUNK_DIGITS):
+        piece = body[start:start + DECIMAL_CHUNK_DIGITS]
+        n = n * 10 ** len(piece) + int(piece)
+    return sign * n
 
 
 def elementary_symmetric(k: int, xs: Iterable[int]) -> int:
@@ -177,6 +229,7 @@ def _digit_bound(max_digits: int) -> int:
     return 10**max_digits
 
 
+@lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
 def factorize(
     n: int,
     *,
@@ -191,7 +244,8 @@ def factorize(
     primality check on every surviving piece.  Inputs wider than
     ``max_digits`` decimal digits, and composites rho cannot split within
     its attempt budget, raise FactorizationIncomplete rather than risking a
-    wrong answer.
+    wrong answer.  Results are memoized (see the module docstring);
+    ``factorize.__wrapped__`` is the uncached function.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")

@@ -13,7 +13,7 @@ Each 5-tuple carries ten totally geodesic Eschenburg parameter sets, one per
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd
 
 from .arith import elementary_symmetric
@@ -28,8 +28,6 @@ _DISJOINT_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
     if p1 < p2 and not set(p1) & set(p2)
 )
 assert len(_DISJOINT_PAIRS) == 15
-
-_PERMS5 = tuple(permutations(range(5)))
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,6 @@ def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, in
         if g != 2:
             out.append(((i + 1, j + 1), (k + 1, l + 1), g))
     return out
-
-
-def is_free_baz_oracle(b: BazParams) -> bool:
-    """Freeness evaluated literally over all 120 permutations of the indices."""
-    if not b.all_odd():
-        return False
-    q = b.q
-    return all(gcd(q[s[0]] + q[s[1]], q[s[2]] + q[s[3]]) == 2 for s in _PERMS5)
 
 
 def is_pc_baz(b: BazParams) -> bool:

@@ -4,6 +4,9 @@ Parses parameters, dispatches to the library, and emits a report as
 human-readable text (default), JSON, or CSV.  JSON output follows the schema
 shipped as ``report_schema.json``; integers beyond the 53-bit float-safe
 range are serialized as decimal strings so no consumer can lose precision.
+Integers cross the command line in both directions through
+``arith.from_decimal`` and ``arith.to_decimal``, so no argument or output is
+held to the interpreter's 4300-digit int/str limit.
 
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached.
@@ -18,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, bazaikin, embedding, eschenburg, survey
-from .arith import FactorizationIncomplete
+from .arith import FactorizationIncomplete, from_decimal, to_decimal
 from .bazaikin import BazParams
 from .embedding import EmbeddingCertificate
 from .eschenburg import EschParams
@@ -36,12 +39,17 @@ EXIT_EFFORT_EXCEEDED = 3
 # argument parsing helpers
 
 
+def integer(text: str) -> int:
+    """argparse type for an integer of any size (``int`` stops at 4300 digits)."""
+    return from_decimal(text)
+
+
 def _ints(text: str, count: int, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise ValueError(f"{what} must be {count} comma-separated integers, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(from_decimal(p) for p in parts)
     except ValueError:
         raise ValueError(f"{what} must be integers, got {text!r}") from None
 
@@ -112,7 +120,7 @@ def _row_dict(row: SurveyRow) -> dict:
 def _q_formula(e: EschParams) -> str:
     """Symbolic candidate 5-tuple, e.g. '(79+2c, 1+2c, 1+2c, 5-2c, 25-2c)'."""
     heads = [2 * x + 1 for x in e.a] + [-(2 * e.b[1] + 1), -(2 * e.b[2] + 1)]
-    terms = [f"{h}+2c" for h in heads[:3]] + [f"{h}-2c" for h in heads[3:]]
+    terms = [f"{to_decimal(h)}+2c" for h in heads[:3]] + [f"{to_decimal(h)}-2c" for h in heads[3:]]
     return "(" + ", ".join(terms) + ")"
 
 
@@ -125,7 +133,7 @@ def _yn(flag: bool) -> str:
 
 
 def _fmt_triple(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+    return "(" + ", ".join(to_decimal(v) for v in values) + ")"
 
 
 def _fmt_esch(d: dict) -> str:
@@ -133,19 +141,19 @@ def _fmt_esch(d: dict) -> str:
 
 
 def _fmt_window(d: dict) -> str:
-    return f"{d['lo']} <= c <= {d['hi']}"
+    return f"{to_decimal(d['lo'])} <= c <= {to_decimal(d['hi'])}"
 
 
 def _fmt_offenses(offenses: list[dict]) -> str:
     return "; ".join(
-        f"gcd(q{o['pair1'][0]}+q{o['pair1'][1]}, q{o['pair2'][0]}+q{o['pair2'][1]}) = {o['gcd']}"
+        f"gcd(q{o['pair1'][0]}+q{o['pair1'][1]}, q{o['pair2'][0]}+q{o['pair2'][1]}) = {to_decimal(o['gcd'])}"
         for o in offenses
     )
 
 
 def _cert_lines(c: dict, indent: str = "") -> list[str]:
     lines = [
-        f"{indent}{_fmt_esch(c['esch'])}  shift c={c['shift']}",
+        f"{indent}{_fmt_esch(c['esch'])}  shift c={to_decimal(c['shift'])}",
         f"{indent}  q = {_fmt_triple(c['baz']['q'])}",
         f"{indent}  non-singular: {_yn(c['baz_free'])}",
     ]
@@ -154,7 +162,7 @@ def _cert_lines(c: dict, indent: str = "") -> list[str]:
     lines.append(f"{indent}  positively curved (host): {_yn(c['baz_pc'])}")
     lines.append(f"{indent}  positively curved (submanifold): {_yn(c['esch_pc'])}")
     if c["baz_free"]:
-        lines.append(f"{indent}  |H6| = {c['h6']}")
+        lines.append(f"{indent}  |H6| = {to_decimal(c['h6'])}")
     return lines
 
 
@@ -163,7 +171,7 @@ def _row_line(r: dict) -> str:
     marks = "".join("-" if ok else "x" for ok in r["verdicts"])
     return (
         f"{_fmt_esch(r['esch'])}  window {_fmt_window(r['window'])}  "
-        f"[{marks}]  |H4|={r['h4']}  {verdict}"
+        f"[{marks}]  |H4|={to_decimal(r['h4'])}  {verdict}"
     )
 
 
@@ -188,8 +196,8 @@ def _cmd_verify_esch(args) -> dict:
         f"  free:                    {_yn(result['free'])}",
         f"  pc (some metric):        {_yn(result['pc_some_metric'])}",
         f"  pc (fixed metric):       {_yn(result['pc_fixed_metric'])}",
-        f"  |H4|:                    {result['h4']}",
-        f"  kernel order:            {result['kernel_order']}",
+        f"  |H4|:                    {to_decimal(result['h4'])}",
+        f"  kernel order:            {to_decimal(result['kernel_order'])}",
         f"  canonical form:          {_fmt_esch(result['canonical'])}",
     ]
     table = [
@@ -215,7 +223,7 @@ def _cmd_verify_baz(args) -> dict:
         "offending_pairs": offenses,
     }
     text = [
-        f"q = {_fmt_triple(q.q)}  (sum {q.qsum})",
+        f"q = {_fmt_triple(q.q)}  (sum {to_decimal(q.qsum)})",
         f"  all odd:            {_yn(all_odd)}"
         + ("" if all_odd else "  (even entries: "
            + ", ".join(f"q{i}" for i, v in enumerate(q.q, 1) if v % 2 == 0) + ")"),
@@ -224,7 +232,7 @@ def _cmd_verify_baz(args) -> dict:
     if offenses:
         text.append(f"    {_fmt_offenses(offenses)}")
     text.append(f"  positively curved:  {_yn(result['pc'])}")
-    text.append(f"  |H6|:               {result['h6'] if all_odd else 'undefined (even entries)'}")
+    text.append(f"  |H6|:               {to_decimal(result['h6']) if all_odd else 'undefined (even entries)'}")
     table = [
         ["q", "all_odd", "free", "pc", "h6", "offending_pairs"],
         [_fmt_triple(q.q), all_odd, result["free"], result["pc"],
@@ -271,8 +279,8 @@ def _cmd_window(args) -> dict:
     ]
     for c in certs:
         mark = "non-singular" if c["baz_free"] else "singular"
-        extra = f"  |H6|={c['h6']}" if c["baz_free"] else f"  {_fmt_offenses(c['offending_pairs'][:1])}"
-        text.append(f"  c={c['shift']:<4} q={_fmt_triple(c['baz']['q']):<40} {mark}{extra}")
+        extra = f"  |H6|={to_decimal(c['h6'])}" if c["baz_free"] else f"  {_fmt_offenses(c['offending_pairs'][:1])}"
+        text.append(f"  c={to_decimal(c['shift']):<4} q={_fmt_triple(c['baz']['q']):<40} {mark}{extra}")
     text.append(f"any non-singular: {_yn(report.any_nonsingular)}")
     for note in report.notes:
         text.append(f"note: {note}")
@@ -295,7 +303,7 @@ def _cmd_certified_shifts(args) -> dict:
             c = embedding.certified_shift(e, mu, sign, **kwargs)
             ok = embedding.nonsingular_shift(e, c)
             results.append({"mu": mu, "sign": sign, "c": c, "nonsingular": ok})
-            text.append(f"  mu={mu} sign={'+' if sign > 0 else '-'}  c = {c}  non-singular: {_yn(ok)}")
+            text.append(f"  mu={mu} sign={'+' if sign > 0 else '-'}  c = {to_decimal(c)}  non-singular: {_yn(ok)}")
     table = [["mu", "sign", "c", "nonsingular"]]
     table.extend([r["mu"], r["sign"], r["c"], r["nonsingular"]] for r in results)
     return {"input": {"esch": _esch_dict(e), "mu_max": args.mu_max},
@@ -330,7 +338,7 @@ def _cmd_submanifolds(args) -> dict:
         results.append(item)
         text.append(
             f"  {{{pair[0]},{pair[1]}}}: {_fmt_esch(item['esch'])}  "
-            f"|H4|={item['h4']}  free: {_yn(item['free'])}"
+            f"|H4|={to_decimal(item['h4'])}  free: {_yn(item['free'])}"
         )
     distinct = len({eschenburg.canonicalize(e) for _, e in entries})
     text.append(f"distinct up to isometry moves: {distinct}")
@@ -355,10 +363,10 @@ def _cmd_dual(args) -> dict:
                  "h6": bazaikin.h6_order(dual_baz)},
     }
     text = [
-        f"original: {_fmt_esch(result['original']['esch'])}  shift c={args.c}",
-        f"  q = {_fmt_triple(q.q)}  |H6|={result['original']['h6']}",
+        f"original: {_fmt_esch(result['original']['esch'])}  shift c={to_decimal(args.c)}",
+        f"  q = {_fmt_triple(q.q)}  |H6|={to_decimal(result['original']['h6'])}",
         f"dual:     {_fmt_esch(result['dual']['esch'])}",
-        f"  q = {_fmt_triple(dual_baz.q)}  |H6|={result['dual']['h6']}",
+        f"  q = {_fmt_triple(dual_baz.q)}  |H6|={to_decimal(result['dual']['h6'])}",
     ]
     table = [
         ["role", "a", "b", "q", "h6"],
@@ -467,14 +475,22 @@ def _to_jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, int):
-        return x if -_JSON_SAFE <= x <= _JSON_SAFE else str(x)
+        return x if -_JSON_SAFE <= x <= _JSON_SAFE else to_decimal(x)
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"
     if isinstance(x, dict):
         return {k: _to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_to_jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def _csv_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return to_decimal(v)
+    return v
 
 
 def _emit(fmt: str, command: str, outcome: dict, out=None) -> None:
@@ -494,7 +510,7 @@ def _emit(fmt: str, command: str, outcome: dict, out=None) -> None:
     elif fmt == "csv":
         writer = csv.writer(out)
         for row in outcome["csv"]:
-            writer.writerow(["" if v is None else v for v in row])
+            writer.writerow([_csv_cell(v) for v in row])
     else:
         for line in outcome["text"]:
             out.write(line + "\n")
@@ -549,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{"--q": dict(required=True, help="q1,q2,q3,q4,q5")})
     add("embed", _cmd_embed, "one embedding certificate at a given shift",
         **{"--a": dict(required=True), "--b": dict(required=True),
-           "--c": dict(required=True, type=int, help="shift")})
+           "--c": dict(required=True, type=integer, help="shift")})
     add("window", _cmd_window, "scan the whole positive-curvature shift window",
         **{"--a": dict(required=True), "--b": dict(required=True)})
     add("certified-shifts", _cmd_certified_shifts,
@@ -565,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{"--q": dict(required=True)})
     add("dual", _cmd_dual, "swapped space and its host at a non-singular shift",
         **{"--a": dict(required=True), "--b": dict(required=True),
-           "--c": dict(required=True, type=int)})
+           "--c": dict(required=True, type=integer)})
     add("counterexamples", _cmd_counterexamples,
         "re-verify the nine stored counterexample spaces")
     add("families", _cmd_families,

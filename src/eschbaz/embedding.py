@@ -11,12 +11,18 @@ is the three-gcd form used by box scans) and positively curved
 (``pc_shift_window``), produces certified non-singular shifts of the form
 +-2**(mu-1) * P**mu (``certified_shift``), tracks when two shifts can share
 the same |H^6| (``collision_locus``), and builds embedding certificates.
+
+``shift_prime_product`` is memoized by ``functools.lru_cache`` with a fixed
+``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the parameters and
+the factorization keywords, so the certified shifts of one space and its
+distinct hosts share one P and factor its nine differences once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import bazaikin
@@ -30,6 +36,9 @@ from .eschenburg import (
     is_pc_metric,
     pc_normal_form,
 )
+
+
+SHIFT_PRODUCT_CACHE_SIZE = 1024
 
 
 class NormalFormError(ValueError):
@@ -102,32 +111,13 @@ def candidate_q(e: EschParams, c: int) -> BazParams:
     )
 
 
-def nonsingular_shift(e: EschParams, c: int) -> bool:
-    """True iff the shift-c candidate is a genuine (non-singular) Bazaikin space.
-
-    Equivalent to e being free plus the nine conditions
-    gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1, where {i, j} is the complement
-    of k.  A zero difference makes the gcd equal |a_i + a_j + 1 + 2c|, which
-    is evaluated literally.
-    """
-    if not is_free(e):
-        return False
-    a, b = e.a, e.b
-    for k in range(3):
-        i, j = (x for x in range(3) if x != k)
-        pair_sum = a[i] + a[j] + 1 + 2 * c
-        if any(gcd(pair_sum, a[k] - bl) != 1 for bl in b):
-            return False
-    return True
-
-
 def _singularity_moduli(f: EschParams) -> tuple[tuple[int, int], ...]:
     """(s_k, D_k) for k = 1, 2, 3, with s_k = a_i + a_j + 1, D_k = prod_l (a_k - b_l).
 
     For free f, shift c is non-singular iff gcd(s_k + 2c, D_k) == 1 for
-    every k: the three gcds of ``nonsingular_shift`` that share s_k + 2c
-    merge into one against their product (a zero difference zeroes D_k,
-    and gcd(x, 0) == 1 iff |x| == 1, as before).
+    every k: the nine conditions gcd(s_k + 2c, a_k - b_l) == 1 merge, three
+    at a time, into one against their product (a zero difference zeroes
+    D_k, and gcd(x, 0) == 1 iff |x| == 1, as for the single difference).
     """
     (a1, a2, a3), (b1, b2, b3) = f.a, f.b
     return (
@@ -135,6 +125,16 @@ def _singularity_moduli(f: EschParams) -> tuple[tuple[int, int], ...]:
         (a1 + a3 + 1, (a2 - b1) * (a2 - b2) * (a2 - b3)),
         (a1 + a2 + 1, (a3 - b1) * (a3 - b2) * (a3 - b3)),
     )
+
+
+def nonsingular_shift(e: EschParams, c: int) -> bool:
+    """True iff the shift-c candidate is a genuine (non-singular) Bazaikin space.
+
+    Equivalent to e being free plus the nine conditions
+    gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1, where {i, j} is the complement
+    of k; checked as three gcds (see ``_singularity_moduli``).
+    """
+    return is_free(e) and all(gcd(s + 2 * c, d) == 1 for s, d in _singularity_moduli(e))
 
 
 def first_nonsingular_shift(f: EschParams) -> int | None:
@@ -215,6 +215,7 @@ def window_scan(e: EschParams) -> WindowReport:
     )
 
 
+@lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
 def shift_prime_product(e: EschParams, **factor_kwargs) -> int:
     """Product P underlying the certified shifts.
 
@@ -222,6 +223,8 @@ def shift_prime_product(e: EschParams, **factor_kwargs) -> int:
     a_k - b_l that are coprime to a_i + a_j + 1 ({i, j} the complement of
     k); each such prime contributes one factor of P per pair in which it
     qualifies.  Zero differences contribute nothing; an empty product is 1.
+    Memoized (see the module docstring); ``shift_prime_product.__wrapped__``
+    is the uncached function.
     """
     a, b = e.a, e.b
     product = 1

@@ -68,30 +68,6 @@ def is_free(e: EschParams) -> bool:
     return all(gcd(a[0] - b[s[0]], a[1] - b[s[1]]) == 1 for s in _PERMS3)
 
 
-def is_free_oracle(e: EschParams) -> bool:
-    """Freeness decided by direct divisor enumeration, no gcd calls.
-
-    For each permutation, looks for an integer m >= 2 dividing both matched
-    differences, enumerating m up to min(|d1|, |d2|) and treating zero
-    differences (divisible by everything) exhaustively.
-    """
-    a, b = e.a, e.b
-    for s in _PERMS3:
-        d1 = a[0] - b[s[0]]
-        d2 = a[1] - b[s[1]]
-        if d1 == 0 and d2 == 0:
-            return False
-        if d1 == 0 or d2 == 0:
-            lone = d1 or d2
-            if abs(lone) >= 2:
-                return False
-            continue
-        for m in range(2, min(abs(d1), abs(d2)) + 1):
-            if d1 % m == 0 and d2 % m == 0:
-                return False
-    return True
-
-
 def kernel_order(e: EschParams) -> int:
     """Order of the ineffective kernel: gcd of all nine differences a_i - b_j.
 

@@ -2,7 +2,78 @@
 
 from __future__ import annotations
 
-from eschbaz import EschParams, is_free, pc_normal_form
+from itertools import permutations
+from math import gcd
+
+from eschbaz import BazParams, EschParams, is_free, pc_normal_form
+
+_PERMS3 = tuple(permutations(range(3)))
+_PERMS5 = tuple(permutations(range(5)))
+
+
+def is_free_oracle(e: EschParams) -> bool:
+    """Freeness decided by direct divisor enumeration, no gcd calls.
+
+    For each permutation, looks for an integer m >= 2 dividing both matched
+    differences, enumerating m up to min(|d1|, |d2|) and treating zero
+    differences (divisible by everything) exhaustively.
+    """
+    a, b = e.a, e.b
+    for s in _PERMS3:
+        d1 = a[0] - b[s[0]]
+        d2 = a[1] - b[s[1]]
+        if d1 == 0 and d2 == 0:
+            return False
+        if d1 == 0 or d2 == 0:
+            lone = d1 or d2
+            if abs(lone) >= 2:
+                return False
+            continue
+        for m in range(2, min(abs(d1), abs(d2)) + 1):
+            if d1 % m == 0 and d2 % m == 0:
+                return False
+    return True
+
+
+def is_free_baz_oracle(b: BazParams) -> bool:
+    """Freeness evaluated literally over all 120 permutations of the indices."""
+    if not b.all_odd():
+        return False
+    q = b.q
+    return all(gcd(q[s[0]] + q[s[1]], q[s[2]] + q[s[3]]) == 2 for s in _PERMS5)
+
+
+def nonsingular_shift_oracle(e: EschParams, c: int) -> bool:
+    """``nonsingular_shift`` as nine separate gcds, one per difference a_k - b_l.
+
+    Freeness plus gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1 for every k and l,
+    {i, j} the complement of k.  A zero difference makes the gcd equal
+    |a_i + a_j + 1 + 2c|, which is evaluated literally.
+    """
+    if not is_free(e):
+        return False
+    a, b = e.a, e.b
+    for k in range(3):
+        i, j = (x for x in range(3) if x != k)
+        pair_sum = a[i] + a[j] + 1 + 2 * c
+        if any(gcd(pair_sum, a[k] - bl) != 1 for bl in b):
+            return False
+    return True
+
+
+def decimal_by_digits(n: int) -> str:
+    """The decimal string of n, peeling off one digit at a time.
+
+    Quadratic, but free of the interpreter's int-to-str digit limit, so it
+    checks the chunked ``to_decimal`` on values past that limit.
+    """
+    m, digits = abs(n), []
+    while True:
+        m, d = divmod(m, 10)
+        digits.append("0123456789"[d])
+        if not m:
+            break
+    return "-" * (n < 0) + "".join(reversed(digits))
 
 
 def enumerate_normal_forms(max_abs: int) -> set[tuple]:

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 from conftest import random_esch, random_free_esch, random_odd_baz
+from oracles import is_free_baz_oracle, is_free_oracle
 from eschbaz import (
     BazParams,
     EschParams,
@@ -18,8 +19,6 @@ from eschbaz import (
     h6_order,
     is_free,
     is_free_baz,
-    is_free_baz_oracle,
-    is_free_oracle,
     is_pc_baz,
     is_pc_metric,
     kernel_order,

@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import decimal_by_digits
 from eschbaz.arith import (
+    DECIMAL_CHUNK_DIGITS,
+    FACTORIZE_CACHE_SIZE,
     Factorization,
     FactorizationIncomplete,
     elementary_symmetric,
     factorize,
+    from_decimal,
     gcd,
     is_probable_prime,
+    to_decimal,
 )
 
 
@@ -163,6 +168,113 @@ def test_factorize_digit_limit_past_int_to_str_limit():
     # 5001 digits: past the interpreter's 4300-digit int-to-str limit
     with pytest.raises(FactorizationIncomplete):
         factorize(10**5000 + 1)
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi)
+        if is_probable_prime(p):
+            return p
+
+
+def _factorize_samples(rng):
+    """Negatives, units, primes, prime powers, and composites for rho to split."""
+    small = [_random_prime(rng, 3, 10**4) for _ in range(20)]
+    large = [_random_prime(rng, 10**6, 10**9) for _ in range(10)]
+    samples = [1, -1, 2, -2, 97, -(2**89 - 1)]
+    samples += [p * sign for p in small + large for sign in (1, -1)]
+    samples += [p ** rng.randint(2, 6) for p in small]
+    # both primes above the trial-division bound: only rho can split these
+    samples += [p * q for p, q in zip(large[:3], large[3:6])]
+    samples += [rng.randint(-10**9, 10**9) or 1 for _ in range(100)]
+    return samples
+
+
+def test_cached_factorize_matches_uncached():
+    factorize.cache_clear()
+    rng = random.Random(4101)
+    for n in _factorize_samples(rng):
+        expected = factorize.__wrapped__(n)
+        assert factorize(n) == expected, n  # miss
+        assert factorize(n) == expected, n  # hit
+    # a tiny trial bound leaves every odd prime to rho
+    for n in [-prod(_random_prime(rng, 3, 10**4) for _ in range(4)) for _ in range(20)]:
+        assert factorize(n, trial_bound=3) == factorize.__wrapped__(n, trial_bound=3) == factorize(n)
+    assert factorize.cache_info().hits > 0
+
+
+def test_factorize_errors_raise_on_every_call():
+    factorize.cache_clear()
+    for _ in range(3):
+        with pytest.raises(FactorizationIncomplete):
+            factorize(10**80 + 1)
+        with pytest.raises(ValueError):
+            factorize(0)
+    assert factorize.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("tight_first", [True, False])
+def test_factorize_effort_bounds_do_not_share_cache_entries(tight_first):
+    factorize.cache_clear()
+    n = 1000003 * 1000033  # 13 digits, split by rho
+    expected = Factorization(1, ((1000003, 1), (1000033, 1)))
+
+    def tight():
+        with pytest.raises(FactorizationIncomplete):
+            factorize(n, max_digits=12)
+        assert factorize(n, trial_bound=10) == expected
+
+    def default():
+        assert factorize(n) == expected
+
+    for call in (tight, default) if tight_first else (default, tight):
+        call()
+        call()
+    info = factorize.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
+
+
+def test_factorize_cache_is_bounded():
+    maxsize = factorize.cache_info().maxsize
+    assert maxsize == FACTORIZE_CACHE_SIZE
+    assert isinstance(maxsize, int) and 0 < maxsize < 10**6
+
+
+# ---------------------------------------------------------------------------
+# decimal conversion
+
+
+def test_to_decimal_matches_str_below_the_limit():
+    rng = random.Random(4102)
+    chunk = DECIMAL_CHUNK_DIGITS
+    for digits in (1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 4300):
+        for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)):
+            for x in (n, -n):
+                assert to_decimal(x) == str(x)
+                assert from_decimal(str(x)) == x
+    assert to_decimal(0) == "0" and from_decimal("0") == 0
+
+
+def test_decimal_round_trip_past_the_limit():
+    rng = random.Random(4103)
+    assert to_decimal(10**5000 + 7) == "1" + "0" * 4998 + "07"
+    assert from_decimal("-" + "9" * 6000) == -(10**6000 - 1)
+    for digits in (4301, 5 * DECIMAL_CHUNK_DIGITS, 9001):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        for x in (n, -n, 10**digits, 10 ** (digits - 1) * 3 + 1):
+            text = to_decimal(x)
+            assert text == decimal_by_digits(x)
+            assert from_decimal(text) == x
+            assert from_decimal(f" +{text} " if x > 0 else f" {text}\n") == x
+
+
+def test_from_decimal_rejects_malformed_long_text():
+    body = "1" * 5000
+    for bad in (body + "x", body[:100] + "_" + body, "--" + body, "+-" + body, "1.5" + body, " " * 700):
+        with pytest.raises(ValueError):
+            from_decimal(bad)
+    with pytest.raises(ValueError):
+        from_decimal("12a")
 
 
 def test_factorization_type_rejects_garbage():

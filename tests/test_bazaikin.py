@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_odd_baz
+from oracles import is_free_baz_oracle
 from eschbaz import (
     BazParams,
     canonicalize,
@@ -11,7 +12,6 @@ from eschbaz import (
     h6_order,
     is_free,
     is_free_baz,
-    is_free_baz_oracle,
     is_pc_baz,
     is_pc_metric,
     submanifolds,

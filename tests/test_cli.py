@@ -6,7 +6,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from oracles import decimal_by_digits
+from eschbaz import EschParams, certified_shift, nonsingular_shift
 from eschbaz.cli import run
+
+E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +136,58 @@ def test_json_big_integers_become_strings(capsys, schema):
     assert isinstance(values[4], str)  # 8 * 4089800^4 overflows 53 bits
     assert int(values[4]) == 8 * 4089800**4
     assert all(r["nonsingular"] for r in report["results"])
+
+
+def test_embed_shift_past_int_to_str_limit(capsys, schema):
+    # 4424 digits, past the interpreter's 4300-digit int/str limit
+    c = certified_shift(E_RUNNING, 640, 1)
+    digits = decimal_by_digits(c)
+    assert len(digits) == 4424
+    argv = ("embed", "--a=2,0,0", "--b=15,-2,-11", f"--c={digits}")
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 0
+    (cert,) = report["results"]
+    assert cert["shift"] == report["input"]["shift"] == digits
+    assert cert["baz_free"] is True
+    assert cert["baz"]["q"][0] == decimal_by_digits(2 * (2 + c) + 1)
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert row["shift"] == digits and row["baz_free"] == "True"
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert f"shift c={digits}\n" in out and "non-singular: yes" in out
+
+
+def test_certified_shifts_past_int_to_str_limit(capsys, schema):
+    # 623 is the smallest --mu-max whose last shift, -2^622 P^623, has more
+    # than 4300 digits (4307); at 622 every shift has at most 4300
+    argv = ("certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11", "--mu-max", "623")
+    last = certified_shift(E_RUNNING, 623, -1)
+    assert len(decimal_by_digits(last)) == 4308  # with the sign
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 0
+    assert len(report["results"]) == 2 * 623
+    assert report["results"][-1] == {"mu": 623, "sign": -1, "c": decimal_by_digits(last),
+                                     "nonsingular": True}
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == f"623,-1,{decimal_by_digits(last)},True"
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == f"  mu=623 sign=-  c = {decimal_by_digits(last)}  non-singular: yes"
+
+
+def test_parameters_past_int_to_str_limit(capsys, schema):
+    big = 10**5000
+    a, b = f"{decimal_by_digits(big)},0,0", f"{decimal_by_digits(big + 1)},-1,0"
+    code, report = invoke_json(capsys, schema, "verify-esch", "--a", a, "--b", b)
+    assert code == 0
+    (result,) = report["results"]
+    assert result["esch"]["a"][0] == decimal_by_digits(big)
+    code, out, _ = invoke(capsys, "verify-esch", "--a", a, "--b", b)
+    assert code == 0
+    assert out.startswith(f"a=({decimal_by_digits(big)}, 0, 0) b=({decimal_by_digits(big + 1)}, -1, 0)\n")
 
 
 def test_json_error_reports_are_machine_readable(capsys, schema):

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from conftest import random_esch, random_free_esch, random_pc_esch
+from oracles import nonsingular_shift_oracle
 from eschbaz import (
     BazParams,
     EschParams,
@@ -29,7 +30,12 @@ from eschbaz import (
     window_scan,
 )
 from eschbaz.arith import elementary_symmetric
-from eschbaz.embedding import COHOM1_WINDOW_NOTE, make_certificate, shift_prime_product
+from eschbaz.embedding import (
+    COHOM1_WINDOW_NOTE,
+    SHIFT_PRODUCT_CACHE_SIZE,
+    make_certificate,
+    shift_prime_product,
+)
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
@@ -84,6 +90,25 @@ def test_nonsingular_shift_matches_candidate_freeness():
         assert nonsingular_shift(e, c) == is_free_baz(candidate_q(e, c)), (e, c)
 
 
+def test_nonsingular_shift_matches_nine_gcd_oracle():
+    rng = random.Random(4201)
+    free = [random_free_esch(rng, -40, 40) for _ in range(30)]
+    non_free = []
+    while len(non_free) < 15:
+        e = random_esch(rng, -40, 40)
+        if not is_free(e):
+            non_free.append(e)
+    vanishing = [EschParams((0, 2, 2), (0, 1, 3)), EschParams((0, 0, 0), (0, 0, 0))]
+    while len(vanishing) < 17:
+        e = random_esch(rng, -15, 15)
+        if 0 in [ak - bl for ak in e.a for bl in e.b]:
+            vanishing.append(e)
+    assert any(is_free(e) for e in vanishing) and not all(is_free(e) for e in vanishing)
+    for e in free + non_free + vanishing:
+        for c in range(-200, 201):
+            assert nonsingular_shift(e, c) == nonsingular_shift_oracle(e, c), (e, c)
+
+
 def test_common_prime_divisors_are_odd():
     # for free parameters, any prime dividing both a_i + a_j + 1 and a_k - b_l
     # must be odd
@@ -136,6 +161,22 @@ def test_certified_shift_rejects_vanishing_differences():
     # the window machinery is unaffected: vanishing differences cannot occur
     # for positively curved parameters
     assert not is_pc_metric(e)
+
+
+def test_cached_shift_prime_product_matches_uncached():
+    shift_prime_product.cache_clear()
+    rng = random.Random(4202)
+    spaces = [random_free_esch(rng, -60, 60, nonzero_diffs=True) for _ in range(100)]
+    spaces += [random_esch(rng, -15, 15) for _ in range(30)]
+    for e in spaces:
+        expected = shift_prime_product.__wrapped__(e)
+        assert shift_prime_product(e) == expected, e  # miss
+        assert shift_prime_product(e) == expected, e  # hit
+        assert shift_prime_product(e, trial_bound=3) == expected, e
+    info = shift_prime_product.cache_info()
+    assert info.hits == len(spaces)
+    assert info.maxsize == SHIFT_PRODUCT_CACHE_SIZE
+    assert isinstance(info.maxsize, int) and 0 < info.maxsize < 10**6
 
 
 def test_certified_shifts_always_nonsingular_sampled():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_esch, random_free_esch, random_pc_esch
+from oracles import is_free_oracle
 from eschbaz import (
     DegenerateActionError,
     EschParams,
@@ -17,7 +18,6 @@ from eschbaz import (
     family_cohomogeneity_two,
     h4_order,
     is_free,
-    is_free_oracle,
     is_pc_metric,
     kernel_order,
     pc_normal_form,
