@@ -13,7 +13,8 @@ sharing a cached result is safe, and errors are never cached.
 ``to_decimal`` and ``from_decimal`` convert ints to and from decimal text
 ``DECIMAL_CHUNK_DIGITS`` (600) digits at a time, below the interpreter's
 int/str digit limit (4300 by default, 640 at the lowest), so values of any
-size reach and leave the command line exactly.
+size reach and leave the command line exactly; ``tuple_to_decimal`` writes a
+parameter tuple the same way, for reports and error messages alike.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def to_decimal(n: int) -> str:
         chunks.append(str(low).zfill(DECIMAL_CHUNK_DIGITS))
     chunks.append(str(m))
     return ("-" if n < 0 else "") + "".join(reversed(chunks))
+
+
+def tuple_to_decimal(values) -> str:
+    """``repr`` of a tuple of ints, with every entry written by ``to_decimal``."""
+    body = ", ".join(to_decimal(v) for v in values)
+    return f"({body},)" if len(values) == 1 else f"({body})"
 
 
 def from_decimal(text: str) -> int:

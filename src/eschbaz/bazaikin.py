@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .arith import elementary_symmetric
+from .arith import elementary_symmetric, tuple_to_decimal
 from .eschenburg import EschParams
 
 # The freeness condition only depends on the two unordered index pairs, so the
@@ -39,7 +39,7 @@ class BazParams:
     def __post_init__(self) -> None:
         q = tuple(int(x) for x in self.q)
         if len(q) != 5:
-            raise ValueError(f"expected a 5-tuple, got {q}")
+            raise ValueError(f"expected a 5-tuple, got {tuple_to_decimal(q)}")
         object.__setattr__(self, "q", q)
 
     @property
@@ -50,7 +50,7 @@ class BazParams:
         return all(x % 2 != 0 for x in self.q)
 
     def __str__(self) -> str:
-        return f"q={self.q}"
+        return f"q={tuple_to_decimal(self.q)}"
 
 
 def is_free_baz(b: BazParams) -> bool:
@@ -88,11 +88,11 @@ def is_pc_baz(b: BazParams) -> bool:
 def h6_order(b: BazParams) -> int:
     """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples."""
     if not b.all_odd():
-        raise ValueError(f"h6_order needs all entries odd, got {b.q}")
+        raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
     s3 = elementary_symmetric(3, b.q + (-b.qsum,))
     magnitude, remainder = divmod(abs(s3), 8)
     if remainder:
-        raise AssertionError(f"sigma_3 of odd tuple {b.q} not divisible by 8")
+        raise AssertionError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
     return magnitude
 
 
@@ -107,7 +107,7 @@ def submanifolds(b: BazParams) -> list[tuple[tuple[int, int], EschParams]]:
     distinct count is wanted.
     """
     if not b.all_odd():
-        raise ValueError(f"submanifolds needs all entries odd, got {b.q}")
+        raise ValueError(f"submanifolds needs all entries odd, got {tuple_to_decimal(b.q)}")
     q = b.q
     half_sum = (b.qsum - 1) // 2
     out = []

@@ -8,6 +8,11 @@ Integers cross the command line in both directions through
 ``arith.from_decimal`` and ``arith.to_decimal``, so no argument or output is
 held to the interpreter's 4300-digit int/str limit.
 
+The argument parser is built once per process, on the first ``run``, and
+reused by every later call; each parse starts from a fresh namespace, and
+help and usage text are written to the ``sys.stdout``/``sys.stderr`` of the
+moment.
+
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached.
 """
@@ -19,9 +24,10 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, bazaikin, embedding, eschenburg, survey
-from .arith import FactorizationIncomplete, from_decimal, to_decimal
+from .arith import FactorizationIncomplete, from_decimal, to_decimal, tuple_to_decimal
 from .bazaikin import BazParams
 from .embedding import EmbeddingCertificate
 from .eschenburg import EschParams
@@ -132,12 +138,8 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _fmt_triple(values) -> str:
-    return "(" + ", ".join(to_decimal(v) for v in values) + ")"
-
-
 def _fmt_esch(d: dict) -> str:
-    return f"a={_fmt_triple(d['a'])} b={_fmt_triple(d['b'])}"
+    return f"a={tuple_to_decimal(d['a'])} b={tuple_to_decimal(d['b'])}"
 
 
 def _fmt_window(d: dict) -> str:
@@ -154,7 +156,7 @@ def _fmt_offenses(offenses: list[dict]) -> str:
 def _cert_lines(c: dict, indent: str = "") -> list[str]:
     lines = [
         f"{indent}{_fmt_esch(c['esch'])}  shift c={to_decimal(c['shift'])}",
-        f"{indent}  q = {_fmt_triple(c['baz']['q'])}",
+        f"{indent}  q = {tuple_to_decimal(c['baz']['q'])}",
         f"{indent}  non-singular: {_yn(c['baz_free'])}",
     ]
     if c["offending_pairs"]:
@@ -203,9 +205,9 @@ def _cmd_verify_esch(args) -> dict:
     table = [
         ["a", "b", "free", "pc_some_metric", "pc_fixed_metric", "h4", "kernel_order",
          "canonical_a", "canonical_b"],
-        [_fmt_triple(e.a), _fmt_triple(e.b), result["free"], result["pc_some_metric"],
+        [tuple_to_decimal(e.a), tuple_to_decimal(e.b), result["free"], result["pc_some_metric"],
          result["pc_fixed_metric"], result["h4"], result["kernel_order"],
-         _fmt_triple(canonical.a), _fmt_triple(canonical.b)],
+         tuple_to_decimal(canonical.a), tuple_to_decimal(canonical.b)],
     ]
     return {"input": {"esch": _esch_dict(e)}, "results": [result], "text": text, "csv": table}
 
@@ -223,7 +225,7 @@ def _cmd_verify_baz(args) -> dict:
         "offending_pairs": offenses,
     }
     text = [
-        f"q = {_fmt_triple(q.q)}  (sum {to_decimal(q.qsum)})",
+        f"q = {tuple_to_decimal(q.q)}  (sum {to_decimal(q.qsum)})",
         f"  all odd:            {_yn(all_odd)}"
         + ("" if all_odd else "  (even entries: "
            + ", ".join(f"q{i}" for i, v in enumerate(q.q, 1) if v % 2 == 0) + ")"),
@@ -235,7 +237,7 @@ def _cmd_verify_baz(args) -> dict:
     text.append(f"  |H6|:               {to_decimal(result['h6']) if all_odd else 'undefined (even entries)'}")
     table = [
         ["q", "all_odd", "free", "pc", "h6", "offending_pairs"],
-        [_fmt_triple(q.q), all_odd, result["free"], result["pc"],
+        [tuple_to_decimal(q.q), all_odd, result["free"], result["pc"],
          result["h6"] if all_odd else "", _fmt_offenses(offenses)],
     ]
     return {"input": {"baz": _baz_dict(q)}, "results": [result], "text": text, "csv": table}
@@ -245,8 +247,8 @@ def _certs_csv(certs: list[dict]) -> list[list]:
     table = [["a", "b", "shift", "q", "baz_free", "baz_pc", "esch_pc", "h6", "offending_pairs"]]
     for c in certs:
         table.append([
-            _fmt_triple(c["esch"]["a"]), _fmt_triple(c["esch"]["b"]), c["shift"],
-            _fmt_triple(c["baz"]["q"]), c["baz_free"], c["baz_pc"], c["esch_pc"],
+            tuple_to_decimal(c["esch"]["a"]), tuple_to_decimal(c["esch"]["b"]), c["shift"],
+            tuple_to_decimal(c["baz"]["q"]), c["baz_free"], c["baz_pc"], c["esch_pc"],
             c["h6"], _fmt_offenses(c["offending_pairs"]),
         ])
     return table
@@ -280,7 +282,7 @@ def _cmd_window(args) -> dict:
     for c in certs:
         mark = "non-singular" if c["baz_free"] else "singular"
         extra = f"  |H6|={to_decimal(c['h6'])}" if c["baz_free"] else f"  {_fmt_offenses(c['offending_pairs'][:1])}"
-        text.append(f"  c={to_decimal(c['shift']):<4} q={_fmt_triple(c['baz']['q']):<40} {mark}{extra}")
+        text.append(f"  c={to_decimal(c['shift']):<4} q={tuple_to_decimal(c['baz']['q']):<40} {mark}{extra}")
     text.append(f"any non-singular: {_yn(report.any_nonsingular)}")
     for note in report.notes:
         text.append(f"note: {note}")
@@ -327,7 +329,7 @@ def _cmd_submanifolds(args) -> dict:
     q = _baz_from_args(args)
     entries = bazaikin.submanifolds(q)
     results = []
-    text = [f"q = {_fmt_triple(q.q)}"]
+    text = [f"q = {tuple_to_decimal(q.q)}"]
     for pair, e in entries:
         item = {
             "pair": list(pair),
@@ -344,8 +346,8 @@ def _cmd_submanifolds(args) -> dict:
     text.append(f"distinct up to isometry moves: {distinct}")
     table = [["pair", "a", "b", "h4", "free"]]
     table.extend(
-        [f"{{{r['pair'][0]},{r['pair'][1]}}}", _fmt_triple(r["esch"]["a"]),
-         _fmt_triple(r["esch"]["b"]), r["h4"], r["free"]]
+        [f"{{{r['pair'][0]},{r['pair'][1]}}}", tuple_to_decimal(r["esch"]["a"]),
+         tuple_to_decimal(r["esch"]["b"]), r["h4"], r["free"]]
         for r in results
     )
     return {"input": {"baz": _baz_dict(q)}, "results": results,
@@ -364,16 +366,16 @@ def _cmd_dual(args) -> dict:
     }
     text = [
         f"original: {_fmt_esch(result['original']['esch'])}  shift c={to_decimal(args.c)}",
-        f"  q = {_fmt_triple(q.q)}  |H6|={to_decimal(result['original']['h6'])}",
+        f"  q = {tuple_to_decimal(q.q)}  |H6|={to_decimal(result['original']['h6'])}",
         f"dual:     {_fmt_esch(result['dual']['esch'])}",
-        f"  q = {_fmt_triple(dual_baz.q)}  |H6|={to_decimal(result['dual']['h6'])}",
+        f"  q = {tuple_to_decimal(dual_baz.q)}  |H6|={to_decimal(result['dual']['h6'])}",
     ]
     table = [
         ["role", "a", "b", "q", "h6"],
-        ["original", _fmt_triple(e.a), _fmt_triple(e.b), _fmt_triple(q.q),
+        ["original", tuple_to_decimal(e.a), tuple_to_decimal(e.b), tuple_to_decimal(q.q),
          result["original"]["h6"]],
-        ["dual", _fmt_triple(dual_esch.a), _fmt_triple(dual_esch.b),
-         _fmt_triple(dual_baz.q), result["dual"]["h6"]],
+        ["dual", tuple_to_decimal(dual_esch.a), tuple_to_decimal(dual_esch.b),
+         tuple_to_decimal(dual_baz.q), result["dual"]["h6"]],
     ]
     return {"input": {"esch": _esch_dict(e), "shift": args.c},
             "results": [result], "text": text, "csv": table}
@@ -383,7 +385,7 @@ def _counterexample_csv(rows: list[SurveyRow]) -> list[list]:
     table = [["a", "b", "q_formula", "window"]]
     for row in rows:
         table.append([
-            _fmt_triple(row.esch.a), _fmt_triple(row.esch.b),
+            tuple_to_decimal(row.esch.a), tuple_to_decimal(row.esch.b),
             _q_formula(row.esch), _fmt_window(_window_dict(row.window)),
         ])
     return table
@@ -416,7 +418,7 @@ def _cmd_families(args) -> dict:
     text.append(f"both families verified as counterexamples for 0 <= k <= {args.k_max}")
     table = [["variant", "k", "a", "b", "window", "counterexample"]]
     table.extend(
-        [d["variant"], d["k"], _fmt_triple(d["esch"]["a"]), _fmt_triple(d["esch"]["b"]),
+        [d["variant"], d["k"], tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
          _fmt_window(d["window"]), d["is_counterexample"]]
         for d in results
     )
@@ -429,7 +431,7 @@ def _cmd_cohom1(args) -> dict:
     for p, cert in enumerate(certs, start=1):
         cert["p"] = p
     text = [
-        f"p={c['p']:<4} q={_fmt_triple(c['baz']['q']):<24} "
+        f"p={c['p']:<4} q={tuple_to_decimal(c['baz']['q']):<24} "
         f"non-singular: {_yn(c['baz_free'])}  pc: {_yn(c['baz_pc'])}"
         for c in certs
     ]
@@ -437,7 +439,7 @@ def _cmd_cohom1(args) -> dict:
     for note in summary.notes:
         text.append(f"note: {note}")
     table = [["p", "q", "baz_free", "baz_pc"]]
-    table.extend([c["p"], _fmt_triple(c["baz"]["q"]), c["baz_free"], c["baz_pc"]] for c in certs)
+    table.extend([c["p"], tuple_to_decimal(c["baz"]["q"]), c["baz_free"], c["baz_pc"]] for c in certs)
     return {"input": {"p_max": args.p_max}, "results": certs,
             "summary": {"checked": summary.p_max}, "notes": list(summary.notes),
             "text": text, "csv": table}
@@ -456,7 +458,7 @@ def _cmd_scan(args) -> dict:
         text.append(f"({stats.counterexamples - len(rows)} more beyond --limit {args.limit})")
     table = [["a", "b", "window", "h4"]]
     table.extend(
-        [_fmt_triple(d["esch"]["a"]), _fmt_triple(d["esch"]["b"]),
+        [tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
          _fmt_window(d["window"]), d["h4"]]
         for d in results
     )
@@ -597,11 +599,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` shares, built on first use (not at import)."""
+    return _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, emit a report, return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
     fmt, command = args.format, args.command

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import bazaikin
-from .arith import elementary_symmetric, factorize
+from .arith import elementary_symmetric, factorize, to_decimal
 from .bazaikin import BazParams
 from .eschenburg import (
     EschParams,
@@ -320,7 +320,7 @@ def homotopy_distinct_embeddings(e: EschParams, n: int, **factor_kwargs) -> list
             c = sign * 2 ** (mu - 1) * base**mu
             cert = make_certificate(e, c)
             if not cert.baz_free:
-                raise AssertionError(f"certified shift {c} produced a singular candidate for {e}")
+                raise AssertionError(f"certified shift {to_decimal(c)} produced a singular candidate for {e}")
             if cert.h6 in seen:
                 continue
             seen.add(cert.h6)
@@ -340,7 +340,7 @@ def dual_embedding(e: EschParams, c: int) -> tuple[EschParams, BazParams]:
     |H^6| is unchanged (the new 6-tuple is a signed permutation of the old).
     """
     if not nonsingular_shift(e, c):
-        raise SingularCandidateError(f"shift {c} of {e} yields a singular candidate")
+        raise SingularCandidateError(f"shift {to_decimal(c)} of {e} yields a singular candidate")
     q = candidate_q(e, c).q
     qs = sum(q)
     swapped = EschParams(tuple(x + c for x in e.b), tuple(x + c for x in e.a))

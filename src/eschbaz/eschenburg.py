@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
-from .arith import elementary_symmetric
+from .arith import elementary_symmetric, to_decimal, tuple_to_decimal
 
 _PERMS3 = tuple(permutations(range(3)))
 
@@ -43,14 +43,18 @@ class EschParams:
         a = tuple(int(x) for x in self.a)
         b = tuple(int(x) for x in self.b)
         if len(a) != 3 or len(b) != 3:
-            raise ValueError(f"expected two triples, got a={a}, b={b}")
+            raise ValueError(
+                f"expected two triples, got a={tuple_to_decimal(a)}, b={tuple_to_decimal(b)}"
+            )
         if sum(a) != sum(b):
-            raise ValueError(f"parameter sums differ: sum(a) = {sum(a)}, sum(b) = {sum(b)}")
+            raise ValueError(
+                f"parameter sums differ: sum(a) = {to_decimal(sum(a))}, sum(b) = {to_decimal(sum(b))}"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     def __str__(self) -> str:
-        return f"a={self.a} b={self.b}"
+        return f"a={tuple_to_decimal(self.a)} b={tuple_to_decimal(self.b)}"
 
 
 def shift(e: EschParams, c: int) -> EschParams:
@@ -131,12 +135,6 @@ def is_pc_metric(e: EschParams) -> bool:
     return (b2 < lo and b3 < lo) or (b2 > hi and b3 > hi)
 
 
-def _first_chain(e: EschParams) -> bool:
-    """b3 <= b2 < a3 <= a2 <= a1 < b1."""
-    a, b = e.a, e.b
-    return b[2] <= b[1] < a[2] <= a[1] <= a[0] < b[0]
-
-
 def pc_normal_form(e: EschParams) -> EschParams:
     """Representative with b3 <= b2 < a3 <= a2 <= a1 < b1 and min(a) == 0.
 
@@ -149,13 +147,14 @@ def pc_normal_form(e: EschParams) -> EschParams:
     f = canonicalize(e)
     if f.b[1] > max(f.a):
         f = canonicalize(EschParams(tuple(-x for x in f.a), tuple(-x for x in f.b)))
-    assert _first_chain(f)
+    assert in_pc_normal_form(f)
     return f
 
 
 def in_pc_normal_form(e: EschParams) -> bool:
-    """True iff e already satisfies the normal-form inequality chain."""
-    return _first_chain(e)
+    """True iff e satisfies the normal-form chain b3 <= b2 < a3 <= a2 <= a1 < b1."""
+    a, b = e.a, e.b
+    return b[2] <= b[1] < a[2] <= a[1] <= a[0] < b[0]
 
 
 def h4_order(e: EschParams) -> int:

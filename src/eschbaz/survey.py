@@ -10,11 +10,13 @@ non-singular Bazaikin host under the shift construction.
 ``scan_box`` writes each space's normal form down directly while it
 enumerates, then decides each space with the three-gcd test of
 ``first_nonsingular_shift``, stopping at the first non-singular shift of the
-curvature window; it builds no certificates.  The verification jobs keep
-the full-certificate path (``window_scan``), which is also the test oracle
-for the scan.  ``scan_box`` can shard its work over worker processes;
-results are merged by deterministic sort, so output is identical for any
-worker count.
+curvature window; it builds no certificates.  The two counterexample jobs
+decide their spaces the same way and build certificates (``window_scan``)
+only when a space embeds after all, so that the failure names its
+non-singular shifts.  The cohomogeneity-one job and the ``window`` command
+keep the full-certificate path, which is also the test oracle for the fast
+one.  ``scan_box`` can shard its work over worker processes; results are
+merged by deterministic sort, so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .eschenburg import (
     h4_order,
     is_free,
     is_pc_metric,
+    pc_normal_form,
 )
 
 
@@ -108,6 +111,31 @@ def _row_from_report(report: WindowReport) -> SurveyRow:
     )
 
 
+def _counterexample_row(f: EschParams) -> SurveyRow:
+    """The row of normal form f, whose whole curvature window is singular."""
+    window = pc_shift_window(f)
+    return SurveyRow(
+        esch=f,
+        window=window,
+        verdicts=(False,) * len(window),
+        is_counterexample=True,
+        h4=h4_order(f),
+    )
+
+
+def _verdict_row(e: EschParams) -> SurveyRow:
+    """The window-scan row of free, positively curved e, in normal form.
+
+    Decided with the three-gcd test of ``first_nonsingular_shift``; only a
+    space that embeds after all goes through ``window_scan``, so its row
+    says at which shifts.
+    """
+    f = pc_normal_form(e)
+    if first_nonsingular_shift(f) is None:
+        return _counterexample_row(f)
+    return _row_from_report(window_scan(e))
+
+
 def verify_known_counterexamples() -> list[SurveyRow]:
     """Re-check all nine stored counterexamples from scratch.
 
@@ -126,7 +154,7 @@ def verify_known_counterexamples() -> list[SurveyRow]:
                 f"row {index}: {e} is not positively curved",
                 row=index, expected="positively curved", actual="not positively curved",
             )
-        row = _row_from_report(window_scan(e))
+        row = _verdict_row(e)
         if row.window != expected_window:
             raise VerificationFailure(
                 f"row {index}: window mismatch for {e}: "
@@ -157,7 +185,7 @@ def verify_infinite_families(k_max: int) -> list[SurveyRow]:
                     f"family {variant}, k={k}: {e} is not free and positively curved",
                     variant=variant, k=k,
                 )
-            row = _row_from_report(window_scan(e))
+            row = _verdict_row(e)
             if not row.is_counterexample:
                 raise VerificationFailure(
                     f"family {variant}, k={k}: {e} embeds after all",
@@ -290,19 +318,7 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             for part in pool.map(_scan_chunk, _chunked(list(keys), 4 * processes)):
                 singular.extend(part)
 
-    rows = []
-    for a, b in singular:
-        e = EschParams(a, b)
-        window = pc_shift_window(e)
-        rows.append(
-            SurveyRow(
-                esch=e,
-                window=window,
-                verdicts=(False,) * len(window),
-                is_counterexample=True,
-                h4=h4_order(e),
-            )
-        )
+    rows = [_counterexample_row(EschParams(a, b)) for a, b in singular]
     stats = ScanStats(
         total=len(keys), embeddable=len(keys) - len(rows), counterexamples=len(rows)
     )

@@ -18,6 +18,7 @@ from eschbaz.arith import (
     gcd,
     is_probable_prime,
     to_decimal,
+    tuple_to_decimal,
 )
 
 
@@ -266,6 +267,14 @@ def test_decimal_round_trip_past_the_limit():
             assert text == decimal_by_digits(x)
             assert from_decimal(text) == x
             assert from_decimal(f" +{text} " if x > 0 else f" {text}\n") == x
+
+
+def test_tuple_to_decimal_matches_repr_and_passes_the_limit():
+    for values in ((), (7,), (-3, 0), (39, 0, 0), (5, 1, 1, 3, 21)):
+        assert tuple_to_decimal(values) == repr(values)
+    big = 10**5000 + 3
+    assert tuple_to_decimal((big,)) == f"({decimal_by_digits(big)},)"
+    assert tuple_to_decimal((1, -big, 0)) == f"(1, {decimal_by_digits(-big)}, 0)"
 
 
 def test_from_decimal_rejects_malformed_long_text():

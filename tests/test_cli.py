@@ -8,7 +8,9 @@ import pytest
 
 from oracles import decimal_by_digits
 from eschbaz import EschParams, certified_shift, nonsingular_shift
+from eschbaz import cli
 from eschbaz.cli import run
+from eschbaz.embedding import _singularity_moduli
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
@@ -188,6 +190,66 @@ def test_parameters_past_int_to_str_limit(capsys, schema):
     code, out, _ = invoke(capsys, "verify-esch", "--a", a, "--b", b)
     assert code == 0
     assert out.startswith(f"a=({decimal_by_digits(big)}, 0, 0) b=({decimal_by_digits(big + 1)}, -1, 0)\n")
+
+
+def test_huge_parameters_report_their_own_reason(capsys, schema):
+    # the rejection must name the real fault, not the int/str digit limit
+    big = decimal_by_digits(10**5000)
+    argv = ("window", f"--a={big},0,0", f"--b=0,0,{big}")
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2
+    assert err == f"error (invalid-input): a=({big}, 0, 0) b=(0, 0, {big}) " \
+                  "fails the fixed-metric positive-curvature test\n"
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 2 and "positive-curvature test" in report["error"]["reason"]
+
+    q1 = "21" + "0" * 5000
+    code, _, err = invoke(capsys, "submanifolds", f"--q={q1},1,1,1,1")
+    assert code == 2
+    assert err == f"error (invalid-input): submanifolds needs all entries odd, got ({q1}, 1, 1, 1, 1)\n"
+
+    code, _, err = invoke(capsys, "verify-esch", f"--a={big},0,1", f"--b={big},0,0")
+    assert code == 2
+    assert f"sum(a) = {decimal_by_digits(10**5000 + 1)}, sum(b) = {big}" in err
+
+
+def test_dual_rejects_a_singular_shift_past_the_limit(capsys):
+    # shifting by a multiple of every modulus D_k keeps shift 0's verdict,
+    # and shift 0 of the running example is singular
+    period = 1
+    for _, d in _singularity_moduli(E_RUNNING):
+        period *= abs(d)
+    c = period * 10**5000
+    assert not nonsingular_shift(E_RUNNING, c)
+    code, _, err = invoke(capsys, "dual", "--a=2,0,0", "--b=15,-2,-11", f"--c={decimal_by_digits(c)}")
+    assert code == 2
+    assert err == (f"error (invalid-input): shift {decimal_by_digits(c)} of a=(2, 0, 0) "
+                   "b=(15, -2, -11) yields a singular candidate\n")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    shifts = ("certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11", "--mu-max", "2")
+    sequence = [
+        ("families", "--k-max"),
+        ("--help",),
+        ("families", "--k-max", "3", "--format", "json"),
+        (*shifts, "--seed", "5", "--factor-bound", "1000"),
+        shifts,
+    ]
+    shared = [invoke(capsys, *argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    fresh = [invoke(capsys, *argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
+    assert "usage: eschbaz families" in shared[0][2]
+    assert shared[3][1] == shared[4][1] and shared[4][1].startswith("a=(2, 0, 0) b=(15, -2, -11)\n")
+    monkeypatch.undo()
+    for argv in sequence[2:]:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+    args = cli._parser().parse_args(shifts)
+    assert args.seed is None and args.factor_bound is None
+    assert args.handler is cli._cmd_certified_shifts
 
 
 def test_json_error_reports_are_machine_readable(capsys, schema):

@@ -10,6 +10,7 @@ from eschbaz import (
     BazParams,
     EschParams,
     VerificationFailure,
+    family_cohomogeneity_two,
     is_free,
     is_pc_metric,
     make_certificate,
@@ -22,6 +23,7 @@ from eschbaz import (
     window_scan,
 )
 from eschbaz.embedding import _singularity_moduli, first_nonsingular_shift
+import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
     SurveyRow,
@@ -29,6 +31,8 @@ from eschbaz.survey import (
     _pool_size,
     _row_from_report,
 )
+
+E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
 
 def test_stored_rows_shape():
@@ -65,6 +69,41 @@ def test_verify_infinite_families_small():
     assert all(is_free(r.esch) and is_pc_metric(r.esch) for r in rows)
     with pytest.raises(ValueError):
         verify_infinite_families(-1)
+
+
+def test_verification_jobs_match_the_certificate_path():
+    assert verify_known_counterexamples() == [
+        _row_from_report(window_scan(EschParams(a, b))) for a, b, _ in KNOWN_COUNTEREXAMPLES
+    ]
+    assert verify_infinite_families(30) == [
+        _row_from_report(window_scan(family_cohomogeneity_two(variant, k)))
+        for variant in ("A", "B") for k in range(31)
+    ]
+
+
+def test_embeddable_stored_row_names_its_nonsingular_shifts(monkeypatch):
+    report = window_scan(E_RUNNING)
+    good = [cert.shift for cert in report.certificates if cert.baz_free]
+    assert good == [2, 5]
+    monkeypatch.setattr(
+        survey_mod, "KNOWN_COUNTEREXAMPLES",
+        KNOWN_COUNTEREXAMPLES + ((E_RUNNING.a, E_RUNNING.b, report.window),),
+    )
+    with pytest.raises(VerificationFailure) as info:
+        verify_known_counterexamples()
+    assert str(info.value) == f"row 10: {E_RUNNING} embeds after all (non-singular at c in {good})"
+    assert info.value.details["actual"] == good
+
+
+def test_embeddable_family_member_reports_its_verdicts(monkeypatch):
+    def family(variant, k):
+        return E_RUNNING if (variant, k) == ("B", 1) else family_cohomogeneity_two(variant, k)
+
+    monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
+    with pytest.raises(VerificationFailure) as info:
+        verify_infinite_families(2)
+    assert str(info.value) == f"family B, k=1: {E_RUNNING} embeds after all"
+    assert info.value.details["actual"] == _row_from_report(window_scan(E_RUNNING)).verdicts
 
 
 def test_verify_cohomogeneity_one():
