@@ -6,7 +6,14 @@ parameter boxes for positively curved Eschenburg spaces with no positively
 curved Bazaikin host.
 """
 
-from .arith import Factorization, FactorizationIncomplete, elementary_symmetric, factorize, gcd
+from .arith import (
+    Factorization,
+    FactorizationIncomplete,
+    InternalError,
+    elementary_symmetric,
+    factorize,
+    gcd,
+)
 from .bazaikin import (
     BazParams,
     freeness_failures,

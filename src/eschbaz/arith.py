@@ -45,6 +45,14 @@ class FactorizationIncomplete(Exception):
     """
 
 
+class InternalError(RuntimeError):
+    """A proved invariant of the package failed: a bug, never bad input.
+
+    Raised explicitly rather than by ``assert``, so the checks also run
+    under ``python -O``.
+    """
+
+
 def gcd(x: int, y: int) -> int:
     """Non-negative greatest common divisor; gcd(0, 0) == 0.
 

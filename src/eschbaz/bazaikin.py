@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .arith import elementary_symmetric, tuple_to_decimal
+from .arith import InternalError, elementary_symmetric, tuple_to_decimal
 from .eschenburg import EschParams
 
 # The freeness condition only depends on the two unordered index pairs, so the
@@ -27,7 +27,8 @@ _DISJOINT_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
     for p2 in combinations(range(5), 2)
     if p1 < p2 and not set(p1) & set(p2)
 )
-assert len(_DISJOINT_PAIRS) == 15
+if len(_DISJOINT_PAIRS) != 15:
+    raise InternalError(f"expected 15 pairs of disjoint index pairs, got {len(_DISJOINT_PAIRS)}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def h6_order(b: BazParams) -> int:
     s3 = elementary_symmetric(3, b.q + (-b.qsum,))
     magnitude, remainder = divmod(abs(s3), 8)
     if remainder:
-        raise AssertionError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
+        raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
     return magnitude
 
 

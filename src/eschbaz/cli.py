@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Parses parameters, dispatches to the library, and emits a report as
-human-readable text (default), JSON, or CSV.  JSON output follows the schema
-shipped as ``report_schema.json``; integers beyond the 53-bit float-safe
-range are serialized as decimal strings so no consumer can lose precision.
+human-readable text (default), JSON, or CSV.  Each handler computes its
+results first, so every error is raised before any output, and hands back
+its text and CSV renderings as builders: ``_emit`` calls only the one for
+the requested format.  JSON is written by one walk of the report tree,
+``_json_text``, with the layout of ``json.dumps(indent=2)``; it follows the
+schema shipped as ``report_schema.json``, and integers beyond the 53-bit
+float-safe range are written as decimal strings so no consumer can lose
+precision.
 Integers cross the command line in both directions through
 ``arith.from_decimal`` and ``arith.to_decimal``, so no argument or output is
 held to the interpreter's 4300-digit int/str limit.
@@ -14,20 +19,21 @@ help and usage text are written to the ``sys.stdout``/``sys.stderr`` of the
 moment.
 
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
-2 invalid input, 3 a computational effort limit was reached.
+2 invalid input, 3 a computational effort limit was reached, 4 an internal
+invariant of the package failed (a bug; the error kind is "internal-error").
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__, bazaikin, embedding, eschenburg, survey
-from .arith import FactorizationIncomplete, from_decimal, to_decimal, tuple_to_decimal
+from .arith import FactorizationIncomplete, InternalError, from_decimal, to_decimal, tuple_to_decimal
 from .bazaikin import BazParams
 from .embedding import EmbeddingCertificate
 from .eschenburg import EschParams
@@ -39,6 +45,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_EFFORT_EXCEEDED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,7 @@ def _factor_kwargs(args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# structured result builders (shared by the text, JSON, and CSV emitters)
+# structured result builders (shared by the text, JSON, and CSV renderings)
 
 
 def _esch_dict(e: EschParams) -> dict:
@@ -178,7 +185,9 @@ def _row_line(r: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results, notes, summary, text lines, csv table)
+# subcommand handlers: each computes its results eagerly, so every error is
+# raised before any output, and returns the JSON parts (input, results, notes,
+# summary) with zero-argument "text" and "csv" builders that only format them
 
 
 def _cmd_verify_esch(args) -> dict:
@@ -193,23 +202,26 @@ def _cmd_verify_esch(args) -> dict:
         "kernel_order": eschenburg.kernel_order(e),
         "canonical": _esch_dict(canonical),
     }
-    text = [
-        _fmt_esch(result["esch"]),
-        f"  free:                    {_yn(result['free'])}",
-        f"  pc (some metric):        {_yn(result['pc_some_metric'])}",
-        f"  pc (fixed metric):       {_yn(result['pc_fixed_metric'])}",
-        f"  |H4|:                    {to_decimal(result['h4'])}",
-        f"  kernel order:            {to_decimal(result['kernel_order'])}",
-        f"  canonical form:          {_fmt_esch(result['canonical'])}",
-    ]
-    table = [
-        ["a", "b", "free", "pc_some_metric", "pc_fixed_metric", "h4", "kernel_order",
-         "canonical_a", "canonical_b"],
-        [tuple_to_decimal(e.a), tuple_to_decimal(e.b), result["free"], result["pc_some_metric"],
-         result["pc_fixed_metric"], result["h4"], result["kernel_order"],
-         tuple_to_decimal(canonical.a), tuple_to_decimal(canonical.b)],
-    ]
-    return {"input": {"esch": _esch_dict(e)}, "results": [result], "text": text, "csv": table}
+    return {
+        "input": {"esch": _esch_dict(e)},
+        "results": [result],
+        "text": lambda: [
+            _fmt_esch(result["esch"]),
+            f"  free:                    {_yn(result['free'])}",
+            f"  pc (some metric):        {_yn(result['pc_some_metric'])}",
+            f"  pc (fixed metric):       {_yn(result['pc_fixed_metric'])}",
+            f"  |H4|:                    {to_decimal(result['h4'])}",
+            f"  kernel order:            {to_decimal(result['kernel_order'])}",
+            f"  canonical form:          {_fmt_esch(result['canonical'])}",
+        ],
+        "csv": lambda: [
+            ["a", "b", "free", "pc_some_metric", "pc_fixed_metric", "h4", "kernel_order",
+             "canonical_a", "canonical_b"],
+            [tuple_to_decimal(e.a), tuple_to_decimal(e.b), result["free"], result["pc_some_metric"],
+             result["pc_fixed_metric"], result["h4"], result["kernel_order"],
+             tuple_to_decimal(canonical.a), tuple_to_decimal(canonical.b)],
+        ],
+    }
 
 
 def _cmd_verify_baz(args) -> dict:
@@ -224,23 +236,31 @@ def _cmd_verify_baz(args) -> dict:
         "h6": bazaikin.h6_order(q) if all_odd else None,
         "offending_pairs": offenses,
     }
-    text = [
-        f"q = {tuple_to_decimal(q.q)}  (sum {to_decimal(q.qsum)})",
-        f"  all odd:            {_yn(all_odd)}"
-        + ("" if all_odd else "  (even entries: "
-           + ", ".join(f"q{i}" for i, v in enumerate(q.q, 1) if v % 2 == 0) + ")"),
-        f"  free:               {_yn(result['free'])}",
-    ]
-    if offenses:
-        text.append(f"    {_fmt_offenses(offenses)}")
-    text.append(f"  positively curved:  {_yn(result['pc'])}")
-    text.append(f"  |H6|:               {to_decimal(result['h6']) if all_odd else 'undefined (even entries)'}")
-    table = [
-        ["q", "all_odd", "free", "pc", "h6", "offending_pairs"],
-        [tuple_to_decimal(q.q), all_odd, result["free"], result["pc"],
-         result["h6"] if all_odd else "", _fmt_offenses(offenses)],
-    ]
-    return {"input": {"baz": _baz_dict(q)}, "results": [result], "text": text, "csv": table}
+
+    def text() -> list[str]:
+        evens = ", ".join(f"q{i}" for i, v in enumerate(q.q, 1) if v % 2 == 0)
+        lines = [
+            f"q = {tuple_to_decimal(q.q)}  (sum {to_decimal(q.qsum)})",
+            f"  all odd:            {_yn(all_odd)}" + ("" if all_odd else f"  (even entries: {evens})"),
+            f"  free:               {_yn(result['free'])}",
+        ]
+        if offenses:
+            lines.append(f"    {_fmt_offenses(offenses)}")
+        lines.append(f"  positively curved:  {_yn(result['pc'])}")
+        h6 = to_decimal(result["h6"]) if all_odd else "undefined (even entries)"
+        lines.append(f"  |H6|:               {h6}")
+        return lines
+
+    return {
+        "input": {"baz": _baz_dict(q)},
+        "results": [result],
+        "text": text,
+        "csv": lambda: [
+            ["q", "all_odd", "free", "pc", "h6", "offending_pairs"],
+            [tuple_to_decimal(q.q), all_odd, result["free"], result["pc"],
+             result["h6"] if all_odd else "", _fmt_offenses(offenses)],
+        ],
+    }
 
 
 def _certs_csv(certs: list[dict]) -> list[list]:
@@ -260,8 +280,8 @@ def _cmd_embed(args) -> dict:
     return {
         "input": {"esch": _esch_dict(e), "shift": args.c},
         "results": [cert],
-        "text": _cert_lines(cert),
-        "csv": _certs_csv([cert]),
+        "text": lambda: _cert_lines(cert),
+        "csv": lambda: _certs_csv([cert]),
     }
 
 
@@ -275,23 +295,29 @@ def _cmd_window(args) -> dict:
         "any_nonsingular": report.any_nonsingular,
         "certificates": certs,
     }
-    text = [
-        f"normal form: {_fmt_esch(result['esch'])}",
-        f"window: {_fmt_window(result['window'])}",
-    ]
-    for c in certs:
-        mark = "non-singular" if c["baz_free"] else "singular"
-        extra = f"  |H6|={to_decimal(c['h6'])}" if c["baz_free"] else f"  {_fmt_offenses(c['offending_pairs'][:1])}"
-        text.append(f"  c={to_decimal(c['shift']):<4} q={tuple_to_decimal(c['baz']['q']):<40} {mark}{extra}")
-    text.append(f"any non-singular: {_yn(report.any_nonsingular)}")
-    for note in report.notes:
-        text.append(f"note: {note}")
+    notes = list(report.notes)
+
+    def text() -> list[str]:
+        lines = [
+            f"normal form: {_fmt_esch(result['esch'])}",
+            f"window: {_fmt_window(result['window'])}",
+        ]
+        for c in certs:
+            if c["baz_free"]:
+                mark, extra = "non-singular", f"|H6|={to_decimal(c['h6'])}"
+            else:
+                mark, extra = "singular", _fmt_offenses(c["offending_pairs"][:1])
+            lines.append(f"  c={to_decimal(c['shift']):<4} q={tuple_to_decimal(c['baz']['q']):<40} {mark}  {extra}")
+        lines.append(f"any non-singular: {_yn(result['any_nonsingular'])}")
+        lines.extend(f"note: {note}" for note in notes)
+        return lines
+
     return {
         "input": {"esch": _esch_dict(e)},
         "results": [result],
-        "notes": list(report.notes),
+        "notes": notes,
         "text": text,
-        "csv": _certs_csv(certs),
+        "csv": lambda: _certs_csv(certs),
     }
 
 
@@ -299,17 +325,21 @@ def _cmd_certified_shifts(args) -> dict:
     e = _esch_from_args(args)
     kwargs = _factor_kwargs(args)
     results = []
-    text = [_fmt_esch(_esch_dict(e))]
     for mu in range(1, args.mu_max + 1):
         for sign in (1, -1):
             c = embedding.certified_shift(e, mu, sign, **kwargs)
-            ok = embedding.nonsingular_shift(e, c)
-            results.append({"mu": mu, "sign": sign, "c": c, "nonsingular": ok})
-            text.append(f"  mu={mu} sign={'+' if sign > 0 else '-'}  c = {to_decimal(c)}  non-singular: {_yn(ok)}")
-    table = [["mu", "sign", "c", "nonsingular"]]
-    table.extend([r["mu"], r["sign"], r["c"], r["nonsingular"]] for r in results)
-    return {"input": {"esch": _esch_dict(e), "mu_max": args.mu_max},
-            "results": results, "text": text, "csv": table}
+            results.append({"mu": mu, "sign": sign, "c": c, "nonsingular": embedding.nonsingular_shift(e, c)})
+    return {
+        "input": {"esch": _esch_dict(e), "mu_max": args.mu_max},
+        "results": results,
+        "text": lambda: [_fmt_esch(_esch_dict(e))] + [
+            f"  mu={r['mu']} sign={'+' if r['sign'] > 0 else '-'}  c = {to_decimal(r['c'])}  "
+            f"non-singular: {_yn(r['nonsingular'])}"
+            for r in results
+        ],
+        "csv": lambda: [["mu", "sign", "c", "nonsingular"]]
+        + [[r["mu"], r["sign"], r["c"], r["nonsingular"]] for r in results],
+    }
 
 
 def _cmd_distinct(args) -> dict:
@@ -318,173 +348,201 @@ def _cmd_distinct(args) -> dict:
         _cert_dict(c)
         for c in embedding.homotopy_distinct_embeddings(e, args.n, **_factor_kwargs(args))
     ]
-    text = []
-    for c in certs:
-        text.extend(_cert_lines(c))
-    return {"input": {"esch": _esch_dict(e), "n": args.n},
-            "results": certs, "text": text, "csv": _certs_csv(certs)}
+    return {
+        "input": {"esch": _esch_dict(e), "n": args.n},
+        "results": certs,
+        "text": lambda: [line for c in certs for line in _cert_lines(c)],
+        "csv": lambda: _certs_csv(certs),
+    }
 
 
 def _cmd_submanifolds(args) -> dict:
     q = _baz_from_args(args)
     entries = bazaikin.submanifolds(q)
-    results = []
-    text = [f"q = {tuple_to_decimal(q.q)}"]
-    for pair, e in entries:
-        item = {
-            "pair": list(pair),
-            "esch": _esch_dict(e),
-            "h4": eschenburg.h4_order(e),
-            "free": eschenburg.is_free(e),
-        }
-        results.append(item)
-        text.append(
-            f"  {{{pair[0]},{pair[1]}}}: {_fmt_esch(item['esch'])}  "
-            f"|H4|={to_decimal(item['h4'])}  free: {_yn(item['free'])}"
-        )
+    results = [
+        {"pair": list(pair), "esch": _esch_dict(e), "h4": eschenburg.h4_order(e), "free": eschenburg.is_free(e)}
+        for pair, e in entries
+    ]
     distinct = len({eschenburg.canonicalize(e) for _, e in entries})
-    text.append(f"distinct up to isometry moves: {distinct}")
-    table = [["pair", "a", "b", "h4", "free"]]
-    table.extend(
-        [f"{{{r['pair'][0]},{r['pair'][1]}}}", tuple_to_decimal(r["esch"]["a"]),
-         tuple_to_decimal(r["esch"]["b"]), r["h4"], r["free"]]
-        for r in results
-    )
-    return {"input": {"baz": _baz_dict(q)}, "results": results,
-            "summary": {"distinct_count": distinct}, "text": text, "csv": table}
+    return {
+        "input": {"baz": _baz_dict(q)},
+        "results": results,
+        "summary": {"distinct_count": distinct},
+        "text": lambda: [f"q = {tuple_to_decimal(q.q)}"] + [
+            f"  {{{r['pair'][0]},{r['pair'][1]}}}: {_fmt_esch(r['esch'])}  "
+            f"|H4|={to_decimal(r['h4'])}  free: {_yn(r['free'])}"
+            for r in results
+        ] + [f"distinct up to isometry moves: {distinct}"],
+        "csv": lambda: [["pair", "a", "b", "h4", "free"]] + [
+            [f"{{{r['pair'][0]},{r['pair'][1]}}}", tuple_to_decimal(r["esch"]["a"]),
+             tuple_to_decimal(r["esch"]["b"]), r["h4"], r["free"]]
+            for r in results
+        ],
+    }
 
 
 def _cmd_dual(args) -> dict:
     e = _esch_from_args(args)
     q = embedding.candidate_q(e, args.c)
     dual_esch, dual_baz = embedding.dual_embedding(e, args.c)
-    result = {
-        "original": {"esch": _esch_dict(e), "shift": args.c, "baz": _baz_dict(q),
-                     "h6": bazaikin.h6_order(q)},
-        "dual": {"esch": _esch_dict(dual_esch), "baz": _baz_dict(dual_baz),
-                 "h6": bazaikin.h6_order(dual_baz)},
+    original = {"esch": _esch_dict(e), "shift": args.c, "baz": _baz_dict(q), "h6": bazaikin.h6_order(q)}
+    dual = {"esch": _esch_dict(dual_esch), "baz": _baz_dict(dual_baz), "h6": bazaikin.h6_order(dual_baz)}
+    return {
+        "input": {"esch": _esch_dict(e), "shift": args.c},
+        "results": [{"original": original, "dual": dual}],
+        "text": lambda: [
+            f"original: {_fmt_esch(original['esch'])}  shift c={to_decimal(args.c)}",
+            f"  q = {tuple_to_decimal(q.q)}  |H6|={to_decimal(original['h6'])}",
+            f"dual:     {_fmt_esch(dual['esch'])}",
+            f"  q = {tuple_to_decimal(dual_baz.q)}  |H6|={to_decimal(dual['h6'])}",
+        ],
+        "csv": lambda: [
+            ["role", "a", "b", "q", "h6"],
+            ["original", tuple_to_decimal(e.a), tuple_to_decimal(e.b), tuple_to_decimal(q.q),
+             original["h6"]],
+            ["dual", tuple_to_decimal(dual_esch.a), tuple_to_decimal(dual_esch.b),
+             tuple_to_decimal(dual_baz.q), dual["h6"]],
+        ],
     }
-    text = [
-        f"original: {_fmt_esch(result['original']['esch'])}  shift c={to_decimal(args.c)}",
-        f"  q = {tuple_to_decimal(q.q)}  |H6|={to_decimal(result['original']['h6'])}",
-        f"dual:     {_fmt_esch(result['dual']['esch'])}",
-        f"  q = {tuple_to_decimal(dual_baz.q)}  |H6|={to_decimal(result['dual']['h6'])}",
-    ]
-    table = [
-        ["role", "a", "b", "q", "h6"],
-        ["original", tuple_to_decimal(e.a), tuple_to_decimal(e.b), tuple_to_decimal(q.q),
-         result["original"]["h6"]],
-        ["dual", tuple_to_decimal(dual_esch.a), tuple_to_decimal(dual_esch.b),
-         tuple_to_decimal(dual_baz.q), result["dual"]["h6"]],
-    ]
-    return {"input": {"esch": _esch_dict(e), "shift": args.c},
-            "results": [result], "text": text, "csv": table}
-
-
-def _counterexample_csv(rows: list[SurveyRow]) -> list[list]:
-    table = [["a", "b", "q_formula", "window"]]
-    for row in rows:
-        table.append([
-            tuple_to_decimal(row.esch.a), tuple_to_decimal(row.esch.b),
-            _q_formula(row.esch), _fmt_window(_window_dict(row.window)),
-        ])
-    return table
 
 
 def _cmd_counterexamples(args) -> dict:
     rows = survey.verify_known_counterexamples()
-    results = []
-    text = []
-    for row in rows:
-        d = _row_dict(row)
-        d["q_formula"] = _q_formula(row.esch)
-        results.append(d)
-        text.append(_row_line(d))
-    text.append(f"all {len(rows)} stored counterexamples verified")
-    return {"input": {}, "results": results, "text": text, "csv": _counterexample_csv(rows)}
+    results = [{**_row_dict(row), "q_formula": _q_formula(row.esch)} for row in rows]
+    return {
+        "input": {},
+        "results": results,
+        "text": lambda: [_row_line(d) for d in results]
+        + [f"all {len(rows)} stored counterexamples verified"],
+        "csv": lambda: [["a", "b", "q_formula", "window"]] + [
+            [tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
+             d["q_formula"], _fmt_window(d["window"])]
+            for d in results
+        ],
+    }
 
 
 def _cmd_families(args) -> dict:
     rows = survey.verify_infinite_families(args.k_max)
     per_variant = args.k_max + 1
-    results = []
-    text = []
-    for i, row in enumerate(rows):
-        d = _row_dict(row)
-        d["variant"] = "A" if i < per_variant else "B"
-        d["k"] = i % per_variant
-        results.append(d)
-        text.append(f"{d['variant']} k={d['k']:<4} {_row_line(d)}")
-    text.append(f"both families verified as counterexamples for 0 <= k <= {args.k_max}")
-    table = [["variant", "k", "a", "b", "window", "counterexample"]]
-    table.extend(
-        [d["variant"], d["k"], tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
-         _fmt_window(d["window"]), d["is_counterexample"]]
-        for d in results
-    )
-    return {"input": {"k_max": args.k_max}, "results": results, "text": text, "csv": table}
+    results = [
+        {**_row_dict(row), "variant": "A" if i < per_variant else "B", "k": i % per_variant}
+        for i, row in enumerate(rows)
+    ]
+    return {
+        "input": {"k_max": args.k_max},
+        "results": results,
+        "text": lambda: [f"{d['variant']} k={d['k']:<4} {_row_line(d)}" for d in results]
+        + [f"both families verified as counterexamples for 0 <= k <= {args.k_max}"],
+        "csv": lambda: [["variant", "k", "a", "b", "window", "counterexample"]] + [
+            [d["variant"], d["k"], tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
+             _fmt_window(d["window"]), d["is_counterexample"]]
+            for d in results
+        ],
+    }
 
 
 def _cmd_cohom1(args) -> dict:
     summary = survey.verify_cohomogeneity_one(args.p_max)
-    certs = [_cert_dict(c) for c in summary.certificates]
-    for p, cert in enumerate(certs, start=1):
-        cert["p"] = p
-    text = [
-        f"p={c['p']:<4} q={tuple_to_decimal(c['baz']['q']):<24} "
-        f"non-singular: {_yn(c['baz_free'])}  pc: {_yn(c['baz_pc'])}"
-        for c in certs
-    ]
-    text.append(f"all {summary.p_max} members verified at shift c=-1")
-    for note in summary.notes:
-        text.append(f"note: {note}")
-    table = [["p", "q", "baz_free", "baz_pc"]]
-    table.extend([c["p"], tuple_to_decimal(c["baz"]["q"]), c["baz_free"], c["baz_pc"]] for c in certs)
-    return {"input": {"p_max": args.p_max}, "results": certs,
-            "summary": {"checked": summary.p_max}, "notes": list(summary.notes),
-            "text": text, "csv": table}
+    certs = [{**_cert_dict(c), "p": p} for p, c in enumerate(summary.certificates, start=1)]
+    checked, notes = summary.p_max, list(summary.notes)
+    return {
+        "input": {"p_max": args.p_max},
+        "results": certs,
+        "summary": {"checked": checked},
+        "notes": notes,
+        "text": lambda: [
+            f"p={c['p']:<4} q={tuple_to_decimal(c['baz']['q']):<24} "
+            f"non-singular: {_yn(c['baz_free'])}  pc: {_yn(c['baz_pc'])}"
+            for c in certs
+        ] + [f"all {checked} members verified at shift c=-1"] + [f"note: {note}" for note in notes],
+        "csv": lambda: [["p", "q", "baz_free", "baz_pc"]]
+        + [[c["p"], tuple_to_decimal(c["baz"]["q"]), c["baz_free"], c["baz_pc"]] for c in certs],
+    }
 
 
 def _cmd_scan(args) -> dict:
     stats, rows = survey.scan_box(args.max_abs, args.limit, workers=args.workers)
     results = [_row_dict(row) for row in rows]
-    text = [
-        f"box |entries| <= {args.max_abs}: "
-        f"{stats.total} spaces, {stats.embeddable} embeddable, "
-        f"{stats.counterexamples} counterexamples",
-    ]
-    text.extend(_row_line(d) for d in results)
-    if stats.counterexamples > len(rows):
-        text.append(f"({stats.counterexamples - len(rows)} more beyond --limit {args.limit})")
-    table = [["a", "b", "window", "h4"]]
-    table.extend(
-        [tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
-         _fmt_window(d["window"]), d["h4"]]
-        for d in results
-    )
-    return {"input": {"max_abs": args.max_abs, "limit": args.limit, "workers": args.workers},
-            "results": results,
-            "summary": {"stats": {"total": stats.total, "embeddable": stats.embeddable,
-                                  "counterexamples": stats.counterexamples}},
-            "text": text, "csv": table}
+    beyond = stats.counterexamples - len(rows)
+    return {
+        "input": {"max_abs": args.max_abs, "limit": args.limit, "workers": args.workers},
+        "results": results,
+        "summary": {"stats": {"total": stats.total, "embeddable": stats.embeddable,
+                              "counterexamples": stats.counterexamples}},
+        "text": lambda: [
+            f"box |entries| <= {args.max_abs}: {stats.total} spaces, {stats.embeddable} embeddable, "
+            f"{stats.counterexamples} counterexamples"
+        ] + [_row_line(d) for d in results] + [f"({beyond} more beyond --limit {args.limit})"] * (beyond > 0),
+        "csv": lambda: [["a", "b", "window", "h4"]] + [
+            [tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
+             _fmt_window(d["window"]), d["h4"]]
+            for d in results
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
 # emission
 
 
-def _to_jsonable(x):
-    if isinstance(x, bool) or x is None or isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return x if -_JSON_SAFE <= x <= _JSON_SAFE else to_decimal(x)
-    if isinstance(x, Fraction):
-        return f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"
-    if isinstance(x, dict):
-        return {k: _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_jsonable(v) for v in x]
-    raise TypeError(f"cannot serialize {type(x)!r}")
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` of a report tree, written in one walk.
+
+    Strings go through the C ``encode_basestring_ascii`` (``ensure_ascii``
+    escaping), ints beyond +-(2**53 - 1) become ``to_decimal`` strings and
+    a ``Fraction`` becomes ``"num/den"``; dict keys must be strings.  Any
+    other type raises ``TypeError``.
+    """
+    parts: list[str] = []
+    _json_write(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_write(x, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of x to parts; newline is a newline plus x's indent.
+
+    Module-level rather than a closure, so no call leaves a reference cycle
+    that keeps its parts alive until the cyclic garbage collector runs.
+    """
+    if isinstance(x, str):
+        parts.append(_json_string(x))
+    elif x is None:
+        parts.append("null")
+    elif x is True:
+        parts.append("true")
+    elif x is False:
+        parts.append("false")
+    elif isinstance(x, int):
+        parts.append(int.__repr__(x) if -_JSON_SAFE <= x <= _JSON_SAFE else _json_string(to_decimal(x)))
+    elif isinstance(x, dict):
+        if not x:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, v in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"cannot serialize a {type(key)!r} key")
+            parts.append(separator + _json_string(key) + ": ")
+            _json_write(v, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for v in x:
+            parts.append(separator)
+            _json_write(v, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(x, Fraction):
+        parts.append(_json_string(f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"))
+    else:
+        raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def _csv_cell(v):
@@ -496,6 +554,7 @@ def _csv_cell(v):
 
 
 def _emit(fmt: str, command: str, outcome: dict, out=None) -> None:
+    """Write the outcome in one format, building only that format's output."""
     out = out or sys.stdout
     if fmt == "json":
         report = {
@@ -507,26 +566,20 @@ def _emit(fmt: str, command: str, outcome: dict, out=None) -> None:
         }
         if "summary" in outcome:
             report["summary"] = outcome["summary"]
-        json.dump(_to_jsonable(report), out, indent=2)
-        out.write("\n")
+        out.write(_json_text(report) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out)
-        for row in outcome["csv"]:
+        for row in outcome["csv"]():
             writer.writerow([_csv_cell(v) for v in row])
     else:
-        for line in outcome["text"]:
+        for line in outcome["text"]():
             out.write(line + "\n")
 
 
 def _emit_error(fmt: str, command: str, kind: str, reason: str, out=None, err=None) -> None:
     if fmt == "json":
-        report = {
-            "command": command,
-            "version": __version__,
-            "error": {"kind": kind, "reason": reason},
-        }
-        json.dump(_to_jsonable(report), out or sys.stdout, indent=2)
-        (out or sys.stdout).write("\n")
+        report = {"command": command, "version": __version__, "error": {"kind": kind, "reason": reason}}
+        (out or sys.stdout).write(_json_text(report) + "\n")
     else:
         print(f"error ({kind}): {reason}", file=err or sys.stderr)
 
@@ -623,6 +676,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _emit_error(fmt, command, "invalid-input", str(exc))
         return EXIT_INVALID_INPUT
+    except InternalError as exc:
+        _emit_error(fmt, command, "internal-error", str(exc))
+        return EXIT_INTERNAL_ERROR
     _emit(fmt, command, outcome)
     return EXIT_OK
 

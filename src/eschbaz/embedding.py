@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import bazaikin
-from .arith import elementary_symmetric, factorize, to_decimal
+from .arith import InternalError, elementary_symmetric, factorize, to_decimal
 from .bazaikin import BazParams
 from .eschenburg import (
     EschParams,
@@ -185,7 +185,8 @@ def pc_shift_window(e: EschParams) -> range:
     c_min = lo // 2 + 1
     c_max = (hi - 1) // 2
     window = range(c_min, c_max + 1)
-    assert len(window) > 0
+    if not window:
+        raise InternalError(f"{e} is in normal form but has an empty shift window")
     return window
 
 
@@ -320,14 +321,14 @@ def homotopy_distinct_embeddings(e: EschParams, n: int, **factor_kwargs) -> list
             c = sign * 2 ** (mu - 1) * base**mu
             cert = make_certificate(e, c)
             if not cert.baz_free:
-                raise AssertionError(f"certified shift {to_decimal(c)} produced a singular candidate for {e}")
+                raise InternalError(f"certified shift {to_decimal(c)} produced a singular candidate for {e}")
             if cert.h6 in seen:
                 continue
             seen.add(cert.h6)
             out.append(cert)
             if len(out) == n:
                 return out
-    raise AssertionError(f"could not reach {n} distinct |H^6| values for {e}")
+    raise InternalError(f"could not reach {n} distinct |H^6| values for {e}")
 
 
 def dual_embedding(e: EschParams, c: int) -> tuple[EschParams, BazParams]:
@@ -345,5 +346,7 @@ def dual_embedding(e: EschParams, c: int) -> tuple[EschParams, BazParams]:
     qs = sum(q)
     swapped = EschParams(tuple(x + c for x in e.b), tuple(x + c for x in e.a))
     dual = BazParams((qs, -q[3], -q[4], -q[1], -q[2]))
-    assert dual == candidate_q(swapped, 0)
+    if dual != candidate_q(swapped, 0):
+        raise InternalError(f"the dual host at shift {to_decimal(c)} of {e} differs from the swapped "
+                            "space's shift-0 candidate")
     return swapped, dual

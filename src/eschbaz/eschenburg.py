@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
-from .arith import elementary_symmetric, to_decimal, tuple_to_decimal
+from .arith import InternalError, elementary_symmetric, to_decimal, tuple_to_decimal
 
 _PERMS3 = tuple(permutations(range(3)))
 
@@ -147,7 +147,8 @@ def pc_normal_form(e: EschParams) -> EschParams:
     f = canonicalize(e)
     if f.b[1] > max(f.a):
         f = canonicalize(EschParams(tuple(-x for x in f.a), tuple(-x for x in f.b)))
-    assert in_pc_normal_form(f)
+    if not in_pc_normal_form(f):
+        raise InternalError(f"{f}, the normal form of {e}, breaks the normal-form chain")
     return f
 
 

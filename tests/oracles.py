@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
 from eschbaz import BazParams, EschParams, is_free, pc_normal_form
+from eschbaz.arith import to_decimal
 
 _PERMS3 = tuple(permutations(range(3)))
 _PERMS5 = tuple(permutations(range(5)))
@@ -74,6 +76,26 @@ def decimal_by_digits(n: int) -> str:
         if not m:
             break
     return "-" * (n < 0) + "".join(reversed(digits))
+
+
+def to_jsonable_oracle(x):
+    """A copy of a report tree that ``json.dumps`` can encode exactly.
+
+    The conversion the CLI ran before ``json.dumps(..., indent=2)`` until
+    its one-walk JSON writer replaced both: ints beyond +-(2**53 - 1) become
+    decimal strings and a ``Fraction`` becomes ``"num/den"``.
+    """
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return x if -(2**53 - 1) <= x <= 2**53 - 1 else to_decimal(x)
+    if isinstance(x, Fraction):
+        return f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"
+    if isinstance(x, dict):
+        return {k: to_jsonable_oracle(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_jsonable_oracle(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def enumerate_normal_forms(max_abs: int) -> set[tuple]:

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import decimal_by_digits
-from eschbaz import EschParams, certified_shift, nonsingular_shift
+from oracles import decimal_by_digits, to_jsonable_oracle
+from eschbaz import EschParams, InternalError, certified_shift, nonsingular_shift
 from eschbaz import cli
 from eschbaz.cli import run
 from eschbaz.embedding import _singularity_moduli
@@ -84,6 +87,28 @@ def test_exit_three_on_factorization_limit(capsys):
     )
     assert code == 3
     assert "digit" in err
+
+
+def test_exit_four_on_internal_error(capsys, schema, monkeypatch):
+    # a normal form that breaks its own chain is a bug, not bad input
+    monkeypatch.setattr("eschbaz.eschenburg.in_pc_normal_form", lambda e: False)
+    argv = ("window", "--a", "2,0,0", "--b", "15,-2,-11")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error (internal-error): a=(2, 0, 0) b=(15, -2, -11), the normal form of ")
+    assert invoke(capsys, *argv, "--format", "csv") == (4, "", err)
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 4
+    assert report["error"] == {"kind": "internal-error", "reason": err[len("error (internal-error): "):-1]}
+
+    def broken(*args, **kwargs):
+        raise InternalError("broken invariant")
+
+    monkeypatch.setattr("eschbaz.cli.embedding.make_certificate", broken)
+    code, report = invoke_json(capsys, schema, "embed", "--a", "2,0,0", "--b", "15,-2,-11", "--c", "2")
+    assert code == 4
+    assert report == {"command": "embed", "version": cli.__version__,
+                      "error": {"kind": "internal-error", "reason": "broken invariant"}}
 
 
 def test_exit_one_on_verification_failure(capsys, monkeypatch):
@@ -282,6 +307,91 @@ def test_json_all_commands_validate(capsys, schema):
         assert code == 0, argv
         assert report["command"] == argv[0]
         assert "version" in report
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps of the old converted copy
+
+
+_SAFE = 2**53 - 1
+_AWKWARD = ["", "plain", "caf\u00e9 \u2028 \U0001f600", 'quote " and \\ backslash', "\x00\x01\n\t\x1f\x7f"]
+
+
+def _oracle_json(x) -> str:
+    return json.dumps(to_jsonable_oracle(x), indent=2)
+
+
+def test_json_writer_matches_the_oracle_on_edge_values():
+    tree = {
+        "empty": {}, "none": [], "unit": (), "nested": {"a": [[], {}, [[{}]]], "b": ({"c": ()},)},
+        "flags": [True, False, None],
+        "edges": [_SAFE, -_SAFE, _SAFE + 1, -_SAFE - 1, 0, 10**5000, -(10**4400) - 7],
+        "fractions": [Fraction(1, 3), Fraction(-7, 2), Fraction(10**4500 + 1, 3), Fraction(4)],
+        **{key: key for key in _AWKWARD},
+    }
+    assert cli._json_text(tree) == _oracle_json(tree)
+    for leaf in [None, True, False, 0, _SAFE + 1, "x", Fraction(2, 3), [], {}, ()]:
+        assert cli._json_text(leaf) == _oracle_json(leaf)
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([_SAFE, -_SAFE, _SAFE + 1, -_SAFE - 1]),
+    st.integers(-(10**4400), 10**4400),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(10**4400), 10**4400), st.integers(1, 10**4400)),
+    st.text(),
+    st.sampled_from(_AWKWARD),
+)
+_keys = st.one_of(st.text(), st.sampled_from(_AWKWARD))
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_json_writer_matches_the_oracle(tree):
+    assert cli._json_text(tree) == _oracle_json(tree)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"bytes", object(), {"a": [1, 2.0]}, [range(3)], {1: "int key"}])
+def test_json_writer_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+# ---------------------------------------------------------------------------
+# each call builds only the requested format
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a format nobody asked for")
+
+
+def test_unrequested_formats_are_never_built(capsys, monkeypatch):
+    embed = ("embed", "--a", "2,0,0", "--b", "15,-2,-11", "--c", "2")
+    families = ("families", "--k-max", "2")
+    want = {(argv, fmt): invoke(capsys, *argv, "--format", fmt)
+            for argv in (embed, families) for fmt in ("json", "csv")}
+    assert all(code == 0 for code, _, _ in want.values())
+
+    monkeypatch.setattr(cli, "_cert_lines", _refuse)
+    monkeypatch.setattr(cli, "_row_line", _refuse)
+    for argv in (embed, families):
+        assert invoke(capsys, *argv, "--format", "csv") == want[argv, "csv"]
+    monkeypatch.setattr(cli, "_certs_csv", _refuse)
+    monkeypatch.setattr(cli, "_fmt_window", _refuse)
+    for argv in (embed, families):
+        assert invoke(capsys, *argv, "--format", "json") == want[argv, "json"]
 
 
 # ---------------------------------------------------------------------------

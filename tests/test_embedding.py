@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,6 +10,7 @@ from oracles import nonsingular_shift_oracle
 from eschbaz import (
     BazParams,
     EschParams,
+    InternalError,
     NormalFormError,
     NotPositivelyCurvedError,
     SingularCandidateError,
@@ -385,3 +387,46 @@ def test_make_certificate_offending_pairs():
     assert ((1, 2), (4, 5), 6) in cert.offending_pairs
     assert cert.h6 == 0
     assert cert.esch_pc
+
+
+# ---------------------------------------------------------------------------
+# internal invariants are checked by raising, so they survive ``python -O``
+
+
+def test_broken_invariants_raise_internal_error(monkeypatch):
+    import eschbaz.bazaikin as bazaikin_mod
+    import eschbaz.embedding as embedding_mod
+    import eschbaz.eschenburg as eschenburg_mod
+
+    with monkeypatch.context() as mp:
+        mp.setattr(eschenburg_mod, "in_pc_normal_form", lambda e: False)
+        with pytest.raises(InternalError, match="breaks the normal-form chain"):
+            pc_normal_form(E_RUNNING)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(embedding_mod, "in_pc_normal_form", lambda e: True)
+        with pytest.raises(InternalError, match="empty shift window"):
+            pc_shift_window(EschParams((0, 0, 0), (0, 0, 0)))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bazaikin_mod, "elementary_symmetric", lambda k, xs: 12)
+        with pytest.raises(InternalError, match="not divisible by 8"):
+            h6_order(BazParams((1, 1, 1, 1, 1)))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(embedding_mod, "make_certificate",
+                   lambda e, c: dataclasses.replace(make_certificate(e, c), baz_free=False))
+        with pytest.raises(InternalError, match="produced a singular candidate"):
+            homotopy_distinct_embeddings(E_RUNNING, 2)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(embedding_mod, "make_certificate",
+                   lambda e, c: dataclasses.replace(make_certificate(e, c), h6=1))
+        with pytest.raises(InternalError, match="could not reach 2 distinct"):
+            homotopy_distinct_embeddings(E_RUNNING, 2)
+
+    with monkeypatch.context() as mp:
+        # dual_embedding(e, 2) asks for the shift-0 candidate of the swapped space last
+        mp.setattr(embedding_mod, "candidate_q", lambda e, c: candidate_q(e, c or 1))
+        with pytest.raises(InternalError, match="differs from the swapped space's shift-0 candidate"):
+            dual_embedding(E_RUNNING, 2)
