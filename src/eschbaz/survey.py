@@ -7,21 +7,25 @@ enumerates every canonical free, positively curved Eschenburg parameter set
 inside a box and reports which of them admit no positively curved
 non-singular Bazaikin host under the shift construction.
 
-``scan_box`` writes each space's normal form down directly while it
-enumerates, then decides each space with the three-gcd test of
+``scan_box`` enumerates each space in the box once, as its normal form: a
+normal form whose own entries overflow the box is still in it when its
+mirrored canonical form fits, and that condition is a bound on b1 alone.  It
+decides each form as soon as it is enumerated, with the three-gcd test of
 ``first_nonsingular_shift``, stopping at the first non-singular shift of the
 curvature window; it builds no certificates.  The two counterexample jobs
 decide their spaces the same way and build certificates (``window_scan``)
 only when a space embeds after all, so that the failure names its
 non-singular shifts.  The cohomogeneity-one job and the ``window`` command
 keep the full-certificate path, which is also the test oracle for the fast
-one.  ``scan_box`` can shard its work over worker processes; results are
-merged by deterministic sort, so output is identical for any worker count.
+one.  ``scan_box`` can shard its (a1, a2) pairs over worker processes;
+rows are merged by deterministic sort, so output is identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -227,58 +231,41 @@ def verify_cohomogeneity_one(p_max: int) -> CohomogeneityOneSummary:
     )
 
 
-def _enumerate_chunk(args: tuple[list[tuple[int, int]], int]) -> set[tuple]:
-    """Free, positively curved normal forms for a chunk of (a1, a2) pairs.
+def _normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple]:
+    """Yield the free, positively curved normal forms (a, b) of a set of (a1, a2) pairs.
 
-    Enumerates both inequality chains (b2, b3 below the a-interval with b1
-    above, and the mirror image), so a space whose normal form overflows the
-    box is still found through its mirrored canonical form.  Returns
-    normal-form keys (a, b), which is what makes global deduplication
-    possible: a chain-1 hit is already in normal form, and a chain-2 hit
-    a=(a1, a2, 0), b=(b1, b2, b3) negates and re-sorts to
-    a=(a1, a1 - a2, 0), b=(a1 - b1, a1 - b3, a1 - b2).
+    A normal form is a=(a1, a2, 0), b=(b1, b2, b3) with b3 <= b2 <= -1 and
+    b1 = a1 + a2 - b2 - b3 > a1.  The same space has a mirrored canonical
+    form a=(a1, a1 - a2, 0), b=(a1 - b1, a1 - b3, a1 - b2), and a space is
+    in the box when either form is.  The mirror fits exactly when
+    b3 >= a1 - max_abs and b1 <= a1 + max_abs, so b1 is bounded by
+    a1 + max_abs for those b3 and by max_abs below them.  Each space is
+    yielded once, as its normal form, with no set to deduplicate against.
     """
-    apairs, max_abs = args
-    found: set[tuple] = set()
     for a1, a2 in apairs:
         s = a1 + a2
-        # Freeness: gcd(a1 - b_s(1), a2 - b_s(2)) == 1 for all six
-        # permutations s, as in ``is_free`` with a3 = 0.
-        # chain 1: b3 <= b2 <= -1, b1 = s - b2 - b3 <= max_abs (b1 > a1 holds)
         for b3 in range(-max_abs, 0):
+            b1_max = a1 + max_abs if b3 >= a1 - max_abs else max_abs
             x3, y3 = a1 - b3, a2 - b3
-            for b2 in range(max(b3, s - max_abs - b3), 0):
+            for b2 in range(max(b3, s - b1_max - b3), 0):
                 b1 = s - b2 - b3
                 x1, y1, x2, y2 = a1 - b1, a2 - b1, a1 - b2, a2 - b2
+                # Freeness: gcd(a1 - b_s(1), a2 - b_s(2)) == 1 for all six
+                # permutations s, as in ``is_free`` with a3 = 0.
                 if (gcd(x3, y1) == 1 and gcd(x3, y2) == 1 and gcd(x1, y2) == 1
                         and gcd(x1, y3) == 1 and gcd(x2, y1) == 1 and gcd(x2, y3) == 1):
-                    found.add(((a1, a2, 0), (b1, b2, b3)))
-        # chain 2: b2 >= b3 >= a1 + 1, b2 <= max_abs, b1 = s - b2 - b3 >= -max_abs
-        for b3 in range(a1 + 1, max_abs + 1):
-            x3, y3 = a1 - b3, a2 - b3
-            for b2 in range(b3, min(max_abs, s + max_abs - b3) + 1):
-                b1 = s - b2 - b3
-                x1, y1, x2, y2 = a1 - b1, a2 - b1, a1 - b2, a2 - b2
-                if (gcd(x3, y1) == 1 and gcd(x3, y2) == 1 and gcd(x1, y2) == 1
-                        and gcd(x1, y3) == 1 and gcd(x2, y1) == 1 and gcd(x2, y3) == 1):
-                    found.add(((a1, a1 - a2, 0), (x1, x3, x2)))
-    return found
+                    yield (a1, a2, 0), (b1, b2, b3)
 
 
-def _scan_chunk(keys: list[tuple]) -> list[tuple]:
-    """The normal-form keys whose whole curvature window is singular."""
-    return [(a, b) for a, b in keys if first_nonsingular_shift(EschParams(a, b)) is None]
-
-
-def _chunked(items: list, n_chunks: int) -> list[list]:
-    n_chunks = max(1, min(n_chunks, len(items)))
-    size, extra = divmod(len(items), n_chunks)
-    chunks, start = [], 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
+def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
+    """The number of normal forms of a shard, and those whose whole window is singular."""
+    apairs, max_abs = args
+    count, singular = 0, []
+    for a, b in _normal_forms(apairs, max_abs):
+        count += 1
+        if first_nonsingular_shift(EschParams(a, b)) is None:
+            singular.append((a, b))
+    return count, singular
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:
@@ -289,9 +276,11 @@ def _pool_size(workers: int, n_tasks: int) -> int:
 def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, list[SurveyRow]]:
     """Survey every space with a canonical form inside the box.
 
-    Enumerates canonical free, positively curved parameter sets with all
-    entries bounded by max_abs in absolute value, deduplicates them by
-    normal form, and decides each with the three-gcd test of
+    Enumerates the free, positively curved spaces with a canonical form
+    whose entries are bounded by max_abs in absolute value, each once as
+    its normal form: a space is also in the box when only its mirrored
+    canonical form is, which widens the bound on b1 (see ``_normal_forms``).
+    Each form is decided as it is enumerated, with the three-gcd test of
     ``first_nonsingular_shift``, which stops at the first non-singular
     shift of the curvature window.  Returns counts plus up to ``limit``
     counterexample rows sorted by |H^4| (ties broken lexicographically).
@@ -308,19 +297,15 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     processes = _pool_size(workers, len(apairs))
 
     if processes == 1:
-        keys = _enumerate_chunk((apairs, max_abs))
-        singular = _scan_chunk(list(keys))
+        shards = [_scan_shard((apairs, max_abs))]
     else:
-        enum_chunks = [(chunk, max_abs) for chunk in _chunked(apairs, 4 * processes)]
+        # strided shards mix cheap (large a1) and costly (small a1) pairs
+        n = min(4 * processes, len(apairs))
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            keys = set().union(*pool.map(_enumerate_chunk, enum_chunks))
-            singular = []
-            for part in pool.map(_scan_chunk, _chunked(list(keys), 4 * processes)):
-                singular.extend(part)
+            shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 
-    rows = [_counterexample_row(EschParams(a, b)) for a, b in singular]
-    stats = ScanStats(
-        total=len(keys), embeddable=len(keys) - len(rows), counterexamples=len(rows)
-    )
+    total = sum(count for count, _ in shards)
+    rows = [_counterexample_row(EschParams(a, b)) for _, keys in shards for a, b in keys]
+    stats = ScanStats(total=total, embeddable=total - len(rows), counterexamples=len(rows))
     rows.sort(key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return stats, rows[:limit]

@@ -1,6 +1,18 @@
+"""Survey jobs and the box scan.
+
+The box scan is also pinned by one sha256 of ``repr(scan_box(m, 10**6))``
+per box m in ``data/scan_golden.json``; after an intended change to the
+scan's output, rewrite the file with
+
+    PYTHONPATH=src python tests/test_survey.py
+"""
+
+import hashlib
+import json
 import os
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -26,13 +38,16 @@ from eschbaz.embedding import _singularity_moduli, first_nonsingular_shift
 import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
+    ScanStats,
     SurveyRow,
-    _enumerate_chunk,
+    _normal_forms,
     _pool_size,
     _row_from_report,
 )
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
+SCAN_GOLDEN = Path(__file__).with_name("data") / "scan_golden.json"
+SCAN_BOXES = (10, 24, 40, 60, 100)
 
 
 def test_stored_rows_shape():
@@ -122,7 +137,21 @@ def test_verify_cohomogeneity_one():
 
 @pytest.fixture(scope="module")
 def box60():
-    return scan_box(60, 100)
+    return scan_box(60, 10**6)
+
+
+def _scan_digest(outcome):
+    return hashlib.sha256(repr(outcome).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("max_abs", SCAN_BOXES)
+def test_scan_box_matches_golden_digest(max_abs, workers, box60):
+    if (max_abs, workers) == (60, 1):
+        outcome = box60
+    else:
+        outcome = scan_box(max_abs, 10**6, workers=workers)
+    assert _scan_digest(outcome) == json.loads(SCAN_GOLDEN.read_text())[str(max_abs)]
 
 
 def test_scan_box_small_is_empty():
@@ -178,12 +207,23 @@ def test_pool_size_is_bounded():
 
 def _box_keys(max_abs):
     apairs = [(a1, a2) for a1 in range(max_abs + 1) for a2 in range(a1 + 1)]
-    return _enumerate_chunk((apairs, max_abs))
+    return list(_normal_forms(apairs, max_abs))
 
 
 def test_enumerator_matches_normal_form_oracle():
     for max_abs in range(1, 31):
-        assert _box_keys(max_abs) == enumerate_normal_forms(max_abs), max_abs
+        keys = _box_keys(max_abs)
+        assert len(keys) == len(set(keys)), max_abs
+        assert set(keys) == enumerate_normal_forms(max_abs), max_abs
+
+
+def test_scan_box_with_fewer_pairs_than_shards():
+    # boxes 1 and 2 have 3 and 6 (a1, a2) pairs, fewer than the 8 shards
+    # of a 2-process pool, so there is one shard per pair; boxes 3 and 5
+    # (10 and 21 pairs) cut shards of one to three pairs; box 1 holds no space
+    assert scan_box(1, 10) == (ScanStats(total=0, embeddable=0, counterexamples=0), [])
+    for max_abs in (1, 2, 3, 5):
+        assert scan_box(max_abs, 10, workers=2) == scan_box(max_abs, 10), max_abs
 
 
 def _kernel_verdict(f, c):
@@ -238,3 +278,10 @@ def test_survey_row_invariant():
         h4=841,
     )
     assert row.is_counterexample == (len(row.window) > 0 and not any(row.verdicts))
+
+
+if __name__ == "__main__":
+    SCAN_GOLDEN.parent.mkdir(exist_ok=True)
+    SCAN_GOLDEN.write_text(json.dumps(
+        {str(m): _scan_digest(scan_box(m, 10**6)) for m in SCAN_BOXES}, indent=1
+    ) + "\n")
