@@ -6,6 +6,11 @@ candidates can still be represented and reported.  Freeness demands all q_i
 odd and gcd(q_i + q_j, q_k + q_l) == 2 for every pair of disjoint index
 pairs; positive curvature demands all ten pairwise sums share a strict sign.
 
+|H^6| is |sigma_3| / 8 of the six-tuple (q1, ..., q5, -qsum).  That tuple
+sums to zero, so Newton's identity p_3 = sigma_1 p_2 - sigma_2 p_1 +
+3 sigma_3 reduces to p_3 = 3 sigma_3, and |H^6| = |q1^3 + ... + q5^3 -
+qsum^3| / 24.
+
 Each 5-tuple carries ten totally geodesic Eschenburg parameter sets, one per
 2-subset of indices; ``submanifolds`` extracts them.
 """
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .arith import InternalError, elementary_symmetric, tuple_to_decimal
+from .arith import InternalError, tuple_to_decimal
 from .eschenburg import EschParams
 
 # The freeness condition only depends on the two unordered index pairs, so the
@@ -38,7 +43,7 @@ class BazParams:
     q: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        q = tuple(int(x) for x in self.q)
+        q = tuple(map(int, self.q))
         if len(q) != 5:
             raise ValueError(f"expected a 5-tuple, got {tuple_to_decimal(q)}")
         object.__setattr__(self, "q", q)
@@ -55,12 +60,23 @@ class BazParams:
 
 
 def is_free_baz(b: BazParams) -> bool:
-    """Freeness: all q_i odd and every disjoint pair-sum gcd equals 2."""
+    """Freeness: all q_i odd and every disjoint pair-sum gcd equals 2.
+
+    The ten pair sums s_ij = q_i + q_j are formed once and the 15 disjoint
+    pairs of ``_DISJOINT_PAIRS`` are tested in that order.
+    """
     if not b.all_odd():
         return False
-    q = b.q
-    return all(
-        gcd(q[i] + q[j], q[k] + q[l]) == 2 for (i, j), (k, l) in _DISJOINT_PAIRS
+    q0, q1, q2, q3, q4 = b.q
+    s01, s02, s03, s04 = q0 + q1, q0 + q2, q0 + q3, q0 + q4
+    s12, s13, s14 = q1 + q2, q1 + q3, q1 + q4
+    s23, s24, s34 = q2 + q3, q2 + q4, q3 + q4
+    return (
+        gcd(s01, s23) == 2 and gcd(s01, s24) == 2 and gcd(s01, s34) == 2
+        and gcd(s02, s13) == 2 and gcd(s02, s14) == 2 and gcd(s02, s34) == 2
+        and gcd(s03, s12) == 2 and gcd(s03, s14) == 2 and gcd(s03, s24) == 2
+        and gcd(s04, s12) == 2 and gcd(s04, s13) == 2 and gcd(s04, s23) == 2
+        and gcd(s12, s34) == 2 and gcd(s13, s24) == 2 and gcd(s14, s23) == 2
     )
 
 
@@ -81,18 +97,29 @@ def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, in
 
 
 def is_pc_baz(b: BazParams) -> bool:
-    """Positive curvature: all ten pairwise sums > 0, or all < 0."""
-    sums = [b.q[i] + b.q[j] for i, j in combinations(range(5), 2)]
-    return all(s > 0 for s in sums) or all(s < 0 for s in sums)
+    """Positive curvature: all ten pairwise sums > 0, or all < 0.
+
+    With q sorted, the smallest pair sum is q[0] + q[1] and the largest is
+    q[3] + q[4], so one comparison decides each sign.
+    """
+    q = sorted(b.q)
+    return q[0] + q[1] > 0 or q[3] + q[4] < 0
 
 
 def h6_order(b: BazParams) -> int:
-    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples."""
+    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples.
+
+    The six-tuple sums to zero, so sigma_3 = p_3 / 3 with p_3 its power sum
+    of cubes (Newton's identity), and |H^6| = |p_3| / 24.
+    """
     if not b.all_odd():
         raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
-    s3 = elementary_symmetric(3, b.q + (-b.qsum,))
-    magnitude, remainder = divmod(abs(s3), 8)
+    q0, q1, q2, q3, q4 = b.q
+    s = q0 + q1 + q2 + q3 + q4
+    p3 = q0 * q0 * q0 + q1 * q1 * q1 + q2 * q2 * q2 + q3 * q3 * q3 + q4 * q4 * q4 - s * s * s
+    magnitude, remainder = divmod(abs(p3), 24)
     if remainder:
+        # p_3 = 3 sigma_3 exactly, so this is sigma_3 % 8 != 0
         raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
     return magnitude
 

@@ -246,7 +246,8 @@ def _require_nonzero_differences(e: EschParams, what: str) -> None:
     # a_k == b_l pins one candidate pair sum at 0 for every shift, so the
     # gcd-equals-2 condition degenerates to |other pair sum| == 2 and at most
     # two shifts can ever work; the guaranteed-shift construction is void.
-    if any(ak == bl for ak in e.a for bl in e.b):
+    a1, a2, a3 = e.a
+    if a1 in e.b or a2 in e.b or a3 in e.b:
         raise ValueError(
             f"{what} need all nine differences a_k - b_l nonzero; "
             f"{e} has a vanishing difference (free parameters with a vanishing "
@@ -271,6 +272,13 @@ def certified_shift(e: EschParams, mu: int, sign: int, **factor_kwargs) -> int:
     return sign * 2 ** (mu - 1) * shift_prime_product(e, **factor_kwargs) ** mu
 
 
+def _sigma_differences(e: EschParams) -> tuple[int, int]:
+    """(sigma_2(a) - sigma_2(b), sigma_3(a) - sigma_3(b))."""
+    a, b = e.a, e.b
+    return (elementary_symmetric(2, a) - elementary_symmetric(2, b),
+            elementary_symmetric(3, a) - elementary_symmetric(3, b))
+
+
 def sigma3_shift_closed_form(e: EschParams, c: int) -> int:
     """sigma_3 of the 6-tuple (2(a_i+c)+1, -2(b_i+c)-1) without expanding it.
 
@@ -278,10 +286,8 @@ def sigma3_shift_closed_form(e: EschParams, c: int) -> int:
     * (sigma_2(a) - sigma_2(b)); the sigma_1 terms cancel because the
     parameter sums balance.
     """
-    s1 = sum(e.a)
-    d2 = elementary_symmetric(2, e.a) - elementary_symmetric(2, e.b)
-    d3 = elementary_symmetric(3, e.a) - elementary_symmetric(3, e.b)
-    return 8 * d3 - 8 * (s1 + 2 * c + 1) * d2
+    d2, d3 = _sigma_differences(e)
+    return 8 * d3 - 8 * (sum(e.a) + 2 * c + 1) * d2
 
 
 def collision_locus(e: EschParams) -> Fraction | None:
@@ -292,10 +298,9 @@ def collision_locus(e: EschParams) -> Fraction | None:
     sigma_2(b), in which case |sigma_3| is constant and every shift pair
     collides ("everywhere").
     """
-    d2 = elementary_symmetric(2, e.a) - elementary_symmetric(2, e.b)
+    d2, d3 = _sigma_differences(e)
     if d2 == 0:
         return None
-    d3 = elementary_symmetric(3, e.a) - elementary_symmetric(3, e.b)
     return Fraction(d3, d2) - sum(e.a) - 1
 
 

@@ -16,12 +16,9 @@ implicitly; the a/b swap appears only through the dual-embedding operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import gcd
 
 from .arith import InternalError, elementary_symmetric, to_decimal, tuple_to_decimal
-
-_PERMS3 = tuple(permutations(range(3)))
 
 
 class DegenerateActionError(ValueError):
@@ -40,8 +37,8 @@ class EschParams:
     b: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.a)
-        b = tuple(int(x) for x in self.b)
+        a = tuple(map(int, self.a))
+        b = tuple(map(int, self.b))
         if len(a) != 3 or len(b) != 3:
             raise ValueError(
                 f"expected two triples, got a={tuple_to_decimal(a)}, b={tuple_to_decimal(b)}"
@@ -67,9 +64,15 @@ def is_free(e: EschParams) -> bool:
 
     gcd(a1 - b_s(1), a2 - b_s(2)) == 1 for every permutation s; the third
     difference is redundant because the six entries have balanced sums.
+    With x_i = a1 - b_i and y_i = a2 - b_i the six checks are
+    gcd(x_i, y_j) == 1 for i != j.
     """
-    a, b = e.a, e.b
-    return all(gcd(a[0] - b[s[0]], a[1] - b[s[1]]) == 1 for s in _PERMS3)
+    a1, a2, _ = e.a
+    b1, b2, b3 = e.b
+    x1, x2, x3 = a1 - b1, a1 - b2, a1 - b3
+    y1, y2, y3 = a2 - b1, a2 - b2, a2 - b3
+    return (gcd(x1, y2) == 1 and gcd(x1, y3) == 1 and gcd(x2, y1) == 1
+            and gcd(x2, y3) == 1 and gcd(x3, y1) == 1 and gcd(x3, y2) == 1)
 
 
 def kernel_order(e: EschParams) -> int:

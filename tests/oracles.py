@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 from eschbaz import BazParams, EschParams, is_free, pc_normal_form
-from eschbaz.arith import to_decimal
+from eschbaz.arith import elementary_symmetric, to_decimal
 
 _PERMS3 = tuple(permutations(range(3)))
 _PERMS5 = tuple(permutations(range(5)))
@@ -43,6 +43,26 @@ def is_free_baz_oracle(b: BazParams) -> bool:
         return False
     q = b.q
     return all(gcd(q[s[0]] + q[s[1]], q[s[2]] + q[s[3]]) == 2 for s in _PERMS5)
+
+
+def is_pc_baz_oracle(b: BazParams) -> bool:
+    """Positive curvature over all ten pairwise sums: all > 0, or all < 0."""
+    sums = [b.q[i] + b.q[j] for i, j in combinations(range(5), 2)]
+    return all(s > 0 for s in sums) or all(s < 0 for s in sums)
+
+
+def h6_order_oracle(b: BazParams) -> int:
+    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, with sigma_3 expanded in full.
+
+    Raises ValueError on an even entry and ArithmeticError if sigma_3 is not
+    divisible by 8.
+    """
+    if not b.all_odd():
+        raise ValueError(f"h6_order needs all entries odd, got {b}")
+    magnitude, remainder = divmod(abs(elementary_symmetric(3, b.q + (-b.qsum,))), 8)
+    if remainder:
+        raise ArithmeticError(f"sigma_3 of {b} is not divisible by 8")
+    return magnitude
 
 
 def nonsingular_shift_oracle(e: EschParams, c: int) -> bool:

@@ -3,11 +3,14 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_odd_baz
-from oracles import is_free_baz_oracle
+from conftest import random_free_esch, random_odd_baz
+from oracles import h6_order_oracle, is_free_baz_oracle, is_pc_baz_oracle
 from eschbaz import (
     BazParams,
+    EschParams,
+    candidate_q,
     canonicalize,
+    certified_shift,
     freeness_failures,
     h6_order,
     is_free,
@@ -93,6 +96,60 @@ def test_permutation_invariance_all_120():
             assert is_free_baz(p) == free
             assert is_pc_baz(p) == pc
             assert h6_order(p) == h6
+
+
+# ---------------------------------------------------------------------------
+# straight-line predicates against their generic oracles, at three magnitudes
+
+
+def _assert_matches_oracles(q):
+    assert is_pc_baz(q) == is_pc_baz_oracle(q), q
+    assert h6_order(q) == h6_order_oracle(q), q
+    assert is_free_baz(q) == (q.all_odd() and not freeness_failures(q)), q
+
+
+def test_predicates_match_oracles_on_small_tuples():
+    rng = random.Random(241)
+    pc_seen = free_seen = 0
+    for _ in range(5000):
+        q = random_odd_baz(rng)
+        _assert_matches_oracles(q)
+        pc_seen += is_pc_baz(q)
+        free_seen += is_free_baz(q)
+    assert pc_seen and free_seen
+    for _ in range(2000):
+        q = BazParams(tuple(rng.randint(-49, 49) for _ in range(5)))
+        assert is_pc_baz(q) == is_pc_baz_oracle(q), q
+        assert is_free_baz(q) == (q.all_odd() and not freeness_failures(q)), q
+
+
+def test_predicates_match_oracles_at_certified_shifts():
+    rng = random.Random(251)
+    for _ in range(40):
+        e = random_free_esch(rng, -50, 50, nonzero_diffs=True)
+        for mu in range(1, 5):
+            for sign in (1, -1):
+                q = candidate_q(e, certified_shift(e, mu, sign))
+                assert is_free_baz(q) and is_free_baz_oracle(q), q
+                _assert_matches_oracles(q)
+
+
+def test_predicates_match_oracles_past_the_digit_limit():
+    rng = random.Random(257)
+    bound = 10**4400
+    pc_outcomes = set()
+    for _ in range(200):
+        signs = rng.choice(((1,) * 5, (-1,) * 5, tuple(rng.choice((1, -1)) for _ in range(5))))
+        q = BazParams(tuple(sign * (2 * rng.randrange(bound) + 1) for sign in signs))
+        _assert_matches_oracles(q)
+        pc_outcomes.add(is_pc_baz(q))
+    assert pc_outcomes == {True, False}
+    e = EschParams((2, 0, 0), (15, -2, -11))
+    for sign in (1, -1):
+        q = candidate_q(e, certified_shift(e, 640, sign))
+        assert min(abs(x) for x in q.q) > 10**4300
+        assert is_free_baz(q) and is_free_baz_oracle(q)
+        _assert_matches_oracles(q)
 
 
 # ---------------------------------------------------------------------------

@@ -409,9 +409,10 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
             pc_shift_window(EschParams((0, 0, 0), (0, 0, 0)))
 
     with monkeypatch.context() as mp:
-        mp.setattr(bazaikin_mod, "elementary_symmetric", lambda k, xs: 12)
+        # (2, 1, 1, 1, 1) has p_3 = 12 - 6**3 = -204, which is 12 mod 24
+        mp.setattr(bazaikin_mod.BazParams, "all_odd", lambda self: True)
         with pytest.raises(InternalError, match="not divisible by 8"):
-            h6_order(BazParams((1, 1, 1, 1, 1)))
+            h6_order(BazParams((2, 1, 1, 1, 1)))
 
     with monkeypatch.context() as mp:
         mp.setattr(embedding_mod, "make_certificate",
