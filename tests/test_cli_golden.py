@@ -62,9 +62,11 @@ _PER_FORMAT = [
 ]
 
 # help and usage errors: no --format
+SUBCOMMANDS = ("verify-esch", "verify-baz", "embed", "window", "certified-shifts", "distinct",
+               "submanifolds", "dual", "counterexamples", "families", "cohom1", "scan")
 _ONCE = [
     ("--help",),
-    ("families", "--help"),
+    *((name, "--help") for name in SUBCOMMANDS),
     (),
     ("no-such-command",),
     ("families", "--k-max"),
