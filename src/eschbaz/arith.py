@@ -5,10 +5,14 @@ like 2**(mu-1) * P**mu for a product P of primes drawn from nine small
 differences, which leaves any fixed-width integer type behind almost
 immediately.  Plain Python ints are the point, not a convenience.
 
-``factorize`` is memoized by ``functools.lru_cache`` with a fixed
-``FACTORIZE_CACHE_SIZE`` (4096) entries, keyed on the input and the effort
-keywords.  Every check runs on each miss, ``Factorization`` is frozen, so
-sharing a cached result is safe, and errors are never cached.
+``factorize`` spends a fixed effort, set by module constants rather than
+by its callers: trial division up to ``TRIAL_DIVISION_BOUND``, Brent's rho
+seeded from each cofactor alone, and a refusal past ``MAX_DIGITS`` digits.
+Factorization is unique, so no result depends on that effort, only whether
+one is found.  ``factorize`` is memoized by ``functools.lru_cache`` with a
+fixed ``FACTORIZE_CACHE_SIZE`` (4096) entries, keyed on the input.  Every
+check runs on each miss, ``Factorization`` is frozen, so sharing a cached
+result is safe, and errors are never cached.
 
 ``to_decimal`` and ``from_decimal`` convert ints to and from decimal text
 ``DECIMAL_CHUNK_DIGITS`` (600) digits at a time, below the interpreter's
@@ -27,6 +31,7 @@ from typing import Iterable
 
 TRIAL_DIVISION_BOUND = 10**6
 MAX_DIGITS = 64
+_DIGIT_BOUND = 10**MAX_DIGITS  # the smallest integer with more than MAX_DIGITS digits
 FACTORIZE_CACHE_SIZE = 4096
 DECIMAL_CHUNK_DIGITS = 600
 _DECIMAL_CHUNK = 10**DECIMAL_CHUNK_DIGITS
@@ -39,7 +44,7 @@ _EXTRA_MR_ROUNDS = 64
 
 
 class FactorizationIncomplete(Exception):
-    """The input exceeded the configured factorization effort.
+    """The input exceeded the fixed factorization effort.
 
     Raised instead of ever returning a wrong or partial factorization.
     """
@@ -233,43 +238,27 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def __str__(self) -> str:
-        body = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors) or "1"
-        return ("-" if self.sign < 0 else "") + body
-
-
-@lru_cache(maxsize=32)
-def _digit_bound(max_digits: int) -> int:
-    """10**max_digits: the smallest integer with more than max_digits digits."""
-    return 10**max_digits
-
 
 @lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
-def factorize(
-    n: int,
-    *,
-    trial_bound: int = TRIAL_DIVISION_BOUND,
-    max_digits: int = MAX_DIGITS,
-    seed: int | None = None,
-) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor a nonzero integer into primes, or refuse explicitly.
 
-    Trial division up to ``trial_bound``, then Brent's rho seeded
-    deterministically from the input (and from ``seed``, if given), then a
-    primality check on every surviving piece.  Inputs wider than
-    ``max_digits`` decimal digits, and composites rho cannot split within
-    its attempt budget, raise FactorizationIncomplete rather than risking a
-    wrong answer.  Results are memoized (see the module docstring);
-    ``factorize.__wrapped__`` is the uncached function.
+    Trial division up to ``TRIAL_DIVISION_BOUND``, then Brent's rho seeded
+    deterministically from each cofactor, then a primality check on every
+    surviving piece.  Inputs wider than ``MAX_DIGITS`` decimal digits, and
+    composites rho cannot split within its attempt budget, raise
+    FactorizationIncomplete rather than risking a wrong answer.  Results
+    are memoized on n (see the module docstring); ``factorize.__wrapped__``
+    is the uncached function.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     sign = 1 if n > 0 else -1
     m = abs(n)
     # compared as integers: str() of a huge m would hit the int-to-str limit
-    if m >= _digit_bound(max_digits):
+    if m >= _DIGIT_BOUND:
         raise FactorizationIncomplete(
-            f"|n| has {m.bit_length()} bits, above the {max_digits}-digit effort bound"
+            f"|n| has {m.bit_length()} bits, above the {MAX_DIGITS}-digit effort bound"
         )
 
     counts: dict[int, int] = {}
@@ -277,12 +266,12 @@ def factorize(
         counts[2] = counts.get(2, 0) + 1
         m //= 2
     d = 3
-    while d <= trial_bound and d * d <= m:
+    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
         while m % d == 0:
             counts[d] = counts.get(d, 0) + 1
             m //= d
         d += 2
-    if 1 < m and m <= trial_bound * trial_bound:
+    if 1 < m and m <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
         # trial division ran past sqrt(m), so the cofactor is prime
         counts[m] = counts.get(m, 0) + 1
         m = 1
@@ -293,7 +282,7 @@ def factorize(
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        rng = random.Random(m if seed is None else f"{m}:{seed}")
+        rng = random.Random(m)
         factor = m
         for _ in range(64):
             factor = _brent_rho(m, rng)

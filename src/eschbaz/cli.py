@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -73,15 +72,6 @@ def _esch_from_args(args: argparse.Namespace) -> EschParams:
 
 def _baz_from_args(args: argparse.Namespace) -> BazParams:
     return BazParams(_ints(args.q, 5, "--q"))
-
-
-def _factor_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {}
-    if args.factor_bound is not None:
-        kwargs["trial_bound"] = args.factor_bound
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +313,10 @@ def _cmd_window(args) -> dict:
 
 def _cmd_certified_shifts(args) -> dict:
     e = _esch_from_args(args)
-    kwargs = _factor_kwargs(args)
     results = []
     for mu in range(1, args.mu_max + 1):
         for sign in (1, -1):
-            c = embedding.certified_shift(e, mu, sign, **kwargs)
+            c = embedding.certified_shift(e, mu, sign)
             results.append({"mu": mu, "sign": sign, "c": c, "nonsingular": embedding.nonsingular_shift(e, c)})
     return {
         "input": {"esch": _esch_dict(e), "mu_max": args.mu_max},
@@ -344,10 +333,7 @@ def _cmd_certified_shifts(args) -> dict:
 
 def _cmd_distinct(args) -> dict:
     e = _esch_from_args(args)
-    certs = [
-        _cert_dict(c)
-        for c in embedding.homotopy_distinct_embeddings(e, args.n, **_factor_kwargs(args))
-    ]
+    certs = [_cert_dict(c) for c in embedding.homotopy_distinct_embeddings(e, args.n)]
     return {
         "input": {"esch": _esch_dict(e), "n": args.n},
         "results": certs,
@@ -490,9 +476,8 @@ def _json_text(value) -> str:
     """``json.dumps(value, indent=2)`` of a report tree, written in one walk.
 
     Strings go through the C ``encode_basestring_ascii`` (``ensure_ascii``
-    escaping), ints beyond +-(2**53 - 1) become ``to_decimal`` strings and
-    a ``Fraction`` becomes ``"num/den"``; dict keys must be strings.  Any
-    other type raises ``TypeError``.
+    escaping) and ints beyond +-(2**53 - 1) become ``to_decimal`` strings;
+    dict keys must be strings.  Any other type raises ``TypeError``.
     """
     parts: list[str] = []
     _json_write(value, "\n", parts)
@@ -539,8 +524,6 @@ def _json_write(x, newline: str, parts: list[str]) -> None:
             _json_write(v, inner, parts)
             separator = "," + inner
         parts.append(newline + "]")
-    elif isinstance(x, Fraction):
-        parts.append(_json_string(f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"))
     else:
         raise TypeError(f"cannot serialize {type(x)!r}")
 
@@ -592,10 +575,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized internals (factor splitting)")
-    common.add_argument("--factor-bound", type=int, default=None,
-                        help="trial-division bound for factorizations")
 
     parser = argparse.ArgumentParser(
         prog="eschbaz",

@@ -13,9 +13,9 @@ is the three-gcd form used by box scans) and positively curved
 the same |H^6| (``collision_locus``), and builds embedding certificates.
 
 ``shift_prime_product`` is memoized by ``functools.lru_cache`` with a fixed
-``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the parameters and
-the factorization keywords, so the certified shifts of one space and its
-distinct hosts share one P and factor its nine differences once.
+``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the parameters, so
+the certified shifts of one space and its distinct hosts share one P and
+factor its nine differences once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .arith import InternalError, elementary_symmetric, factorize, to_decimal
 from .bazaikin import BazParams
 from .eschenburg import (
     EschParams,
-    NotPositivelyCurvedError,
     in_pc_normal_form,
     is_free,
     is_pc_metric,
@@ -201,8 +200,6 @@ def window_scan(e: EschParams) -> WindowReport:
     Normalizes e first, so the window is reported in normal-form
     coordinates.  Certificates are ordered by shift.
     """
-    if not is_pc_metric(e):
-        raise NotPositivelyCurvedError(f"{e} fails the fixed-metric positive-curvature test")
     f = pc_normal_form(e)
     window = pc_shift_window(f)
     certificates = tuple(make_certificate(f, c) for c in window)
@@ -217,7 +214,7 @@ def window_scan(e: EschParams) -> WindowReport:
 
 
 @lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
-def shift_prime_product(e: EschParams, **factor_kwargs) -> int:
+def shift_prime_product(e: EschParams) -> int:
     """Product P underlying the certified shifts.
 
     For each of the nine (k, l) pairs, take the distinct prime divisors of
@@ -236,7 +233,7 @@ def shift_prime_product(e: EschParams, **factor_kwargs) -> int:
             diff = a[k] - bl
             if diff == 0:
                 continue
-            for p in factorize(diff, **factor_kwargs).primes():
+            for p in factorize(diff).primes():
                 if gcd(p, pair_sum) == 1:
                     product *= p
     return product
@@ -255,7 +252,7 @@ def _require_nonzero_differences(e: EschParams, what: str) -> None:
         )
 
 
-def certified_shift(e: EschParams, mu: int, sign: int, **factor_kwargs) -> int:
+def certified_shift(e: EschParams, mu: int, sign: int) -> int:
     """A shift guaranteed to produce a non-singular candidate.
 
     Returns sign * 2**(mu-1) * P**mu with P from ``shift_prime_product``.
@@ -269,7 +266,7 @@ def certified_shift(e: EschParams, mu: int, sign: int, **factor_kwargs) -> int:
     if not is_free(e):
         raise ValueError(f"certified shifts exist only for free parameters, got {e}")
     _require_nonzero_differences(e, "certified shifts")
-    return sign * 2 ** (mu - 1) * shift_prime_product(e, **factor_kwargs) ** mu
+    return sign * 2 ** (mu - 1) * shift_prime_product(e) ** mu
 
 
 def _sigma_differences(e: EschParams) -> tuple[int, int]:
@@ -304,7 +301,7 @@ def collision_locus(e: EschParams) -> Fraction | None:
     return Fraction(d3, d2) - sum(e.a) - 1
 
 
-def homotopy_distinct_embeddings(e: EschParams, n: int, **factor_kwargs) -> list[EmbeddingCertificate]:
+def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertificate]:
     """n non-singular candidates with pairwise distinct |H^6|.
 
     Walks the certified shifts +-2**(mu-1) * P**mu for mu = 1, 2, ...,
@@ -318,7 +315,7 @@ def homotopy_distinct_embeddings(e: EschParams, n: int, **factor_kwargs) -> list
     if not is_free(e):
         raise ValueError(f"embedding targets exist only for free parameters, got {e}")
     _require_nonzero_differences(e, "guaranteed embedding targets")
-    base = shift_prime_product(e, **factor_kwargs)
+    base = shift_prime_product(e)
     out: list[EmbeddingCertificate] = []
     seen: set[int] = set()
     for mu in range(1, n + 2):

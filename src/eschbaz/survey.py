@@ -13,13 +13,13 @@ mirrored canonical form fits, and that condition is a bound on b1 alone.  It
 decides each form as soon as it is enumerated, with the three-gcd test of
 ``first_nonsingular_shift``, stopping at the first non-singular shift of the
 curvature window; it builds no certificates.  The two counterexample jobs
-decide their spaces the same way and build certificates (``window_scan``)
-only when a space embeds after all, so that the failure names its
-non-singular shifts.  The cohomogeneity-one job and the ``window`` command
-keep the full-certificate path, which is also the test oracle for the fast
-one.  ``scan_box`` can shard its (a1, a2) pairs over worker processes;
-rows are merged by deterministic sort, so output is identical for any
-worker count.
+decide their spaces the same way and build no certificates either: a space
+that embeds after all gets one ``nonsingular_shift`` verdict per window
+shift, so that the failure names its non-singular shifts.  The
+cohomogeneity-one job and the ``window`` command keep the full-certificate
+path, which is also the test oracle for the fast one.  ``scan_box`` can
+shard its (a1, a2) pairs over worker processes; rows are merged by
+deterministic sort, so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .bazaikin import BazParams
 from .embedding import (
     COHOM1_WINDOW_NOTE,
     EmbeddingCertificate,
-    WindowReport,
     first_nonsingular_shift,
     make_certificate,
+    nonsingular_shift,
     pc_shift_window,
-    window_scan,
 )
 from .eschenburg import (
     EschParams,
@@ -104,40 +103,26 @@ KNOWN_COUNTEREXAMPLES: tuple[tuple[tuple[int, int, int], tuple[int, int, int], r
 )
 
 
-def _row_from_report(report: WindowReport) -> SurveyRow:
-    verdicts = tuple(cert.baz_free for cert in report.certificates)
-    return SurveyRow(
-        esch=report.esch,
-        window=report.window,
-        verdicts=verdicts,
-        is_counterexample=len(report.window) > 0 and not any(verdicts),
-        h4=h4_order(report.esch),
-    )
+def _verdict_row(f: EschParams) -> SurveyRow:
+    """The window-scan row of free f in positive-curvature normal form.
 
-
-def _counterexample_row(f: EschParams) -> SurveyRow:
-    """The row of normal form f, whose whole curvature window is singular."""
+    Decided with the three-gcd test of ``first_nonsingular_shift``; only a
+    space that embeds after all gets a ``nonsingular_shift`` verdict per
+    shift, so its row says at which shifts.  The window is never empty
+    (see ``pc_shift_window``).
+    """
     window = pc_shift_window(f)
+    if first_nonsingular_shift(f) is None:
+        verdicts = (False,) * len(window)
+    else:
+        verdicts = tuple(nonsingular_shift(f, c) for c in window)
     return SurveyRow(
         esch=f,
         window=window,
-        verdicts=(False,) * len(window),
-        is_counterexample=True,
+        verdicts=verdicts,
+        is_counterexample=not any(verdicts),
         h4=h4_order(f),
     )
-
-
-def _verdict_row(e: EschParams) -> SurveyRow:
-    """The window-scan row of free, positively curved e, in normal form.
-
-    Decided with the three-gcd test of ``first_nonsingular_shift``; only a
-    space that embeds after all goes through ``window_scan``, so its row
-    says at which shifts.
-    """
-    f = pc_normal_form(e)
-    if first_nonsingular_shift(f) is None:
-        return _counterexample_row(f)
-    return _row_from_report(window_scan(e))
 
 
 def verify_known_counterexamples() -> list[SurveyRow]:
@@ -158,7 +143,7 @@ def verify_known_counterexamples() -> list[SurveyRow]:
                 f"row {index}: {e} is not positively curved",
                 row=index, expected="positively curved", actual="not positively curved",
             )
-        row = _verdict_row(e)
+        row = _verdict_row(pc_normal_form(e))
         if row.window != expected_window:
             raise VerificationFailure(
                 f"row {index}: window mismatch for {e}: "
@@ -189,7 +174,7 @@ def verify_infinite_families(k_max: int) -> list[SurveyRow]:
                     f"family {variant}, k={k}: {e} is not free and positively curved",
                     variant=variant, k=k,
                 )
-            row = _verdict_row(e)
+            row = _verdict_row(pc_normal_form(e))
             if not row.is_counterexample:
                 raise VerificationFailure(
                     f"family {variant}, k={k}: {e} embeds after all",
@@ -305,7 +290,7 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
-    rows = [_counterexample_row(EschParams(a, b)) for _, keys in shards for a, b in keys]
+    rows = [_verdict_row(EschParams(a, b)) for _, keys in shards for a, b in keys]
     stats = ScanStats(total=total, embeddable=total - len(rows), counterexamples=len(rows))
     rows.sort(key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return stats, rows[:limit]

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from eschbaz import BazParams, EschParams, is_free, pc_normal_form
+from eschbaz import BazParams, EschParams, SurveyRow, WindowReport, h4_order, is_free, pc_normal_form
 from eschbaz.arith import elementary_symmetric, to_decimal
 
 _PERMS3 = tuple(permutations(range(3)))
@@ -83,6 +82,22 @@ def nonsingular_shift_oracle(e: EschParams, c: int) -> bool:
     return True
 
 
+def row_from_report(report: WindowReport) -> SurveyRow:
+    """The survey row of a window scan, read off its full certificates.
+
+    The path the survey jobs took before they decided each space with the
+    three-gcd kernel; every job's rows are checked against it.
+    """
+    verdicts = tuple(cert.baz_free for cert in report.certificates)
+    return SurveyRow(
+        esch=report.esch,
+        window=report.window,
+        verdicts=verdicts,
+        is_counterexample=len(report.window) > 0 and not any(verdicts),
+        h4=h4_order(report.esch),
+    )
+
+
 def decimal_by_digits(n: int) -> str:
     """The decimal string of n, peeling off one digit at a time.
 
@@ -103,14 +118,12 @@ def to_jsonable_oracle(x):
 
     The conversion the CLI ran before ``json.dumps(..., indent=2)`` until
     its one-walk JSON writer replaced both: ints beyond +-(2**53 - 1) become
-    decimal strings and a ``Fraction`` becomes ``"num/den"``.
+    decimal strings.
     """
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, int):
         return x if -(2**53 - 1) <= x <= 2**53 - 1 else to_decimal(x)
-    if isinstance(x, Fraction):
-        return f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"
     if isinstance(x, dict):
         return {k: to_jsonable_oracle(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

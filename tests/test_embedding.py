@@ -174,7 +174,6 @@ def test_cached_shift_prime_product_matches_uncached():
         expected = shift_prime_product.__wrapped__(e)
         assert shift_prime_product(e) == expected, e  # miss
         assert shift_prime_product(e) == expected, e  # hit
-        assert shift_prime_product(e, trial_bound=3) == expected, e
     info = shift_prime_product.cache_info()
     assert info.hits == len(spaces)
     assert info.maxsize == SHIFT_PRODUCT_CACHE_SIZE

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_pc_esch
-from oracles import enumerate_normal_forms
+from oracles import enumerate_normal_forms, row_from_report
 from eschbaz import (
     BazParams,
     EschParams,
@@ -42,7 +42,6 @@ from eschbaz.survey import (
     SurveyRow,
     _normal_forms,
     _pool_size,
-    _row_from_report,
 )
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
@@ -88,10 +87,10 @@ def test_verify_infinite_families_small():
 
 def test_verification_jobs_match_the_certificate_path():
     assert verify_known_counterexamples() == [
-        _row_from_report(window_scan(EschParams(a, b))) for a, b, _ in KNOWN_COUNTEREXAMPLES
+        row_from_report(window_scan(EschParams(a, b))) for a, b, _ in KNOWN_COUNTEREXAMPLES
     ]
     assert verify_infinite_families(30) == [
-        _row_from_report(window_scan(family_cohomogeneity_two(variant, k)))
+        row_from_report(window_scan(family_cohomogeneity_two(variant, k)))
         for variant in ("A", "B") for k in range(31)
     ]
 
@@ -118,7 +117,7 @@ def test_embeddable_family_member_reports_its_verdicts(monkeypatch):
     with pytest.raises(VerificationFailure) as info:
         verify_infinite_families(2)
     assert str(info.value) == f"family B, k=1: {E_RUNNING} embeds after all"
-    assert info.value.details["actual"] == _row_from_report(window_scan(E_RUNNING)).verdicts
+    assert info.value.details["actual"] == row_from_report(window_scan(E_RUNNING)).verdicts
 
 
 def test_verify_cohomogeneity_one():
@@ -170,7 +169,7 @@ def test_scan_box_rows_are_counterexamples_and_sorted(box60):
     assert all(r.is_counterexample for r in rows)
     assert [r.h4 for r in rows] == sorted(r.h4 for r in rows)
     # each row equals the one the full-certificate path builds
-    assert all(r == _row_from_report(window_scan(r.esch)) for r in rows)
+    assert all(r == row_from_report(window_scan(r.esch)) for r in rows)
 
 
 def test_scan_box_deterministic_across_workers():
