@@ -58,6 +58,12 @@ def test_is_pc_baz_examples():
     assert is_pc_baz(BazParams((-1, -1, -1, -1, -1)))
 
 
+def test_baz_params_need_five_entries():
+    with pytest.raises(ValueError) as info:
+        BazParams((1, 2, 3))
+    assert str(info.value) == "expected a 5-tuple, got (1, 2, 3)"
+
+
 def test_h6_order_examples():
     assert h6_order(BazParams((3, -1, -1, 5, 23))) == 503
     assert h6_order(BazParams((9, 5, 5, -1, 17))) == 1541

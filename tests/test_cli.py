@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -134,6 +138,20 @@ def test_exit_one_on_verification_failure(capsys, monkeypatch):
     code, _, err = invoke(capsys, "counterexamples")
     assert code == 1
     assert "window mismatch" in err
+
+
+def test_console_entry_point(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["counterexamples", "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", *argv], env=env, capture_output=True)
+    assert proc.returncode == 0
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", "verify-baz", "--q", "1,2,3"],
+                          env=env, capture_output=True)
+    assert proc.returncode == 2
 
 
 # ---------------------------------------------------------------------------

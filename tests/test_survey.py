@@ -7,6 +7,7 @@ scan's output, rewrite the file with
     PYTHONPATH=src python tests/test_survey.py
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -118,6 +119,69 @@ def test_embeddable_family_member_reports_its_verdicts(monkeypatch):
         verify_infinite_families(2)
     assert str(info.value) == f"family B, k=1: {E_RUNNING} embeds after all"
     assert info.value.details["actual"] == row_from_report(window_scan(E_RUNNING)).verdicts
+
+
+def test_stored_row_that_is_not_free_fails(monkeypatch):
+    e = EschParams((1, 0, 0), (3, 1, -3))
+    rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 1)),)
+    monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
+    with pytest.raises(VerificationFailure) as info:
+        verify_known_counterexamples()
+    assert str(info.value) == "row 10: a=(1, 0, 0) b=(3, 1, -3) is not free"
+    assert info.value.details == {"row": 10, "expected": "free", "actual": "not free"}
+
+
+def test_stored_row_that_is_not_positively_curved_fails(monkeypatch):
+    e = EschParams((0, 2, 2), (0, 1, 3))
+    assert is_free(e)
+    rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 1)),)
+    monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
+    with pytest.raises(VerificationFailure) as info:
+        verify_known_counterexamples()
+    assert str(info.value) == "row 10: a=(0, 2, 2) b=(0, 1, 3) is not positively curved"
+    assert info.value.details == {
+        "row": 10, "expected": "positively curved", "actual": "not positively curved",
+    }
+
+
+def test_family_member_that_is_not_free_fails(monkeypatch):
+    def family(variant, k):
+        if (variant, k) == ("A", 1):
+            return EschParams((1, 0, 0), (3, 1, -3))
+        return family_cohomogeneity_two(variant, k)
+
+    monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
+    with pytest.raises(VerificationFailure) as info:
+        verify_infinite_families(2)
+    assert str(info.value) == "family A, k=1: a=(1, 0, 0) b=(3, 1, -3) is not free and positively curved"
+    assert info.value.details == {"variant": "A", "k": 1}
+
+
+def test_cohomogeneity_one_candidate_mismatch_fails(monkeypatch):
+    def family(p):
+        return EschParams((p, 1, 1), (p + 2, 1, -1))
+
+    monkeypatch.setattr(survey_mod, "family_cohomogeneity_one", family)
+    with pytest.raises(VerificationFailure) as info:
+        verify_cohomogeneity_one(3)
+    assert str(info.value) == "p=1: candidate q=(1, 1, 1, -1, 3) != q=(1, 1, 1, 1, 1)"
+    assert info.value.details == {
+        "p": 1, "expected": BazParams((1, 1, 1, 1, 1)), "actual": BazParams((1, 1, 1, -1, 3)),
+    }
+
+
+def test_cohomogeneity_one_singular_certificate_fails(monkeypatch):
+    def singular(e, c):
+        return dataclasses.replace(make_certificate(e, c), baz_free=False)
+
+    monkeypatch.setattr(survey_mod, "make_certificate", singular)
+    with pytest.raises(VerificationFailure) as info:
+        verify_cohomogeneity_one(3)
+    assert str(info.value) == "p=1: candidate q=(1, 1, 1, 1, 1) free=False pc=True"
+    assert info.value.details == {
+        "p": 1, "expected": "free and positively curved",
+        "actual": singular(EschParams((1, 1, 1), (3, 0, 0)), -1),
+    }
 
 
 def test_verify_cohomogeneity_one():
