@@ -122,7 +122,7 @@ def _row_dict(row: SurveyRow) -> dict:
 
 def _q_formula(e: EschParams) -> str:
     """Symbolic candidate 5-tuple, e.g. '(79+2c, 1+2c, 1+2c, 5-2c, 25-2c)'."""
-    heads = [2 * x + 1 for x in e.a] + [-(2 * e.b[1] + 1), -(2 * e.b[2] + 1)]
+    heads = embedding.candidate_q(e, 0).q
     terms = [f"{to_decimal(h)}+2c" for h in heads[:3]] + [f"{to_decimal(h)}-2c" for h in heads[3:]]
     return "(" + ", ".join(terms) + ")"
 
@@ -150,18 +150,18 @@ def _fmt_offenses(offenses: list[dict]) -> str:
     )
 
 
-def _cert_lines(c: dict, indent: str = "") -> list[str]:
+def _cert_lines(c: dict) -> list[str]:
     lines = [
-        f"{indent}{_fmt_esch(c['esch'])}  shift c={to_decimal(c['shift'])}",
-        f"{indent}  q = {tuple_to_decimal(c['baz']['q'])}",
-        f"{indent}  non-singular: {_yn(c['baz_free'])}",
+        f"{_fmt_esch(c['esch'])}  shift c={to_decimal(c['shift'])}",
+        f"  q = {tuple_to_decimal(c['baz']['q'])}",
+        f"  non-singular: {_yn(c['baz_free'])}",
     ]
     if c["offending_pairs"]:
-        lines.append(f"{indent}    {_fmt_offenses(c['offending_pairs'])}")
-    lines.append(f"{indent}  positively curved (host): {_yn(c['baz_pc'])}")
-    lines.append(f"{indent}  positively curved (submanifold): {_yn(c['esch_pc'])}")
+        lines.append(f"    {_fmt_offenses(c['offending_pairs'])}")
+    lines.append(f"  positively curved (host): {_yn(c['baz_pc'])}")
+    lines.append(f"  positively curved (submanifold): {_yn(c['esch_pc'])}")
     if c["baz_free"]:
-        lines.append(f"{indent}  |H6| = {to_decimal(c['h6'])}")
+        lines.append(f"  |H6| = {to_decimal(c['h6'])}")
     return lines
 
 
@@ -248,7 +248,7 @@ def _cmd_verify_baz(args) -> dict:
         "csv": lambda: [
             ["q", "all_odd", "free", "pc", "h6", "offending_pairs"],
             [tuple_to_decimal(q.q), all_odd, result["free"], result["pc"],
-             result["h6"] if all_odd else "", _fmt_offenses(offenses)],
+             result["h6"], _fmt_offenses(offenses)],
         ],
     }
 
@@ -321,7 +321,7 @@ def _cmd_certified_shifts(args) -> dict:
     return {
         "input": {"esch": _esch_dict(e), "mu_max": args.mu_max},
         "results": results,
-        "text": lambda: [_fmt_esch(_esch_dict(e))] + [
+        "text": lambda: [str(e)] + [
             f"  mu={r['mu']} sign={'+' if r['sign'] > 0 else '-'}  c = {to_decimal(r['c'])}  "
             f"non-singular: {_yn(r['nonsingular'])}"
             for r in results

@@ -8,9 +8,10 @@ c is an isometry, but it changes the associated Bazaikin candidate
 This module decides, in exact integer arithmetic, for which shifts the
 candidate is non-singular (``nonsingular_shift``; ``first_nonsingular_shift``
 is the three-gcd form used by box scans) and positively curved
-(``pc_shift_window``), produces certified non-singular shifts of the form
-+-2**(mu-1) * P**mu (``certified_shift``), tracks when two shifts can share
-the same |H^6| (``collision_locus``), and builds embedding certificates.
+(``pc_shift_window``), builds embedding certificates, and tracks when two
+shifts can share the same |H^6| (``collision_locus``).  ``certified_shift``
+is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
+``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
 ``shift_prime_product`` is memoized by ``functools.lru_cache`` with a fixed
 ``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the parameters, so
@@ -218,38 +219,20 @@ def shift_prime_product(e: EschParams) -> int:
     """Product P underlying the certified shifts.
 
     For each of the nine (k, l) pairs, take the distinct prime divisors of
-    a_k - b_l that are coprime to a_i + a_j + 1 ({i, j} the complement of
-    k); each such prime contributes one factor of P per pair in which it
-    qualifies.  Zero differences contribute nothing; an empty product is 1.
-    Memoized (see the module docstring); ``shift_prime_product.__wrapped__``
-    is the uncached function.
+    a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j} the complement
+    of k, s_k as in ``_singularity_moduli``); each such prime contributes
+    one factor of P per pair in which it qualifies.  Zero differences
+    contribute nothing; an empty product is 1.  Memoized (see the module
+    docstring); ``shift_prime_product.__wrapped__`` is the uncached function.
     """
-    a, b = e.a, e.b
     product = 1
-    for k in range(3):
-        i, j = (x for x in range(3) if x != k)
-        pair_sum = a[i] + a[j] + 1
-        for bl in b:
-            diff = a[k] - bl
-            if diff == 0:
-                continue
-            for p in factorize(diff).primes():
-                if gcd(p, pair_sum) == 1:
-                    product *= p
+    for ak, (pair_sum, _) in zip(e.a, _singularity_moduli(e)):
+        for bl in e.b:
+            if ak != bl:
+                for p in factorize(ak - bl).primes():
+                    if gcd(p, pair_sum) == 1:
+                        product *= p
     return product
-
-
-def _require_nonzero_differences(e: EschParams, what: str) -> None:
-    # a_k == b_l pins one candidate pair sum at 0 for every shift, so the
-    # gcd-equals-2 condition degenerates to |other pair sum| == 2 and at most
-    # two shifts can ever work; the guaranteed-shift construction is void.
-    a1, a2, a3 = e.a
-    if a1 in e.b or a2 in e.b or a3 in e.b:
-        raise ValueError(
-            f"{what} need all nine differences a_k - b_l nonzero; "
-            f"{e} has a vanishing difference (free parameters with a vanishing "
-            "difference admit at most two non-singular shifts)"
-        )
 
 
 def certified_shift(e: EschParams, mu: int, sign: int) -> int:
@@ -265,7 +248,16 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not is_free(e):
         raise ValueError(f"certified shifts exist only for free parameters, got {e}")
-    _require_nonzero_differences(e, "certified shifts")
+    # a_k == b_l pins one candidate pair sum at 0 for every shift, so the
+    # gcd-equals-2 condition degenerates to |other pair sum| == 2 and at most
+    # two shifts can ever work; the certified-shift construction is void.
+    a1, a2, a3 = e.a
+    if a1 in e.b or a2 in e.b or a3 in e.b:
+        raise ValueError(
+            "certified shifts need all nine differences a_k - b_l nonzero; "
+            f"{e} has a vanishing difference (free parameters with a vanishing "
+            "difference admit at most two non-singular shifts)"
+        )
     return sign * 2 ** (mu - 1) * shift_prime_product(e) ** mu
 
 
@@ -304,23 +296,20 @@ def collision_locus(e: EschParams) -> Fraction | None:
 def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertificate]:
     """n non-singular candidates with pairwise distinct |H^6|.
 
-    Walks the certified shifts +-2**(mu-1) * P**mu for mu = 1, 2, ...,
-    dropping any candidate whose |H^6| repeats an earlier one.  Since
-    |sigma_3| is affine in the shift with nonzero slope (|H^4| is odd for
-    free parameters), each |H^6| value is shared by at most two shifts, so
-    mu <= n + 1 always suffices.
+    Walks ``certified_shift(e, mu, sign)`` for mu = 1, 2, ... and sign = +1,
+    -1, dropping any candidate whose |H^6| repeats an earlier one, so e must
+    meet ``certified_shift``'s preconditions and fails with its errors.
+    Since |sigma_3| is affine in the shift with nonzero slope (|H^4| is odd
+    for free parameters), each |H^6| value is shared by at most two shifts,
+    so mu <= n + 1 always suffices.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not is_free(e):
-        raise ValueError(f"embedding targets exist only for free parameters, got {e}")
-    _require_nonzero_differences(e, "guaranteed embedding targets")
-    base = shift_prime_product(e)
     out: list[EmbeddingCertificate] = []
     seen: set[int] = set()
     for mu in range(1, n + 2):
         for sign in (1, -1):
-            c = sign * 2 ** (mu - 1) * base**mu
+            c = certified_shift(e, mu, sign)
             cert = make_certificate(e, c)
             if not cert.baz_free:
                 raise InternalError(f"certified shift {to_decimal(c)} produced a singular candidate for {e}")

@@ -82,6 +82,24 @@ def nonsingular_shift_oracle(e: EschParams, c: int) -> bool:
     return True
 
 
+def shift_prime_product_oracle(e: EschParams) -> int:
+    """``shift_prime_product`` from its definition, with primes found by trial division.
+
+    Every prime p dividing a nonzero a_k - b_l and coprime to a_i + a_j + 1
+    ({i, j} the complement of k) is one factor per (k, l).  Only for small
+    entries: it tries every p up to |a_k - b_l|.
+    """
+    product = 1
+    for k in range(3):
+        pair_sum = sum(e.a) - e.a[k] + 1
+        for bl in e.b:
+            d = abs(e.a[k] - bl)
+            for p in range(2, d + 1):
+                if d % p == 0 and all(p % r for r in range(2, p)) and gcd(p, pair_sum) == 1:
+                    product *= p
+    return product
+
+
 def row_from_report(report: WindowReport) -> SurveyRow:
     """The survey row of a window scan, read off its full certificates.
 

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import nonsingular_shift_oracle
+from oracles import nonsingular_shift_oracle, shift_prime_product_oracle
 from eschbaz import (
     BazParams,
     EschParams,
@@ -180,6 +180,14 @@ def test_cached_shift_prime_product_matches_uncached():
     assert isinstance(info.maxsize, int) and 0 < info.maxsize < 10**6
 
 
+def test_shift_prime_product_matches_its_definition():
+    rng = random.Random(2718)
+    spaces = [random_free_esch(rng, -30, 30, nonzero_diffs=True) for _ in range(100)]
+    spaces += [random_esch(rng, -15, 15) for _ in range(30)]
+    for e in spaces + [E_RUNNING]:
+        assert shift_prime_product(e) == shift_prime_product_oracle(e), e
+
+
 def test_certified_shifts_always_nonsingular_sampled():
     rng = random.Random(331)
     for _ in range(300):
@@ -333,6 +341,16 @@ def test_homotopy_distinct_embeddings_certificates_consistent():
         homotopy_distinct_embeddings(EschParams((0, 0, 0), (0, 0, 0)), 1)
     with pytest.raises(ValueError):
         homotopy_distinct_embeddings(E_RUNNING, 0)
+
+
+@pytest.mark.parametrize("e", [EschParams((1, 0, 0), (3, 1, -3)),  # not free
+                               EschParams((0, 2, 2), (0, 1, 3))])  # free, a1 - b1 vanishes
+def test_homotopy_distinct_embeddings_fails_as_certified_shift_does(e):
+    with pytest.raises(ValueError) as expected:
+        certified_shift(e, 1, 1)
+    with pytest.raises(ValueError) as info:
+        homotopy_distinct_embeddings(e, 2)
+    assert str(info.value) == str(expected.value)
 
 
 def test_homotopy_distinct_embeddings_bulk():
