@@ -35,7 +35,6 @@ from .embedding import (
     make_certificate,
     nonsingular_shift,
     pc_shift_window,
-    sigma3_shift_closed_form,
     window_scan,
 )
 from .eschenburg import (

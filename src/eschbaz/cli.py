@@ -571,7 +571,9 @@ def _emit_error(fmt: str, command: str, kind: str, reason: str, out=None, err=No
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` shares, built on first use (not at import)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default: text)")
@@ -629,12 +631,6 @@ def _build_parser() -> argparse.ArgumentParser:
            "--limit": dict(required=True, type=int),
            "--workers": dict(type=int, default=1)})
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``run`` shares, built on first use (not at import)."""
-    return _build_parser()
 
 
 def run(argv: list[str] | None = None) -> int:

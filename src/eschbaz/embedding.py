@@ -261,36 +261,21 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
     return sign * 2 ** (mu - 1) * shift_prime_product(e) ** mu
 
 
-def _sigma_differences(e: EschParams) -> tuple[int, int]:
-    """(sigma_2(a) - sigma_2(b), sigma_3(a) - sigma_3(b))."""
-    a, b = e.a, e.b
-    return (elementary_symmetric(2, a) - elementary_symmetric(2, b),
-            elementary_symmetric(3, a) - elementary_symmetric(3, b))
-
-
-def sigma3_shift_closed_form(e: EschParams, c: int) -> int:
-    """sigma_3 of the 6-tuple (2(a_i+c)+1, -2(b_i+c)-1) without expanding it.
-
-    Equals 8*(sigma_3(a) - sigma_3(b)) - 8*(sigma_1(a) + 2c + 1)
-    * (sigma_2(a) - sigma_2(b)); the sigma_1 terms cancel because the
-    parameter sums balance.
-    """
-    d2, d3 = _sigma_differences(e)
-    return 8 * d3 - 8 * (sum(e.a) + 2 * c + 1) * d2
-
-
 def collision_locus(e: EschParams) -> Fraction | None:
     """Where two different shifts can share the same |sigma_3|.
 
     Two shifts c != d give candidates with equal |H^6| exactly when c + d
-    equals the returned rational.  Returns None when sigma_2(a) ==
-    sigma_2(b), in which case |sigma_3| is constant and every shift pair
-    collides ("everywhere").
+    equals the returned rational: sigma_3 of the shift-c six-tuple is
+    8*(sigma_3(a) - sigma_3(b)) - 8*(sigma_1(a) + 2c + 1)*(sigma_2(a) - sigma_2(b)),
+    affine in c.  Returns None when sigma_2(a) == sigma_2(b), in which case
+    |sigma_3| is constant and every shift pair collides ("everywhere").
     """
-    d2, d3 = _sigma_differences(e)
+    a, b = e.a, e.b
+    d2 = elementary_symmetric(2, a) - elementary_symmetric(2, b)
     if d2 == 0:
         return None
-    return Fraction(d3, d2) - sum(e.a) - 1
+    d3 = elementary_symmetric(3, a) - elementary_symmetric(3, b)
+    return Fraction(d3, d2) - sum(a) - 1
 
 
 def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertificate]:

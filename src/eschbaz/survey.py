@@ -13,9 +13,9 @@ mirrored canonical form fits, and that condition is a bound on b1 alone.  It
 decides each form as soon as it is enumerated, with the three-gcd test of
 ``first_nonsingular_shift``, stopping at the first non-singular shift of the
 curvature window; it builds no certificates.  The two counterexample jobs
-decide their spaces the same way and build no certificates either: a space
-that embeds after all gets one ``nonsingular_shift`` verdict per window
-shift, so that the failure names its non-singular shifts.  The
+decide their spaces the same way, in one helper, and build no certificates
+either: a space that embeds after all fails, naming its non-singular
+shifts.  One function builds the rows of all three.  The
 cohomogeneity-one job and the ``window`` command keep the full-certificate
 path, which is also the test oracle for the fast one.  ``scan_box`` can
 shard its (a1, a2) pairs over worker processes; rows are merged by
@@ -103,26 +103,40 @@ KNOWN_COUNTEREXAMPLES: tuple[tuple[tuple[int, int, int], tuple[int, int, int], r
 )
 
 
-def _verdict_row(f: EschParams) -> SurveyRow:
-    """The window-scan row of free f in positive-curvature normal form.
+def _singular_row(f: EschParams) -> SurveyRow:
+    """The counterexample row of free f in positive-curvature normal form.
 
-    Decided with the three-gcd test of ``first_nonsingular_shift``; only a
-    space that embeds after all gets a ``nonsingular_shift`` verdict per
-    shift, so its row says at which shifts.  The window is never empty
-    (see ``pc_shift_window``).
+    The caller has found every shift of the window singular (the window is
+    never empty, see ``pc_shift_window``), so each verdict is False.
     """
     window = pc_shift_window(f)
-    if first_nonsingular_shift(f) is None:
-        verdicts = (False,) * len(window)
-    else:
-        verdicts = tuple(nonsingular_shift(f, c) for c in window)
     return SurveyRow(
-        esch=f,
-        window=window,
-        verdicts=verdicts,
-        is_counterexample=not any(verdicts),
-        h4=h4_order(f),
+        esch=f, window=window, verdicts=(False,) * len(window), is_counterexample=True, h4=h4_order(f)
     )
+
+
+def _counterexample_row(e: EschParams, where: str, **details) -> SurveyRow:
+    """The row of e, which must be a free, positively curved counterexample.
+
+    A ``VerificationFailure`` headed by ``where`` and carrying ``details``
+    says when e is not free, not positively curved, or embeds after all
+    (naming the non-singular shifts of its normal form).
+    """
+    if not is_free(e):
+        raise VerificationFailure(f"{where}: {e} is not free", **details, expected="free", actual="not free")
+    if not is_pc_metric(e):
+        raise VerificationFailure(
+            f"{where}: {e} is not positively curved",
+            **details, expected="positively curved", actual="not positively curved",
+        )
+    f = pc_normal_form(e)
+    if first_nonsingular_shift(f) is not None:
+        good = [c for c in pc_shift_window(f) if nonsingular_shift(f, c)]
+        raise VerificationFailure(
+            f"{where}: {e} embeds after all (non-singular at c in {good})",
+            **details, expected="all shifts singular", actual=good,
+        )
+    return _singular_row(f)
 
 
 def verify_known_counterexamples() -> list[SurveyRow]:
@@ -134,28 +148,13 @@ def verify_known_counterexamples() -> list[SurveyRow]:
     rows = []
     for index, (a, b, expected_window) in enumerate(KNOWN_COUNTEREXAMPLES, start=1):
         e = EschParams(a, b)
-        if not is_free(e):
-            raise VerificationFailure(
-                f"row {index}: {e} is not free", row=index, expected="free", actual="not free"
-            )
-        if not is_pc_metric(e):
-            raise VerificationFailure(
-                f"row {index}: {e} is not positively curved",
-                row=index, expected="positively curved", actual="not positively curved",
-            )
-        row = _verdict_row(pc_normal_form(e))
+        row = _counterexample_row(e, f"row {index}", row=index)
         if row.window != expected_window:
             raise VerificationFailure(
                 f"row {index}: window mismatch for {e}: "
                 f"expected [{expected_window.start}, {expected_window[-1]}], "
                 f"got [{row.window.start}, {row.window[-1]}]",
                 row=index, expected=expected_window, actual=row.window,
-            )
-        if not row.is_counterexample:
-            good = [c for c, ok in zip(row.window, row.verdicts) if ok]
-            raise VerificationFailure(
-                f"row {index}: {e} embeds after all (non-singular at c in {good})",
-                row=index, expected="all shifts singular", actual=good,
             )
         rows.append(row)
     return rows
@@ -165,23 +164,13 @@ def verify_infinite_families(k_max: int) -> list[SurveyRow]:
     """Check members 0..k_max of both infinite families are counterexamples."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    rows = []
-    for variant in ("A", "B"):
-        for k in range(k_max + 1):
-            e = family_cohomogeneity_two(variant, k)
-            if not (is_free(e) and is_pc_metric(e)):
-                raise VerificationFailure(
-                    f"family {variant}, k={k}: {e} is not free and positively curved",
-                    variant=variant, k=k,
-                )
-            row = _verdict_row(pc_normal_form(e))
-            if not row.is_counterexample:
-                raise VerificationFailure(
-                    f"family {variant}, k={k}: {e} embeds after all",
-                    variant=variant, k=k, actual=row.verdicts,
-                )
-            rows.append(row)
-    return rows
+    return [
+        _counterexample_row(
+            family_cohomogeneity_two(variant, k), f"family {variant}, k={k}", variant=variant, k=k
+        )
+        for variant in ("A", "B")
+        for k in range(k_max + 1)
+    ]
 
 
 def verify_cohomogeneity_one(p_max: int) -> CohomogeneityOneSummary:
@@ -290,7 +279,7 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
-    rows = [_verdict_row(EschParams(a, b)) for _, keys in shards for a, b in keys]
+    rows = [_singular_row(EschParams(a, b)) for _, keys in shards for a, b in keys]
     stats = ScanStats(total=total, embeddable=total - len(rows), counterexamples=len(rows))
     rows.sort(key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return stats, rows[:limit]

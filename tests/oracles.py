@@ -100,6 +100,19 @@ def shift_prime_product_oracle(e: EschParams) -> int:
     return product
 
 
+def sigma3_shift_closed_form(e: EschParams, c: int) -> int:
+    """sigma_3 of the 6-tuple (2(a_i+c)+1, -2(b_i+c)-1) without expanding it.
+
+    Equals 8*(sigma_3(a) - sigma_3(b)) - 8*(sigma_1(a) + 2c + 1)
+    * (sigma_2(a) - sigma_2(b)); the sigma_1 terms cancel because the
+    parameter sums balance.  The affine form ``collision_locus`` solves.
+    """
+    a, b = e.a, e.b
+    d2 = elementary_symmetric(2, a) - elementary_symmetric(2, b)
+    d3 = elementary_symmetric(3, a) - elementary_symmetric(3, b)
+    return 8 * d3 - 8 * (sum(a) + 2 * c + 1) * d2
+
+
 def row_from_report(report: WindowReport) -> SurveyRow:
     """The survey row of a window scan, read off its full certificates.
 

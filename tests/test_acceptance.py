@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 from conftest import random_esch, random_free_esch, random_odd_baz
-from oracles import is_free_baz_oracle, is_free_oracle
+from oracles import is_free_baz_oracle, is_free_oracle, sigma3_shift_closed_form
 from eschbaz import (
     BazParams,
     EschParams,
@@ -25,7 +25,6 @@ from eschbaz import (
     nonsingular_shift,
     scan_box,
     shift,
-    sigma3_shift_closed_form,
     submanifolds,
     verify_cohomogeneity_one,
     verify_infinite_families,

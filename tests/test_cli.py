@@ -290,7 +290,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
         shifts,
     ]
     shared = [invoke(capsys, *argv) for argv in sequence]
-    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     fresh = [invoke(capsys, *argv) for argv in sequence]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
@@ -299,7 +299,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert shared[4][1].startswith("a=(2, 0, 0) b=(15, -2, -11)\n")
     monkeypatch.undo()
     for argv in sequence[2:]:
-        assert vars(cli._parser().parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+        assert vars(cli._parser().parse_args(argv)) == vars(cli._parser.__wrapped__().parse_args(argv))
     args = cli._parser().parse_args(shifts)
     assert args.format == "text"
     assert args.handler is cli._cmd_certified_shifts

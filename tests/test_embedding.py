@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import nonsingular_shift_oracle, shift_prime_product_oracle
+from oracles import nonsingular_shift_oracle, shift_prime_product_oracle, sigma3_shift_closed_form
 from eschbaz import (
     BazParams,
     EschParams,
@@ -28,7 +28,6 @@ from eschbaz import (
     pc_normal_form,
     pc_shift_window,
     shift,
-    sigma3_shift_closed_form,
     window_scan,
 )
 from eschbaz.arith import elementary_symmetric

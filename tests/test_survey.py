@@ -96,65 +96,57 @@ def test_verification_jobs_match_the_certificate_path():
     ]
 
 
-def test_embeddable_stored_row_names_its_nonsingular_shifts(monkeypatch):
-    report = window_scan(E_RUNNING)
-    good = [cert.shift for cert in report.certificates if cert.baz_free]
-    assert good == [2, 5]
-    monkeypatch.setattr(
-        survey_mod, "KNOWN_COUNTEREXAMPLES",
-        KNOWN_COUNTEREXAMPLES + ((E_RUNNING.a, E_RUNNING.b, report.window),),
-    )
+def _planted_failure(monkeypatch, job, e):
+    """The failure of a counterexample job with e planted in its input, its prefix and details.
+
+    The table gets e as stored row 10, the families as member A, k=1.
+    """
+    if job == "table":
+        # the stored window is E_RUNNING's; the other planted spaces fail before it is compared
+        rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 6)),)
+        monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
+        where, details = "row 10", {"row": 10}
+    else:
+        def family(variant, k):
+            return e if (variant, k) == ("A", 1) else family_cohomogeneity_two(variant, k)
+
+        monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
+        where, details = "family A, k=1", {"variant": "A", "k": 1}
     with pytest.raises(VerificationFailure) as info:
-        verify_known_counterexamples()
-    assert str(info.value) == f"row 10: {E_RUNNING} embeds after all (non-singular at c in {good})"
-    assert info.value.details["actual"] == good
+        verify_known_counterexamples() if job == "table" else verify_infinite_families(2)
+    return info.value, where, details
 
 
-def test_embeddable_family_member_reports_its_verdicts(monkeypatch):
-    def family(variant, k):
-        return E_RUNNING if (variant, k) == ("B", 1) else family_cohomogeneity_two(variant, k)
-
-    monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
-    with pytest.raises(VerificationFailure) as info:
-        verify_infinite_families(2)
-    assert str(info.value) == f"family B, k=1: {E_RUNNING} embeds after all"
-    assert info.value.details["actual"] == row_from_report(window_scan(E_RUNNING)).verdicts
+COUNTEREXAMPLE_JOBS = ("table", "families")
 
 
-def test_stored_row_that_is_not_free_fails(monkeypatch):
-    e = EschParams((1, 0, 0), (3, 1, -3))
-    rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 1)),)
-    monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
-    with pytest.raises(VerificationFailure) as info:
-        verify_known_counterexamples()
-    assert str(info.value) == "row 10: a=(1, 0, 0) b=(3, 1, -3) is not free"
-    assert info.value.details == {"row": 10, "expected": "free", "actual": "not free"}
+@pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
+def test_counterexample_that_is_not_free_fails(monkeypatch, job):
+    failure, where, details = _planted_failure(monkeypatch, job, EschParams((1, 0, 0), (3, 1, -3)))
+    assert str(failure) == f"{where}: a=(1, 0, 0) b=(3, 1, -3) is not free"
+    assert failure.details == {**details, "expected": "free", "actual": "not free"}
 
 
-def test_stored_row_that_is_not_positively_curved_fails(monkeypatch):
+@pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
+def test_counterexample_that_is_not_positively_curved_fails(monkeypatch, job):
     e = EschParams((0, 2, 2), (0, 1, 3))
     assert is_free(e)
-    rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 1)),)
-    monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
-    with pytest.raises(VerificationFailure) as info:
-        verify_known_counterexamples()
-    assert str(info.value) == "row 10: a=(0, 2, 2) b=(0, 1, 3) is not positively curved"
-    assert info.value.details == {
-        "row": 10, "expected": "positively curved", "actual": "not positively curved",
+    failure, where, details = _planted_failure(monkeypatch, job, e)
+    assert str(failure) == f"{where}: a=(0, 2, 2) b=(0, 1, 3) is not positively curved"
+    assert failure.details == {
+        **details, "expected": "positively curved", "actual": "not positively curved",
     }
 
 
-def test_family_member_that_is_not_free_fails(monkeypatch):
-    def family(variant, k):
-        if (variant, k) == ("A", 1):
-            return EschParams((1, 0, 0), (3, 1, -3))
-        return family_cohomogeneity_two(variant, k)
-
-    monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
-    with pytest.raises(VerificationFailure) as info:
-        verify_infinite_families(2)
-    assert str(info.value) == "family A, k=1: a=(1, 0, 0) b=(3, 1, -3) is not free and positively curved"
-    assert info.value.details == {"variant": "A", "k": 1}
+@pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
+def test_counterexample_that_embeds_names_its_nonsingular_shifts(monkeypatch, job):
+    report = window_scan(E_RUNNING)
+    assert report.window == range(0, 6)
+    good = [cert.shift for cert in report.certificates if cert.baz_free]
+    assert good == [2, 5]
+    failure, where, details = _planted_failure(monkeypatch, job, E_RUNNING)
+    assert str(failure) == f"{where}: {E_RUNNING} embeds after all (non-singular at c in [2, 5])"
+    assert failure.details == {**details, "expected": "all shifts singular", "actual": [2, 5]}
 
 
 def test_cohomogeneity_one_candidate_mismatch_fails(monkeypatch):
