@@ -12,7 +12,6 @@ from .arith import (
     InternalError,
     elementary_symmetric,
     factorize,
-    gcd,
 )
 from .bazaikin import (
     BazParams,

@@ -23,10 +23,10 @@ parameter tuple the same way, for reports and error messages alike.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -56,15 +56,6 @@ class InternalError(RuntimeError):
     Raised explicitly rather than by ``assert``, so the checks also run
     under ``python -O``.
     """
-
-
-def gcd(x: int, y: int) -> int:
-    """Non-negative greatest common divisor; gcd(0, 0) == 0.
-
-    The zero convention makes coprimality predicates (which demand gcd == 1
-    or == 2) fail automatically on degenerate all-equal parameters.
-    """
-    return math.gcd(x, y)
 
 
 def to_decimal(n: int) -> str:
@@ -192,14 +183,14 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
-            g = math.gcd(q, n)
+            g = gcd(q, n)
             k += m
         r *= 2
     if g == n:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = gcd(abs(x - ys), n)
     return g
 
 
@@ -295,5 +286,7 @@ def factorize(n: int) -> Factorization:
 
     result = Factorization(sign, tuple(sorted(counts.items())))
     if result.value != n:
-        raise FactorizationIncomplete(f"internal reconstruction mismatch for {n}")
+        raise InternalError(
+            f"the factorization of {to_decimal(n)} multiplies back to {to_decimal(result.value)}"
+        )
     return result

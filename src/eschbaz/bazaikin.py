@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import index
 
 from .arith import InternalError, tuple_to_decimal
 from .eschenburg import EschParams
@@ -38,12 +39,15 @@ if len(_DISJOINT_PAIRS) != 15:
 
 @dataclass(frozen=True)
 class BazParams:
-    """An integer 5-tuple q; qsum is the derived total."""
+    """An integer 5-tuple q; qsum is the derived total.
+
+    Entries go through ``operator.index``: floats and strings raise TypeError.
+    """
 
     q: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        q = tuple(map(int, self.q))
+        q = tuple(map(index, self.q))
         if len(q) != 5:
             raise ValueError(f"expected a 5-tuple, got {tuple_to_decimal(q)}")
         object.__setattr__(self, "q", q)

@@ -46,6 +46,11 @@ EXIT_INVALID_INPUT = 2
 EXIT_EFFORT_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
 
+# Output grows quadratically in these flags; at 1000 the running example writes
+# about 7 MB (--mu-max) and 12 MB (--n) of CSV.
+MU_MAX_LIMIT = 1000
+N_LIMIT = 1000
+
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
@@ -312,6 +317,8 @@ def _cmd_window(args) -> dict:
 
 
 def _cmd_certified_shifts(args) -> dict:
+    if args.mu_max > MU_MAX_LIMIT:
+        raise ValueError(f"--mu-max must be <= {MU_MAX_LIMIT}")
     e = _esch_from_args(args)
     results = []
     for mu in range(1, args.mu_max + 1):
@@ -332,6 +339,8 @@ def _cmd_certified_shifts(args) -> dict:
 
 
 def _cmd_distinct(args) -> dict:
+    if args.n > N_LIMIT:
+        raise ValueError(f"--n must be <= {N_LIMIT}")
     e = _esch_from_args(args)
     certs = [_cert_dict(c) for c in embedding.homotopy_distinct_embeddings(e, args.n)]
     return {
@@ -429,9 +438,9 @@ def _cmd_families(args) -> dict:
 
 
 def _cmd_cohom1(args) -> dict:
-    summary = survey.verify_cohomogeneity_one(args.p_max)
-    certs = [{**_cert_dict(c), "p": p} for p, c in enumerate(summary.certificates, start=1)]
-    checked, notes = summary.p_max, list(summary.notes)
+    certificates = survey.verify_cohomogeneity_one(args.p_max)
+    certs = [{**_cert_dict(c), "p": p} for p, c in enumerate(certificates, start=1)]
+    checked, notes = args.p_max, [embedding.COHOM1_WINDOW_NOTE]
     return {
         "input": {"p_max": args.p_max},
         "results": certs,
@@ -536,9 +545,9 @@ def _csv_cell(v):
     return v
 
 
-def _emit(fmt: str, command: str, outcome: dict, out=None) -> None:
+def _emit(fmt: str, command: str, outcome: dict) -> None:
     """Write the outcome in one format, building only that format's output."""
-    out = out or sys.stdout
+    out = sys.stdout
     if fmt == "json":
         report = {
             "command": command,
@@ -559,12 +568,12 @@ def _emit(fmt: str, command: str, outcome: dict, out=None) -> None:
             out.write(line + "\n")
 
 
-def _emit_error(fmt: str, command: str, kind: str, reason: str, out=None, err=None) -> None:
+def _emit_error(fmt: str, command: str, kind: str, reason: str) -> None:
     if fmt == "json":
         report = {"command": command, "version": __version__, "error": {"kind": kind, "reason": reason}}
-        (out or sys.stdout).write(_json_text(report) + "\n")
+        sys.stdout.write(_json_text(report) + "\n")
     else:
-        print(f"error ({kind}): {reason}", file=err or sys.stderr)
+        print(f"error ({kind}): {reason}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +586,9 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default: text)")
+    esch = argparse.ArgumentParser(add_help=False)
+    esch.add_argument("--a", required=True)
+    esch.add_argument("--b", required=True)
 
     parser = argparse.ArgumentParser(
         prog="eschbaz",
@@ -585,8 +597,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, **arguments):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, handler, help_text, *parents, **arguments):
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
         for flag, opts in arguments.items():
             p.add_argument(flag, **opts)
         p.set_defaults(handler=handler)
@@ -599,25 +611,20 @@ def _parser() -> argparse.ArgumentParser:
     add("verify-baz", _cmd_verify_baz,
         "freeness (with offending gcd pairs), curvature, |H6|",
         **{"--q": dict(required=True, help="q1,q2,q3,q4,q5")})
-    add("embed", _cmd_embed, "one embedding certificate at a given shift",
-        **{"--a": dict(required=True), "--b": dict(required=True),
-           "--c": dict(required=True, type=integer, help="shift")})
-    add("window", _cmd_window, "scan the whole positive-curvature shift window",
-        **{"--a": dict(required=True), "--b": dict(required=True)})
+    add("embed", _cmd_embed, "one embedding certificate at a given shift", esch,
+        **{"--c": dict(required=True, type=integer, help="shift")})
+    add("window", _cmd_window, "scan the whole positive-curvature shift window", esch)
     add("certified-shifts", _cmd_certified_shifts,
-        "shifts of the form +-2^(mu-1) P^mu, guaranteed non-singular",
-        **{"--a": dict(required=True), "--b": dict(required=True),
-           "--mu-max": dict(required=True, type=int)})
+        "shifts of the form +-2^(mu-1) P^mu, guaranteed non-singular", esch,
+        **{"--mu-max": dict(required=True, type=int)})
     add("distinct", _cmd_distinct,
-        "non-singular hosts with pairwise distinct |H6|",
-        **{"--a": dict(required=True), "--b": dict(required=True),
-           "--n": dict(required=True, type=int)})
+        "non-singular hosts with pairwise distinct |H6|", esch,
+        **{"--n": dict(required=True, type=int)})
     add("submanifolds", _cmd_submanifolds,
         "the ten embedded Eschenburg parameter sets of a 5-tuple",
         **{"--q": dict(required=True)})
-    add("dual", _cmd_dual, "swapped space and its host at a non-singular shift",
-        **{"--a": dict(required=True), "--b": dict(required=True),
-           "--c": dict(required=True, type=integer)})
+    add("dual", _cmd_dual, "swapped space and its host at a non-singular shift", esch,
+        **{"--c": dict(required=True, type=integer)})
     add("counterexamples", _cmd_counterexamples,
         "re-verify the nine stored counterexample spaces")
     add("families", _cmd_families,

@@ -31,6 +31,8 @@ from .arith import InternalError, elementary_symmetric, factorize, to_decimal
 from .bazaikin import BazParams
 from .eschenburg import (
     EschParams,
+    canonicalize,
+    family_cohomogeneity_one,
     in_pc_normal_form,
     is_free,
     is_pc_metric,
@@ -190,11 +192,6 @@ def pc_shift_window(e: EschParams) -> range:
     return window
 
 
-def _is_cohom1_normal_form(e: EschParams) -> bool:
-    t = e.a[0]
-    return e.a == (t, 0, 0) and e.b == (t + 2, -1, -1)
-
-
 def window_scan(e: EschParams) -> WindowReport:
     """Certificates for every shift in the positive-curvature window.
 
@@ -204,7 +201,7 @@ def window_scan(e: EschParams) -> WindowReport:
     f = pc_normal_form(e)
     window = pc_shift_window(f)
     certificates = tuple(make_certificate(f, c) for c in window)
-    notes = (COHOM1_WINDOW_NOTE,) if _is_cohom1_normal_form(f) else ()
+    notes = (COHOM1_WINDOW_NOTE,) if f == canonicalize(family_cohomogeneity_one(f.a[0] + 1)) else ()
     return WindowReport(
         esch=f,
         window=window,

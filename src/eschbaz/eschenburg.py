@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .arith import InternalError, elementary_symmetric, to_decimal, tuple_to_decimal
 
@@ -31,14 +32,17 @@ class NotPositivelyCurvedError(ValueError):
 
 @dataclass(frozen=True)
 class EschParams:
-    """Integer triples (a, b) with sum(a) == sum(b)."""
+    """Integer triples (a, b) with sum(a) == sum(b).
+
+    Entries go through ``operator.index``: floats and strings raise TypeError.
+    """
 
     a: tuple[int, int, int]
     b: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        a = tuple(map(int, self.a))
-        b = tuple(map(int, self.b))
+        a = tuple(map(index, self.a))
+        b = tuple(map(index, self.b))
         if len(a) != 3 or len(b) != 3:
             raise ValueError(
                 f"expected two triples, got a={tuple_to_decimal(a)}, b={tuple_to_decimal(b)}"

@@ -32,7 +32,6 @@ from math import gcd
 
 from .bazaikin import BazParams
 from .embedding import (
-    COHOM1_WINDOW_NOTE,
     EmbeddingCertificate,
     first_nonsingular_shift,
     make_certificate,
@@ -51,11 +50,7 @@ from .eschenburg import (
 
 
 class VerificationFailure(Exception):
-    """A batch check found a mismatch; ``details`` names what and where."""
-
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
+    """A batch check found a mismatch; the message names what and where."""
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,6 @@ class ScanStats:
     total: int
     embeddable: int
     counterexamples: int
-
-
-@dataclass(frozen=True)
-class CohomogeneityOneSummary:
-    p_max: int
-    certificates: tuple[EmbeddingCertificate, ...]
-    notes: tuple[str, ...]
 
 
 # The nine known counterexamples: free, positively curved Eschenburg spaces
@@ -115,27 +103,21 @@ def _singular_row(f: EschParams) -> SurveyRow:
     )
 
 
-def _counterexample_row(e: EschParams, where: str, **details) -> SurveyRow:
+def _counterexample_row(e: EschParams, where: str) -> SurveyRow:
     """The row of e, which must be a free, positively curved counterexample.
 
-    A ``VerificationFailure`` headed by ``where`` and carrying ``details``
-    says when e is not free, not positively curved, or embeds after all
-    (naming the non-singular shifts of its normal form).
+    A ``VerificationFailure`` headed by ``where`` says when e is not free,
+    not positively curved, or embeds after all (naming the non-singular
+    shifts of its normal form).
     """
     if not is_free(e):
-        raise VerificationFailure(f"{where}: {e} is not free", **details, expected="free", actual="not free")
+        raise VerificationFailure(f"{where}: {e} is not free")
     if not is_pc_metric(e):
-        raise VerificationFailure(
-            f"{where}: {e} is not positively curved",
-            **details, expected="positively curved", actual="not positively curved",
-        )
+        raise VerificationFailure(f"{where}: {e} is not positively curved")
     f = pc_normal_form(e)
     if first_nonsingular_shift(f) is not None:
         good = [c for c in pc_shift_window(f) if nonsingular_shift(f, c)]
-        raise VerificationFailure(
-            f"{where}: {e} embeds after all (non-singular at c in {good})",
-            **details, expected="all shifts singular", actual=good,
-        )
+        raise VerificationFailure(f"{where}: {e} embeds after all (non-singular at c in {good})")
     return _singular_row(f)
 
 
@@ -148,13 +130,12 @@ def verify_known_counterexamples() -> list[SurveyRow]:
     rows = []
     for index, (a, b, expected_window) in enumerate(KNOWN_COUNTEREXAMPLES, start=1):
         e = EschParams(a, b)
-        row = _counterexample_row(e, f"row {index}", row=index)
+        row = _counterexample_row(e, f"row {index}")
         if row.window != expected_window:
             raise VerificationFailure(
                 f"row {index}: window mismatch for {e}: "
                 f"expected [{expected_window.start}, {expected_window[-1]}], "
-                f"got [{row.window.start}, {row.window[-1]}]",
-                row=index, expected=expected_window, actual=row.window,
+                f"got [{row.window.start}, {row.window[-1]}]"
             )
         rows.append(row)
     return rows
@@ -165,44 +146,31 @@ def verify_infinite_families(k_max: int) -> list[SurveyRow]:
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     return [
-        _counterexample_row(
-            family_cohomogeneity_two(variant, k), f"family {variant}, k={k}", variant=variant, k=k
-        )
+        _counterexample_row(family_cohomogeneity_two(variant, k), f"family {variant}, k={k}")
         for variant in ("A", "B")
         for k in range(k_max + 1)
     ]
 
 
-def verify_cohomogeneity_one(p_max: int) -> CohomogeneityOneSummary:
+def verify_cohomogeneity_one(p_max: int) -> tuple[EmbeddingCertificate, ...]:
     """Check the shift -1 candidate for a=(p,1,1), b=(p+2,0,0), 1 <= p <= p_max.
 
     The candidate must be (2p-1, 1, 1, 1, 1), non-singular, and positively
-    curved.  The summary carries the standing window-discrepancy note for
-    this family.
+    curved.  Returns the certificates in order of p; the family's window
+    note is ``embedding.COHOM1_WINDOW_NOTE``.
     """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     certificates = []
     for p in range(1, p_max + 1):
-        e = family_cohomogeneity_one(p)
-        cert = make_certificate(e, -1)
+        cert = make_certificate(family_cohomogeneity_one(p), -1)
         expected = BazParams((2 * p - 1, 1, 1, 1, 1))
         if cert.baz != expected:
-            raise VerificationFailure(
-                f"p={p}: candidate {cert.baz} != {expected}",
-                p=p, expected=expected, actual=cert.baz,
-            )
+            raise VerificationFailure(f"p={p}: candidate {cert.baz} != {expected}")
         if not (cert.baz_free and cert.baz_pc):
-            raise VerificationFailure(
-                f"p={p}: candidate {cert.baz} free={cert.baz_free} pc={cert.baz_pc}",
-                p=p, expected="free and positively curved", actual=cert,
-            )
+            raise VerificationFailure(f"p={p}: candidate {cert.baz} free={cert.baz_free} pc={cert.baz_pc}")
         certificates.append(cert)
-    return CohomogeneityOneSummary(
-        p_max=p_max,
-        certificates=tuple(certificates),
-        notes=(COHOM1_WINDOW_NOTE,),
-    )
+    return tuple(certificates)
 
 
 def _normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple]:

@@ -16,7 +16,6 @@ from eschbaz.arith import (
     elementary_symmetric,
     factorize,
     from_decimal,
-    gcd,
     is_probable_prime,
     to_decimal,
     tuple_to_decimal,
@@ -49,25 +48,6 @@ def trial_division_prime(n):
             return False
         d += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# gcd
-
-
-def test_gcd_examples():
-    assert gcd(6, 24) == 6
-    assert gcd(0, 0) == 0
-    assert gcd(-15, 11) == 1
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_gcd_symmetry_and_divisibility(x, y):
-    g = gcd(x, y)
-    assert g == gcd(y, x) == gcd(abs(x), abs(y))
-    assert g >= 0
-    if g:
-        assert x % g == 0 and y % g == 0
 
 
 # ---------------------------------------------------------------------------

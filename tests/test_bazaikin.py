@@ -64,6 +64,12 @@ def test_baz_params_need_five_entries():
     assert str(info.value) == "expected a 5-tuple, got (1, 2, 3)"
 
 
+@pytest.mark.parametrize("q", [(5.5, 1, 1, 3, 21), (5.0, 1, 1, 3, 21), ("5", 1, 1, 3, 21)])
+def test_baz_params_reject_non_integer_entries(q):
+    with pytest.raises(TypeError):
+        BazParams(q)
+
+
 def test_h6_order_examples():
     assert h6_order(BazParams((3, -1, -1, 5, 23))) == 503
     assert h6_order(BazParams((9, 5, 5, -1, 17))) == 1541

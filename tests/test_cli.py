@@ -124,6 +124,39 @@ def test_exit_four_on_internal_error(capsys, schema, monkeypatch):
                       "error": {"kind": "internal-error", "reason": "broken invariant"}}
 
 
+def test_exit_four_on_factorization_mismatch(capsys, monkeypatch):
+    from eschbaz import arith, embedding
+
+    class OffByOne(arith.Factorization):
+        @property
+        def value(self):
+            return super().value + 1
+
+    # the first difference of the running example is a1 - b1 = -13
+    monkeypatch.setattr(arith, "Factorization", OffByOne)
+    # bypass both caches, so factorize runs its reconstruction check
+    monkeypatch.setattr(embedding, "factorize", arith.factorize.__wrapped__)
+    monkeypatch.setattr(embedding, "shift_prime_product", embedding.shift_prime_product.__wrapped__)
+    code, out, err = invoke(capsys, "certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11", "--mu-max", "1")
+    assert (code, out) == (4, "")
+    assert err == "error (internal-error): the factorization of -13 multiplies back to -12\n"
+
+
+@pytest.mark.parametrize(("command", "flag", "limit"), [
+    ("certified-shifts", "--mu-max", "MU_MAX_LIMIT"),
+    ("distinct", "--n", "N_LIMIT"),
+])
+def test_resource_flags_are_capped(capsys, schema, monkeypatch, command, flag, limit):
+    assert getattr(cli, limit) == 1000
+    monkeypatch.setattr(cli, limit, 2)
+    argv = (command, "--a", "2,0,0", "--b", "15,-2,-11")
+    assert invoke(capsys, *argv, flag, "2")[0] == 0
+    assert invoke(capsys, *argv, flag, "3") == (2, "", f"error (invalid-input): {flag} must be <= 2\n")
+    code, report = invoke_json(capsys, schema, *argv, flag, "3")
+    assert code == 2
+    assert report["error"] == {"kind": "invalid-input", "reason": f"{flag} must be <= 2"}
+
+
 def test_exit_one_on_verification_failure(capsys, monkeypatch):
     import eschbaz.survey as survey_mod
 

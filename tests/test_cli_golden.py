@@ -59,6 +59,8 @@ _PER_FORMAT = [
     ("dual", *RUNNING, "--c=0"),
     ("distinct", "--a=1,0,0", "--b=3,1,-3", "--n=2"),  # not free
     ("distinct", "--a=0,2,2", "--b=0,1,3", "--n=2"),  # free, a1 - b1 vanishes
+    ("certified-shifts", *RUNNING, "--mu-max=1001"),  # over MU_MAX_LIMIT
+    ("distinct", *RUNNING, "--n=1001"),  # over N_LIMIT
     # exit 3: a 71-digit difference is past the factorizer's digit bound
     ("certified-shifts", f"--a={HUGE},0,0", f"--b={HUGE + 16},-3,-13", "--mu-max=1"),
 ]

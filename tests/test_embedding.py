@@ -6,7 +6,12 @@ from math import gcd
 import pytest
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import nonsingular_shift_oracle, shift_prime_product_oracle, sigma3_shift_closed_form
+from oracles import (
+    enumerate_normal_forms,
+    nonsingular_shift_oracle,
+    shift_prime_product_oracle,
+    sigma3_shift_closed_form,
+)
 from eschbaz import (
     BazParams,
     EschParams,
@@ -18,6 +23,7 @@ from eschbaz import (
     certified_shift,
     collision_locus,
     dual_embedding,
+    family_cohomogeneity_one,
     h6_order,
     homotopy_distinct_embeddings,
     is_free,
@@ -294,6 +300,22 @@ def test_window_scan_normalizes_and_emits_family_note():
     assert cert.baz_free and cert.baz_pc
     assert report.notes == (COHOM1_WINDOW_NOTE,)
     assert "-1 <= c <= 0" in report.notes[0] and "{-1}" in report.notes[0]
+
+
+def _has_cohom1_shape(f):
+    """a=(t,0,0), b=(t+2,-1,-1): the normal form of the cohomogeneity-one family."""
+    t = f.a[0]
+    return f.a == (t, 0, 0) and f.b == (t + 2, -1, -1)
+
+
+def test_window_scan_notes_exactly_the_cohomogeneity_one_shape():
+    family = [family_cohomogeneity_one(p) for p in range(1, 201)]
+    assert all(_has_cohom1_shape(pc_normal_form(e)) for e in family)
+    box = [EschParams(a, b) for a, b in sorted(enumerate_normal_forms(20))]
+    assert any(_has_cohom1_shape(f) for f in box)  # the box holds spaces of both kinds
+    for e in family + box:
+        report = window_scan(e)
+        assert report.notes == ((COHOM1_WINDOW_NOTE,) if _has_cohom1_shape(report.esch) else ()), e
 
 
 def test_window_scan_rejects_non_pc():

@@ -45,6 +45,16 @@ def test_construction_rejects_wrong_arity():
         EschParams((1, 0), (1, 0, 0))
 
 
+@pytest.mark.parametrize(("a", "b"), [
+    ((2.7, 0, 0), (15, -2, -11.2)),  # truncation would balance the sums
+    ((2.0, 0, 0), (15, -2, -11)),
+    (("7", 0, 0), (9, -1, -1)),
+])
+def test_construction_rejects_non_integer_entries(a, b):
+    with pytest.raises(TypeError):
+        EschParams(a, b)
+
+
 # ---------------------------------------------------------------------------
 # freeness
 

@@ -21,8 +21,10 @@ from conftest import random_pc_esch
 from oracles import enumerate_normal_forms, row_from_report
 from eschbaz import (
     BazParams,
+    EmbeddingCertificate,
     EschParams,
     VerificationFailure,
+    family_cohomogeneity_one,
     family_cohomogeneity_two,
     is_free,
     is_pc_metric,
@@ -97,7 +99,7 @@ def test_verification_jobs_match_the_certificate_path():
 
 
 def _planted_failure(monkeypatch, job, e):
-    """The failure of a counterexample job with e planted in its input, its prefix and details.
+    """The failure of a counterexample job with e planted in its input, and its message prefix.
 
     The table gets e as stored row 10, the families as member A, k=1.
     """
@@ -105,16 +107,16 @@ def _planted_failure(monkeypatch, job, e):
         # the stored window is E_RUNNING's; the other planted spaces fail before it is compared
         rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 6)),)
         monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
-        where, details = "row 10", {"row": 10}
+        where = "row 10"
     else:
         def family(variant, k):
             return e if (variant, k) == ("A", 1) else family_cohomogeneity_two(variant, k)
 
         monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
-        where, details = "family A, k=1", {"variant": "A", "k": 1}
+        where = "family A, k=1"
     with pytest.raises(VerificationFailure) as info:
         verify_known_counterexamples() if job == "table" else verify_infinite_families(2)
-    return info.value, where, details
+    return info.value, where
 
 
 COUNTEREXAMPLE_JOBS = ("table", "families")
@@ -122,20 +124,16 @@ COUNTEREXAMPLE_JOBS = ("table", "families")
 
 @pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
 def test_counterexample_that_is_not_free_fails(monkeypatch, job):
-    failure, where, details = _planted_failure(monkeypatch, job, EschParams((1, 0, 0), (3, 1, -3)))
+    failure, where = _planted_failure(monkeypatch, job, EschParams((1, 0, 0), (3, 1, -3)))
     assert str(failure) == f"{where}: a=(1, 0, 0) b=(3, 1, -3) is not free"
-    assert failure.details == {**details, "expected": "free", "actual": "not free"}
 
 
 @pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
 def test_counterexample_that_is_not_positively_curved_fails(monkeypatch, job):
     e = EschParams((0, 2, 2), (0, 1, 3))
     assert is_free(e)
-    failure, where, details = _planted_failure(monkeypatch, job, e)
+    failure, where = _planted_failure(monkeypatch, job, e)
     assert str(failure) == f"{where}: a=(0, 2, 2) b=(0, 1, 3) is not positively curved"
-    assert failure.details == {
-        **details, "expected": "positively curved", "actual": "not positively curved",
-    }
 
 
 @pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
@@ -144,9 +142,8 @@ def test_counterexample_that_embeds_names_its_nonsingular_shifts(monkeypatch, jo
     assert report.window == range(0, 6)
     good = [cert.shift for cert in report.certificates if cert.baz_free]
     assert good == [2, 5]
-    failure, where, details = _planted_failure(monkeypatch, job, E_RUNNING)
+    failure, where = _planted_failure(monkeypatch, job, E_RUNNING)
     assert str(failure) == f"{where}: {E_RUNNING} embeds after all (non-singular at c in [2, 5])"
-    assert failure.details == {**details, "expected": "all shifts singular", "actual": [2, 5]}
 
 
 def test_cohomogeneity_one_candidate_mismatch_fails(monkeypatch):
@@ -157,9 +154,6 @@ def test_cohomogeneity_one_candidate_mismatch_fails(monkeypatch):
     with pytest.raises(VerificationFailure) as info:
         verify_cohomogeneity_one(3)
     assert str(info.value) == "p=1: candidate q=(1, 1, 1, -1, 3) != q=(1, 1, 1, 1, 1)"
-    assert info.value.details == {
-        "p": 1, "expected": BazParams((1, 1, 1, 1, 1)), "actual": BazParams((1, 1, 1, -1, 3)),
-    }
 
 
 def test_cohomogeneity_one_singular_certificate_fails(monkeypatch):
@@ -170,22 +164,17 @@ def test_cohomogeneity_one_singular_certificate_fails(monkeypatch):
     with pytest.raises(VerificationFailure) as info:
         verify_cohomogeneity_one(3)
     assert str(info.value) == "p=1: candidate q=(1, 1, 1, 1, 1) free=False pc=True"
-    assert info.value.details == {
-        "p": 1, "expected": "free and positively curved",
-        "actual": singular(EschParams((1, 1, 1), (3, 0, 0)), -1),
-    }
 
 
 def test_verify_cohomogeneity_one():
-    summary = verify_cohomogeneity_one(10)
-    assert summary.p_max == 10
-    assert len(summary.certificates) == 10
-    for p, cert in enumerate(summary.certificates, start=1):
+    certificates = verify_cohomogeneity_one(10)
+    assert isinstance(certificates, tuple) and len(certificates) == 10
+    for p, cert in enumerate(certificates, start=1):
+        assert isinstance(cert, EmbeddingCertificate)
+        assert cert.esch == family_cohomogeneity_one(p)
         assert cert.baz == BazParams((2 * p - 1, 1, 1, 1, 1))
         assert cert.shift == -1
         assert cert.baz_free and cert.baz_pc
-    assert summary.notes
-    assert "-1 <= c <= 0" in summary.notes[0]
     with pytest.raises(ValueError):
         verify_cohomogeneity_one(0)
 
@@ -315,13 +304,6 @@ def test_first_nonsingular_shift_on_stored_counterexamples():
         assert first_nonsingular_shift(EschParams(a, b)) is None
     # the running example's window 0..5 starts with two singular shifts
     assert first_nonsingular_shift(EschParams((2, 0, 0), (15, -2, -11))) == 2
-
-
-def test_verification_failure_is_structured():
-    try:
-        raise VerificationFailure("row 3: boom", row=3, expected=1, actual=2)
-    except VerificationFailure as exc:
-        assert exc.details == {"row": 3, "expected": 1, "actual": 2}
 
 
 def test_survey_row_invariant():
