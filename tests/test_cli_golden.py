@@ -41,6 +41,7 @@ _PER_FORMAT = [
     ("window", "--a=3,1,1", "--b=5,0,0"),
     ("window", "--a=39,0,0", "--b=55,-3,-13"),
     ("certified-shifts", *RUNNING, "--mu-max=4"),
+    ("certified-shifts", *RUNNING, "--mu-max=0"),
     ("distinct", *RUNNING, "--n=3"),
     ("submanifolds", "--q=3,-1,-1,5,23"),
     ("submanifolds", "--q=1,1,1,1,1"),
