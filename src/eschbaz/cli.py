@@ -587,8 +587,10 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (default: text)")
     esch = argparse.ArgumentParser(add_help=False)
-    esch.add_argument("--a", required=True)
-    esch.add_argument("--b", required=True)
+    esch.add_argument("--a", required=True, help="a1,a2,a3")
+    esch.add_argument("--b", required=True, help="b1,b2,b3")
+    baz = argparse.ArgumentParser(add_help=False)
+    baz.add_argument("--q", required=True, help="q1,q2,q3,q4,q5")
 
     parser = argparse.ArgumentParser(
         prog="eschbaz",
@@ -597,46 +599,27 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *parents, **arguments):
+    def add(name, handler, help_text, *parents, **integers):
+        """A subcommand; each keyword is an integer flag, required unless it has a default."""
         p = sub.add_parser(name, parents=[common, *parents], help=help_text)
-        for flag, opts in arguments.items():
-            p.add_argument(flag, **opts)
+        for key, default in integers.items():
+            p.add_argument("--" + key.replace("_", "-"), type=integer,
+                           required=default is None, default=default)
         p.set_defaults(handler=handler)
-        return p
 
-    add("verify-esch", _cmd_verify_esch,
-        "freeness, curvature, |H4|, kernel order, canonical form",
-        **{"--a": dict(required=True, help="a1,a2,a3"),
-           "--b": dict(required=True, help="b1,b2,b3")})
-    add("verify-baz", _cmd_verify_baz,
-        "freeness (with offending gcd pairs), curvature, |H6|",
-        **{"--q": dict(required=True, help="q1,q2,q3,q4,q5")})
-    add("embed", _cmd_embed, "one embedding certificate at a given shift", esch,
-        **{"--c": dict(required=True, type=integer, help="shift")})
+    add("verify-esch", _cmd_verify_esch, "freeness, curvature, |H4|, kernel order, canonical form", esch)
+    add("verify-baz", _cmd_verify_baz, "freeness (with offending gcd pairs), curvature, |H6|", baz)
+    add("embed", _cmd_embed, "one embedding certificate at a given shift", esch, c=None)
     add("window", _cmd_window, "scan the whole positive-curvature shift window", esch)
     add("certified-shifts", _cmd_certified_shifts,
-        "shifts of the form +-2^(mu-1) P^mu, guaranteed non-singular", esch,
-        **{"--mu-max": dict(required=True, type=int)})
-    add("distinct", _cmd_distinct,
-        "non-singular hosts with pairwise distinct |H6|", esch,
-        **{"--n": dict(required=True, type=int)})
-    add("submanifolds", _cmd_submanifolds,
-        "the ten embedded Eschenburg parameter sets of a 5-tuple",
-        **{"--q": dict(required=True)})
-    add("dual", _cmd_dual, "swapped space and its host at a non-singular shift", esch,
-        **{"--c": dict(required=True, type=integer)})
-    add("counterexamples", _cmd_counterexamples,
-        "re-verify the nine stored counterexample spaces")
-    add("families", _cmd_families,
-        "verify the two infinite counterexample families",
-        **{"--k-max": dict(required=True, type=int)})
-    add("cohom1", _cmd_cohom1,
-        "verify the cohomogeneity-one family at shift -1",
-        **{"--p-max": dict(required=True, type=int)})
-    add("scan", _cmd_scan, "survey a parameter box for counterexamples",
-        **{"--max-abs": dict(required=True, type=int),
-           "--limit": dict(required=True, type=int),
-           "--workers": dict(type=int, default=1)})
+        "shifts of the form +-2^(mu-1) P^mu, guaranteed non-singular", esch, mu_max=None)
+    add("distinct", _cmd_distinct, "non-singular hosts with pairwise distinct |H6|", esch, n=None)
+    add("submanifolds", _cmd_submanifolds, "the ten embedded Eschenburg parameter sets of a 5-tuple", baz)
+    add("dual", _cmd_dual, "swapped space and its host at a non-singular shift", esch, c=None)
+    add("counterexamples", _cmd_counterexamples, "re-verify the nine stored counterexample spaces")
+    add("families", _cmd_families, "verify the two infinite counterexample families", k_max=None)
+    add("cohom1", _cmd_cohom1, "verify the cohomogeneity-one family at shift -1", p_max=None)
+    add("scan", _cmd_scan, "survey a parameter box for counterexamples", max_abs=None, limit=None, workers=1)
     return parser
 
 
