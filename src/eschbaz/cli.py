@@ -50,6 +50,12 @@ EXIT_INTERNAL_ERROR = 4
 # about 7 MB (--mu-max) and 12 MB (--n) of CSV.
 MU_MAX_LIMIT = 1000
 N_LIMIT = 1000
+# Output grows linearly in these; at 10,000 families writes 1.3 MB of CSV and
+# cohom1 0.36 MB.
+K_MAX_LIMIT = 10_000
+P_MAX_LIMIT = 10_000
+# The largest box ever scanned: 7.77M spaces, 97 s serial.
+MAX_ABS_LIMIT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +323,8 @@ def _cmd_window(args) -> dict:
 
 
 def _cmd_certified_shifts(args) -> dict:
+    if args.mu_max < 1:
+        raise ValueError("--mu-max must be >= 1")
     if args.mu_max > MU_MAX_LIMIT:
         raise ValueError(f"--mu-max must be <= {MU_MAX_LIMIT}")
     e = _esch_from_args(args)
@@ -418,6 +426,8 @@ def _cmd_counterexamples(args) -> dict:
 
 
 def _cmd_families(args) -> dict:
+    if args.k_max > K_MAX_LIMIT:
+        raise ValueError(f"--k-max must be <= {K_MAX_LIMIT}")
     rows = survey.verify_infinite_families(args.k_max)
     per_variant = args.k_max + 1
     results = [
@@ -438,6 +448,8 @@ def _cmd_families(args) -> dict:
 
 
 def _cmd_cohom1(args) -> dict:
+    if args.p_max > P_MAX_LIMIT:
+        raise ValueError(f"--p-max must be <= {P_MAX_LIMIT}")
     certificates = survey.verify_cohomogeneity_one(args.p_max)
     certs = [{**_cert_dict(c), "p": p} for p, c in enumerate(certificates, start=1)]
     checked, notes = args.p_max, [embedding.COHOM1_WINDOW_NOTE]
@@ -457,6 +469,8 @@ def _cmd_cohom1(args) -> dict:
 
 
 def _cmd_scan(args) -> dict:
+    if args.max_abs > MAX_ABS_LIMIT:
+        raise ValueError(f"--max-abs must be <= {MAX_ABS_LIMIT}")
     stats, rows = survey.scan_box(args.max_abs, args.limit, workers=args.workers)
     results = [_row_dict(row) for row in rows]
     beyond = stats.counterexamples - len(rows)

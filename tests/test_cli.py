@@ -142,19 +142,69 @@ def test_exit_four_on_factorization_mismatch(capsys, monkeypatch):
     assert err == "error (internal-error): the factorization of -13 multiplies back to -12\n"
 
 
+# each capped command: its cap, and the rest of a valid invocation
+_CAPPED = {
+    "certified-shifts": (1000, ("--a", "2,0,0", "--b", "15,-2,-11")),
+    "distinct": (1000, ("--a", "2,0,0", "--b", "15,-2,-11")),
+    "families": (10_000, ()),
+    "cohom1": (10_000, ()),
+    "scan": (200, ("--limit", "1")),
+}
+
+
 @pytest.mark.parametrize(("command", "flag", "limit"), [
     ("certified-shifts", "--mu-max", "MU_MAX_LIMIT"),
     ("distinct", "--n", "N_LIMIT"),
+    ("families", "--k-max", "K_MAX_LIMIT"),
+    ("cohom1", "--p-max", "P_MAX_LIMIT"),
+    ("scan", "--max-abs", "MAX_ABS_LIMIT"),
 ])
 def test_resource_flags_are_capped(capsys, schema, monkeypatch, command, flag, limit):
-    assert getattr(cli, limit) == 1000
+    cap, rest = _CAPPED[command]
+    assert getattr(cli, limit) == cap
     monkeypatch.setattr(cli, limit, 2)
-    argv = (command, "--a", "2,0,0", "--b", "15,-2,-11")
+    argv = (command, *rest)
     assert invoke(capsys, *argv, flag, "2")[0] == 0
     assert invoke(capsys, *argv, flag, "3") == (2, "", f"error (invalid-input): {flag} must be <= 2\n")
     code, report = invoke_json(capsys, schema, *argv, flag, "3")
     assert code == 2
     assert report["error"] == {"kind": "invalid-input", "reason": f"{flag} must be <= 2"}
+
+
+def test_resource_flag_past_int_to_str_limit_meets_its_cap(capsys, schema):
+    # 5000 digits: argparse's int refuses the text before any cap is checked
+    argv = ("families", "--k-max", "9" * 5000)
+    assert invoke(capsys, *argv) == (2, "", "error (invalid-input): --k-max must be <= 10000\n")
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 2
+    assert report["error"] == {"kind": "invalid-input", "reason": "--k-max must be <= 10000"}
+
+
+@pytest.mark.parametrize("mu_max", ["0", "-5"])
+def test_exit_two_on_mu_max_below_one(capsys, schema, mu_max):
+    # a space that is not free: the flag is refused before the space is checked
+    argv = ("certified-shifts", "--a", "1,0,0", "--b", "3,1,-3", "--mu-max", mu_max)
+    assert invoke(capsys, *argv) == (2, "", "error (invalid-input): --mu-max must be >= 1\n")
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 2
+    assert report["error"] == {"kind": "invalid-input", "reason": "--mu-max must be >= 1"}
+
+
+@pytest.mark.parametrize(("argv", "flag"), [
+    (("embed", "--a", "2,0,0", "--b", "15,-2,-11"), "--c"),
+    (("dual", "--a", "2,0,0", "--b", "15,-2,-11"), "--c"),
+    (("certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11"), "--mu-max"),
+    (("distinct", "--a", "2,0,0", "--b", "15,-2,-11"), "--n"),
+    (("families",), "--k-max"),
+    (("cohom1",), "--p-max"),
+    (("scan", "--limit", "1"), "--max-abs"),
+    (("scan", "--max-abs", "8"), "--limit"),
+    (("scan", "--max-abs", "8", "--limit", "1"), "--workers"),
+])
+def test_every_integer_flag_rejects_a_non_number_alike(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv, flag, "x")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid integer value: 'x'\n")
 
 
 def test_exit_one_on_verification_failure(capsys, monkeypatch):

@@ -41,7 +41,6 @@ _PER_FORMAT = [
     ("window", "--a=3,1,1", "--b=5,0,0"),
     ("window", "--a=39,0,0", "--b=55,-3,-13"),
     ("certified-shifts", *RUNNING, "--mu-max=4"),
-    ("certified-shifts", *RUNNING, "--mu-max=0"),
     ("distinct", *RUNNING, "--n=3"),
     ("submanifolds", "--q=3,-1,-1,5,23"),
     ("submanifolds", "--q=1,1,1,1,1"),
@@ -60,8 +59,12 @@ _PER_FORMAT = [
     ("dual", *RUNNING, "--c=0"),
     ("distinct", "--a=1,0,0", "--b=3,1,-3", "--n=2"),  # not free
     ("distinct", "--a=0,2,2", "--b=0,1,3", "--n=2"),  # free, a1 - b1 vanishes
+    ("certified-shifts", *RUNNING, "--mu-max=0"),  # below 1
     ("certified-shifts", *RUNNING, "--mu-max=1001"),  # over MU_MAX_LIMIT
     ("distinct", *RUNNING, "--n=1001"),  # over N_LIMIT
+    ("families", "--k-max=10001"),  # over K_MAX_LIMIT
+    ("cohom1", "--p-max=10001"),  # over P_MAX_LIMIT
+    ("scan", "--max-abs=201", "--limit=1"),  # over MAX_ABS_LIMIT
     # exit 3: a 71-digit difference is past the factorizer's digit bound
     ("certified-shifts", f"--a={HUGE},0,0", f"--b={HUGE + 16},-3,-13", "--mu-max=1"),
 ]
