@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -199,16 +200,19 @@ class Factorization:
     """Sign and multiset of (prime, exponent) pairs for a nonzero integer.
 
     Primes are strictly increasing and each one passes a primality check;
-    the original integer is recoverable via ``value``.
+    the original integer is recoverable via ``value``.  The sign, primes and
+    exponents go through ``operator.index``: floats and strings raise
+    TypeError.
     """
 
     sign: int
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sign", index(self.sign))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "factors", tuple((int(p), int(e)) for p, e in self.factors))
+        object.__setattr__(self, "factors", tuple((index(p), index(e)) for p, e in self.factors))
         previous = 1
         for p, e in self.factors:
             if p <= previous:

@@ -257,6 +257,16 @@ def test_factorization_type_rejects_garbage():
         Factorization(1, ((3, 0),))  # exponent < 1
 
 
+@pytest.mark.parametrize(("sign", "factors"), [
+    (1, ((2.5, 1.9),)),  # truncation would read the prime 2
+    (1, (("3", 1),)),
+    (1.0, ((2, 1),)),  # a float sign would make value a float
+])
+def test_factorization_rejects_non_integers(sign, factors):
+    with pytest.raises(TypeError):
+        Factorization(sign, factors)
+
+
 def test_is_probable_prime_small():
     primes = [p for p in range(2, 200) if trial_division_prime(p)]
     for n in range(2, 200):
