@@ -37,6 +37,7 @@ from .eschenburg import (
     is_free,
     is_pc_metric,
     pc_normal_form,
+    shift,
 )
 
 
@@ -317,7 +318,7 @@ def dual_embedding(e: EschParams, c: int) -> tuple[EschParams, BazParams]:
         raise SingularCandidateError(f"shift {to_decimal(c)} of {e} yields a singular candidate")
     q = candidate_q(e, c).q
     qs = sum(q)
-    swapped = EschParams(tuple(x + c for x in e.b), tuple(x + c for x in e.a))
+    swapped = shift(EschParams(e.b, e.a), c)
     dual = BazParams((qs, -q[3], -q[4], -q[1], -q[2]))
     if dual != candidate_q(swapped, 0):
         raise InternalError(f"the dual host at shift {to_decimal(c)} of {e} differs from the swapped "

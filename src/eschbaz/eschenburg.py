@@ -118,8 +118,7 @@ def canonicalize(e: EschParams) -> EschParams:
     """
     a = tuple(sorted(e.a, reverse=True))
     b = (e.b[0],) + tuple(sorted(e.b[1:], reverse=True))
-    c = -a[2]
-    return EschParams(tuple(x + c for x in a), tuple(x + c for x in b))
+    return shift(EschParams(a, b), -a[2])
 
 
 def admits_positive_curvature(e: EschParams) -> bool:
