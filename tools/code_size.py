@@ -1,0 +1,59 @@
+"""Print the size of Python source files: lines and code tokens.
+
+Code tokens are the ``tokenize`` tokens of a file without comments,
+docstrings and layout (NL, NEWLINE, INDENT, DEDENT, ENCODING, ENDMARKER),
+so reformatting and comment edits do not move the count.  Python 3.12
+tokenizes f-strings into several tokens, so counts are comparable only
+between runs on the same minor version (the figures in CHANGES.md are
+Python 3.11's).  With no arguments it counts ``src/eschbaz/*.py``:
+
+    python tools/code_size.py [FILE ...]
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import tokenize
+from pathlib import Path
+
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_starts(source: str) -> set[tuple[int, int]]:
+    """(row, col) of each module, class and function docstring."""
+    starts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                starts.add((first.lineno, first.col_offset))
+    return starts
+
+
+def code_tokens(source: str) -> int:
+    docstrings = docstring_starts(source)
+    lines = iter(source.splitlines(keepends=True))
+    return sum(
+        1 for tok in tokenize.generate_tokens(lambda: next(lines, ""))
+        if tok.type not in LAYOUT and not (tok.type == tokenize.STRING and tok.start in docstrings)
+    )
+
+
+def main(argv: list[str]) -> None:
+    root = Path(__file__).resolve().parents[1]
+    paths = [Path(a) for a in argv] or sorted(root.glob("src/eschbaz/*.py"))
+    total_lines = total_tokens = 0
+    for path in paths:
+        source = path.read_text()
+        lines, tokens = len(source.splitlines()), code_tokens(source)
+        total_lines += lines
+        total_tokens += tokens
+        print(f"{lines:>7} {tokens:>7}  {path.relative_to(root) if path.is_relative_to(root) else path}")
+    print(f"{total_lines:>7} {total_tokens:>7}  total (lines, code tokens)")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
