@@ -51,10 +51,10 @@ EXIT_INTERNAL_ERROR = 4
 MU_MAX_LIMIT = 1000
 N_LIMIT = 1000
 # Output grows linearly in these; at 10,000 families writes 1.3 MB of CSV and
-# cohom1 0.36 MB.
+# cohom1 0.37 MB.
 K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
-# The largest box ever scanned: 7.77M spaces, 97 s serial.
+# The largest box ever scanned: 7.77M spaces, 97 s serial on a 2-core Xeon VM.
 MAX_ABS_LIMIT = 200
 
 

@@ -172,7 +172,7 @@ def test_resource_flags_are_capped(capsys, schema, monkeypatch, command, flag, l
 
 
 def test_resource_flag_past_int_to_str_limit_meets_its_cap(capsys, schema):
-    # 5000 digits: argparse's int refuses the text before any cap is checked
+    # 5000 digits, past the interpreter's 4300-digit int/str limit: the value still reaches the cap
     argv = ("families", "--k-max", "9" * 5000)
     assert invoke(capsys, *argv) == (2, "", "error (invalid-input): --k-max must be <= 10000\n")
     code, report = invoke_json(capsys, schema, *argv)
@@ -190,7 +190,7 @@ def test_exit_two_on_mu_max_below_one(capsys, schema, mu_max):
     assert report["error"] == {"kind": "invalid-input", "reason": "--mu-max must be >= 1"}
 
 
-@pytest.mark.parametrize(("argv", "flag"), [
+_INTEGER_FLAGS = [
     (("embed", "--a", "2,0,0", "--b", "15,-2,-11"), "--c"),
     (("dual", "--a", "2,0,0", "--b", "15,-2,-11"), "--c"),
     (("certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11"), "--mu-max"),
@@ -200,8 +200,12 @@ def test_exit_two_on_mu_max_below_one(capsys, schema, mu_max):
     (("scan", "--limit", "1"), "--max-abs"),
     (("scan", "--max-abs", "8"), "--limit"),
     (("scan", "--max-abs", "8", "--limit", "1"), "--workers"),
-])
-def test_every_integer_flag_rejects_a_non_number_alike(capsys, argv, flag):
+]
+
+
+@pytest.mark.parametrize(("argv", "flag"), _INTEGER_FLAGS,
+                         ids=[f"{argv[0]} {flag}" for argv, flag in _INTEGER_FLAGS])
+def test_every_integer_flag_reads_a_non_number_as_an_invalid_integer(capsys, argv, flag):
     code, out, err = invoke(capsys, *argv, flag, "x")
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument {flag}: invalid integer value: 'x'\n")
