@@ -18,7 +18,13 @@ result is safe, and errors are never cached.
 ``DECIMAL_CHUNK_DIGITS`` (600) digits at a time, below the interpreter's
 int/str digit limit (4300 by default, 640 at the lowest), so values of any
 size reach and leave the command line exactly; ``tuple_to_decimal`` writes a
-parameter tuple the same way, for reports and error messages alike.
+parameter tuple the same way, for reports and error messages alike.  Range
+and precondition messages across the package write their offending value
+with ``to_decimal`` too, so a value past the limit is reported for what is
+wrong with it.
+
+A ``Factorization`` is a sign and its ``factors``, the increasing (prime,
+exponent) pairs; callers read the primes from ``factors``.
 """
 
 from __future__ import annotations
@@ -211,16 +217,16 @@ class Factorization:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sign", index(self.sign))
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+            raise ValueError(f"sign must be +1 or -1, got {to_decimal(self.sign)}")
         object.__setattr__(self, "factors", tuple((index(p), index(e)) for p, e in self.factors))
         previous = 1
         for p, e in self.factors:
             if p <= previous:
                 raise ValueError(f"primes must be strictly increasing, got {self.factors}")
             if e < 1:
-                raise ValueError(f"exponent for prime {p} must be >= 1, got {e}")
+                raise ValueError(f"exponent for prime {to_decimal(p)} must be >= 1, got {to_decimal(e)}")
             if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{to_decimal(p)} is not prime")
             previous = p
 
     @property
@@ -229,9 +235,6 @@ class Factorization:
         for p, e in self.factors:
             n *= p**e
         return n
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
 
 @lru_cache(maxsize=FACTORIZE_CACHE_SIZE)

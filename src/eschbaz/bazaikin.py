@@ -57,7 +57,9 @@ class BazParams:
         return sum(self.q)
 
     def all_odd(self) -> bool:
-        return all(x % 2 != 0 for x in self.q)
+        """True iff every entry is odd: its lowest bit is 1, negative entries included."""
+        q0, q1, q2, q3, q4 = self.q
+        return bool(q0 & q1 & q2 & q3 & q4 & 1)
 
     def __str__(self) -> str:
         return f"q={tuple_to_decimal(self.q)}"

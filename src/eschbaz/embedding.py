@@ -13,10 +13,13 @@ shifts can share the same |H^6| (``collision_locus``).  ``certified_shift``
 is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
-``shift_prime_product`` is memoized by ``functools.lru_cache`` with a fixed
-``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the parameters, so
-the certified shifts of one space and its distinct hosts share one P and
-factor its nine differences once.
+``certified_shift`` checks a space and computes its P once: the checks
+(freeness, nine nonzero differences) and ``shift_prime_product`` run in
+``_checked_prime_product``, which is memoized by ``functools.lru_cache``
+with a fixed ``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the
+parameters.  So the certified shifts of one space and its distinct hosts
+share one check and one P, and its nine differences are factored once.
+Errors are never cached: an invalid space raises on every call.
 """
 
 from __future__ import annotations
@@ -137,7 +140,11 @@ def nonsingular_shift(e: EschParams, c: int) -> bool:
     gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1, where {i, j} is the complement
     of k; checked as three gcds (see ``_singularity_moduli``).
     """
-    return is_free(e) and all(gcd(s + 2 * c, d) == 1 for s, d in _singularity_moduli(e))
+    if not is_free(e):
+        return False
+    (s1, d1), (s2, d2), (s3, d3) = _singularity_moduli(e)
+    t = 2 * c
+    return gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1
 
 
 def first_nonsingular_shift(f: EschParams) -> int | None:
@@ -159,6 +166,11 @@ def first_nonsingular_shift(f: EschParams) -> int | None:
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
     """Evaluate every certificate field for the shift-c candidate of e."""
+    return _certificate(e, c, is_pc_metric(e))
+
+
+def _certificate(e: EschParams, c: int, esch_pc: bool) -> EmbeddingCertificate:
+    """``make_certificate(e, c)``, with esch_pc = is_pc_metric(e) computed once per space."""
     q = candidate_q(e, c)
     free = bazaikin.is_free_baz(q)
     return EmbeddingCertificate(
@@ -167,7 +179,7 @@ def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
         baz=q,
         baz_free=free,
         baz_pc=bazaikin.is_pc_baz(q),
-        esch_pc=is_pc_metric(e),
+        esch_pc=esch_pc,
         h6=bazaikin.h6_order(q) if free else 0,
         offending_pairs=() if free else tuple(bazaikin.freeness_failures(q)),
     )
@@ -201,7 +213,8 @@ def window_scan(e: EschParams) -> WindowReport:
     """
     f = pc_normal_form(e)
     window = pc_shift_window(f)
-    certificates = tuple(make_certificate(f, c) for c in window)
+    esch_pc = is_pc_metric(f)
+    certificates = tuple(_certificate(f, c, esch_pc) for c in window)
     notes = (COHOM1_WINDOW_NOTE,) if f == canonicalize(family_cohomogeneity_one(f.a[0] + 1)) else ()
     return WindowReport(
         esch=f,
@@ -212,7 +225,6 @@ def window_scan(e: EschParams) -> WindowReport:
     )
 
 
-@lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
 def shift_prime_product(e: EschParams) -> int:
     """Product P underlying the certified shifts.
 
@@ -220,30 +232,28 @@ def shift_prime_product(e: EschParams) -> int:
     a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j} the complement
     of k, s_k as in ``_singularity_moduli``); each such prime contributes
     one factor of P per pair in which it qualifies.  Zero differences
-    contribute nothing; an empty product is 1.  Memoized (see the module
-    docstring); ``shift_prime_product.__wrapped__`` is the uncached function.
+    contribute nothing; an empty product is 1.  Not memoized itself:
+    ``certified_shift`` reaches it through the cached
+    ``_checked_prime_product`` (see the module docstring).
     """
     product = 1
     for ak, (pair_sum, _) in zip(e.a, _singularity_moduli(e)):
         for bl in e.b:
             if ak != bl:
-                for p in factorize(ak - bl).primes():
+                for p, _ in factorize(ak - bl).factors:
                     if gcd(p, pair_sum) == 1:
                         product *= p
     return product
 
 
-def certified_shift(e: EschParams, mu: int, sign: int) -> int:
-    """A shift guaranteed to produce a non-singular candidate.
+@lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
+def _checked_prime_product(e: EschParams) -> int:
+    """``shift_prime_product(e)`` for an e that ``certified_shift`` accepts.
 
-    Returns sign * 2**(mu-1) * P**mu with P from ``shift_prime_product``.
-    Requires e free with all nine differences a_k - b_l nonzero, and
-    mu >= 1; factorization-effort errors propagate.
+    Raises ValueError unless e is free with all nine differences a_k - b_l
+    nonzero.  Memoized (see the module docstring);
+    ``_checked_prime_product.__wrapped__`` is the uncached function.
     """
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1, got {mu}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not is_free(e):
         raise ValueError(f"certified shifts exist only for free parameters, got {e}")
     # a_k == b_l pins one candidate pair sum at 0 for every shift, so the
@@ -256,7 +266,22 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
             f"{e} has a vanishing difference (free parameters with a vanishing "
             "difference admit at most two non-singular shifts)"
         )
-    return sign * 2 ** (mu - 1) * shift_prime_product(e) ** mu
+    return shift_prime_product(e)
+
+
+def certified_shift(e: EschParams, mu: int, sign: int) -> int:
+    """A shift guaranteed to produce a non-singular candidate.
+
+    Returns sign * 2**(mu-1) * P**mu with P from ``shift_prime_product``.
+    Requires mu >= 1, sign in (1, -1), and e free with all nine differences
+    a_k - b_l nonzero; e is checked and P computed once per space (see
+    ``_checked_prime_product``).  Factorization-effort errors propagate.
+    """
+    if mu < 1:
+        raise ValueError(f"mu must be >= 1, got {to_decimal(mu)}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {to_decimal(sign)}")
+    return sign * 2 ** (mu - 1) * _checked_prime_product(e) ** mu
 
 
 def collision_locus(e: EschParams) -> Fraction | None:
@@ -287,13 +312,14 @@ def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertifi
     so mu <= n + 1 always suffices.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {to_decimal(n)}")
+    esch_pc = is_pc_metric(e)
     out: list[EmbeddingCertificate] = []
     seen: set[int] = set()
     for mu in range(1, n + 2):
         for sign in (1, -1):
             c = certified_shift(e, mu, sign)
-            cert = make_certificate(e, c)
+            cert = _certificate(e, c, esch_pc)
             if not cert.baz_free:
                 raise InternalError(f"certified shift {to_decimal(c)} produced a singular candidate for {e}")
             if cert.h6 in seen:

@@ -172,7 +172,7 @@ def h4_order(e: EschParams) -> int:
 def family_cohomogeneity_one(p: int) -> EschParams:
     """The positively curved cohomogeneity-one member a=(p,1,1), b=(p+2,0,0)."""
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise ValueError(f"p must be >= 1, got {to_decimal(p)}")
     return EschParams((p, 1, 1), (p + 2, 0, 0))
 
 
@@ -186,7 +186,7 @@ def family_cohomogeneity_two(variant: str, k: int) -> EschParams:
     window singular for every k.
     """
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {to_decimal(k)}")
     if variant == "A":
         base_a, base_b = 39, 55
     elif variant == "B":

@@ -30,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import to_decimal
 from .bazaikin import BazParams
 from .embedding import (
     EmbeddingCertificate,
@@ -144,7 +145,7 @@ def verify_known_counterexamples() -> list[SurveyRow]:
 def verify_infinite_families(k_max: int) -> list[SurveyRow]:
     """Check members 0..k_max of both infinite families are counterexamples."""
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be >= 0, got {to_decimal(k_max)}")
     return [
         _counterexample_row(family_cohomogeneity_two(variant, k), f"family {variant}, k={k}")
         for variant in ("A", "B")
@@ -160,7 +161,7 @@ def verify_cohomogeneity_one(p_max: int) -> tuple[EmbeddingCertificate, ...]:
     note is ``embedding.COHOM1_WINDOW_NOTE``.
     """
     if p_max < 1:
-        raise ValueError(f"p_max must be >= 1, got {p_max}")
+        raise ValueError(f"p_max must be >= 1, got {to_decimal(p_max)}")
     certificates = []
     for p in range(1, p_max + 1):
         cert = make_certificate(family_cohomogeneity_one(p), -1)
@@ -230,11 +231,11 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     pairs); a value of 1, or a cap of 1, scans in this process.
     """
     if max_abs < 1:
-        raise ValueError(f"max_abs must be >= 1, got {max_abs}")
+        raise ValueError(f"max_abs must be >= 1, got {to_decimal(max_abs)}")
     if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise ValueError(f"limit must be >= 1, got {to_decimal(limit)}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ValueError(f"workers must be >= 1, got {to_decimal(workers)}")
     apairs = [(a1, a2) for a1 in range(max_abs + 1) for a2 in range(a1 + 1)]
     processes = _pool_size(workers, len(apairs))
 

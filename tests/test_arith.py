@@ -118,8 +118,9 @@ def test_factorize_units():
 def test_factorize_roundtrip(n):
     f = factorize(n)
     assert f.value == n
-    assert all(trial_division_prime(p) for p in f.primes())
-    assert list(f.primes()) == sorted(set(f.primes()))
+    primes = [p for p, _ in f.factors]
+    assert all(trial_division_prime(p) for p in primes)
+    assert primes == sorted(set(primes))
 
 
 def test_factorize_beyond_trial_bound_uses_rho():
@@ -255,6 +256,14 @@ def test_factorization_type_rejects_garbage():
         Factorization(2, ((3, 1),))  # bad sign
     with pytest.raises(ValueError):
         Factorization(1, ((3, 0),))  # exponent < 1
+
+
+def test_factorization_errors_write_values_past_the_int_to_str_limit():
+    big = decimal_by_digits(10**5000)
+    with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {big}$"):
+        Factorization(10**5000, ())
+    with pytest.raises(ValueError, match=f"^exponent for prime 3 must be >= 1, got -{big}$"):
+        Factorization(1, ((3, -10**5000),))
 
 
 @pytest.mark.parametrize(("sign", "factors"), [

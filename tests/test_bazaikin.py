@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -32,6 +32,13 @@ def test_offending_pairs():
     fails = freeness_failures(BazParams((5, 1, 1, 3, 21)))
     assert ((1, 2), (4, 5), 6) in fails
     assert freeness_failures(BazParams((1, 1, 1, 1, 1))) == []
+
+
+def test_all_odd_matches_its_definition():
+    big = 10**5000  # past the interpreter's int/str digit limit
+    values = (0, 1, -1, 2, -2, -7, big, -big - 1)
+    for q in product(values, repeat=5):
+        assert BazParams(q).all_odd() is all(x % 2 for x in q), q
 
 
 def test_even_entries_block_freeness():

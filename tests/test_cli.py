@@ -136,7 +136,7 @@ def test_exit_four_on_factorization_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(arith, "Factorization", OffByOne)
     # bypass both caches, so factorize runs its reconstruction check
     monkeypatch.setattr(embedding, "factorize", arith.factorize.__wrapped__)
-    monkeypatch.setattr(embedding, "shift_prime_product", embedding.shift_prime_product.__wrapped__)
+    monkeypatch.setattr(embedding, "_checked_prime_product", embedding._checked_prime_product.__wrapped__)
     code, out, err = invoke(capsys, "certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11", "--mu-max", "1")
     assert (code, out) == (4, "")
     assert err == "error (internal-error): the factorization of -13 multiplies back to -12\n"
@@ -209,6 +209,29 @@ def test_every_integer_flag_reads_a_non_number_as_an_invalid_integer(capsys, arg
     code, out, err = invoke(capsys, *argv, flag, "x")
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument {flag}: invalid integer value: 'x'\n")
+
+
+# each flag whose lower bound the library checks, and the reason it gives
+_RANGE_CHECKED = [
+    (("distinct", "--a", "2,0,0", "--b", "15,-2,-11"), "--n", "n must be >= 1"),
+    (("families",), "--k-max", "k_max must be >= 0"),
+    (("cohom1",), "--p-max", "p_max must be >= 1"),
+    (("scan", "--limit", "1"), "--max-abs", "max_abs must be >= 1"),
+    (("scan", "--max-abs", "8"), "--limit", "limit must be >= 1"),
+    (("scan", "--max-abs", "8", "--limit", "1"), "--workers", "workers must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(("argv", "flag", "reason"), _RANGE_CHECKED,
+                         ids=[f"{argv[0]} {flag}" for argv, flag, _ in _RANGE_CHECKED])
+def test_range_error_past_int_to_str_limit_gives_its_own_reason(capsys, schema, argv, flag, reason):
+    # 5000 digits, past the interpreter's 4300-digit int/str limit
+    value = "-" + "9" * 5000
+    expected = f"{reason}, got {value}"
+    assert invoke(capsys, *argv, f"{flag}={value}") == (2, "", f"error (invalid-input): {expected}\n")
+    code, report = invoke_json(capsys, schema, *argv, f"{flag}={value}")
+    assert code == 2
+    assert report["error"] == {"kind": "invalid-input", "reason": expected}
 
 
 def test_exit_one_on_verification_failure(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_esch, random_free_esch, random_pc_esch
 from oracles import (
+    decimal_by_digits,
     enumerate_normal_forms,
     nonsingular_shift_oracle,
     shift_prime_product_oracle,
@@ -40,6 +41,7 @@ from eschbaz.arith import elementary_symmetric
 from eschbaz.embedding import (
     COHOM1_WINDOW_NOTE,
     SHIFT_PRODUCT_CACHE_SIZE,
+    _checked_prime_product,
     make_certificate,
     shift_prime_product,
 )
@@ -49,6 +51,13 @@ E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
 def six_tuple(e, c):
     return tuple(2 * (x + c) + 1 for x in e.a) + tuple(-2 * (x + c) - 1 for x in e.b)
+
+
+def assert_is_make_certificate(cert):
+    """cert, built with is_pc_metric computed once per space, equals make_certificate field by field."""
+    expected = make_certificate(cert.esch, cert.shift)
+    for field in dataclasses.fields(cert):
+        assert getattr(cert, field.name) == getattr(expected, field.name), (cert.esch, cert.shift, field.name)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +159,16 @@ def test_certified_shift_sign_and_mu():
         certified_shift(EschParams((0, 0, 0), (0, 0, 0)), 1, 1)  # not free
 
 
+def test_range_errors_write_values_past_the_int_to_str_limit():
+    big = 10**5000
+    with pytest.raises(ValueError, match=f"^mu must be >= 1, got -{decimal_by_digits(big)}$"):
+        certified_shift(E_RUNNING, -big, 1)
+    with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {decimal_by_digits(big)}$"):
+        certified_shift(E_RUNNING, 1, big)
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got -{decimal_by_digits(big)}$"):
+        homotopy_distinct_embeddings(E_RUNNING, -big)
+
+
 def test_certified_shift_rejects_vanishing_differences():
     # free parameters with a_k == b_l exist (a1 == b1 here); for them the
     # candidate pair sum 2(a_k - b_l) is 0 at every shift, so at most two
@@ -170,19 +189,36 @@ def test_certified_shift_rejects_vanishing_differences():
     assert not is_pc_metric(e)
 
 
-def test_cached_shift_prime_product_matches_uncached():
-    shift_prime_product.cache_clear()
+def test_cached_checked_prime_product_matches_uncached():
+    _checked_prime_product.cache_clear()
     rng = random.Random(4202)
-    spaces = [random_free_esch(rng, -60, 60, nonzero_diffs=True) for _ in range(100)]
-    spaces += [random_esch(rng, -15, 15) for _ in range(30)]
+    spaces = list(dict.fromkeys(random_free_esch(rng, -60, 60, nonzero_diffs=True) for _ in range(100)))
     for e in spaces:
-        expected = shift_prime_product.__wrapped__(e)
-        assert shift_prime_product(e) == expected, e  # miss
-        assert shift_prime_product(e) == expected, e  # hit
-    info = shift_prime_product.cache_info()
-    assert info.hits == len(spaces)
+        expected = _checked_prime_product.__wrapped__(e)
+        assert expected == shift_prime_product(e), e
+        assert _checked_prime_product(e) == expected, e  # miss
+        assert _checked_prime_product(e) == expected, e  # hit
+    info = _checked_prime_product.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(spaces), len(spaces), len(spaces))
     assert info.maxsize == SHIFT_PRODUCT_CACHE_SIZE
     assert isinstance(info.maxsize, int) and 0 < info.maxsize < 10**6
+    assert not hasattr(shift_prime_product, "cache_info")  # one cache, in front of the checks
+
+
+@pytest.mark.parametrize(("e", "reason"), [
+    (EschParams((1, 0, 0), (3, 1, -3)), "only for free parameters"),
+    (EschParams((0, 2, 2), (0, 1, 3)), "vanishing difference"),  # free, a1 - b1 vanishes
+])
+def test_checked_prime_product_never_caches_an_error(e, reason):
+    _checked_prime_product.cache_clear()
+    _checked_prime_product(E_RUNNING)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=reason):
+            _checked_prime_product(e)
+        with pytest.raises(ValueError, match=reason):
+            certified_shift(e, 1, 1)
+    info = _checked_prime_product.cache_info()
+    assert (info.hits, info.currsize) == (0, 1)
 
 
 def test_shift_prime_product_matches_its_definition():
@@ -332,6 +368,7 @@ def test_window_scan_certificates_recompute():
             assert cert.baz_free == is_free_baz(cert.baz)
             assert cert.baz_pc == is_pc_baz(cert.baz)
             assert cert.h6 == (h6_order(cert.baz) if cert.baz_free else 0)
+            assert_is_make_certificate(cert)
         assert report.any_nonsingular == any(c.baz_free for c in report.certificates)
 
 
@@ -381,6 +418,8 @@ def test_homotopy_distinct_embeddings_bulk():
         certs = homotopy_distinct_embeddings(e, 3)
         assert len({c.h6 for c in certs}) == 3
         assert all(c.baz_free for c in certs)
+        for cert in certs:
+            assert_is_make_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +491,16 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         with pytest.raises(InternalError, match="not divisible by 8"):
             h6_order(BazParams((2, 1, 1, 1, 1)))
 
+    certificate = embedding_mod._certificate  # what homotopy_distinct_embeddings builds hosts with
     with monkeypatch.context() as mp:
-        mp.setattr(embedding_mod, "make_certificate",
-                   lambda e, c: dataclasses.replace(make_certificate(e, c), baz_free=False))
+        mp.setattr(embedding_mod, "_certificate",
+                   lambda e, c, esch_pc: dataclasses.replace(certificate(e, c, esch_pc), baz_free=False))
         with pytest.raises(InternalError, match="produced a singular candidate"):
             homotopy_distinct_embeddings(E_RUNNING, 2)
 
     with monkeypatch.context() as mp:
-        mp.setattr(embedding_mod, "make_certificate",
-                   lambda e, c: dataclasses.replace(make_certificate(e, c), h6=1))
+        mp.setattr(embedding_mod, "_certificate",
+                   lambda e, c, esch_pc: dataclasses.replace(certificate(e, c, esch_pc), h6=1))
         with pytest.raises(InternalError, match="could not reach 2 distinct"):
             homotopy_distinct_embeddings(E_RUNNING, 2)
 

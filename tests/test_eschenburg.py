@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import is_free_oracle
+from oracles import decimal_by_digits, is_free_oracle
 from eschbaz import (
     DegenerateActionError,
     EschParams,
@@ -263,6 +263,14 @@ def test_family_cohomogeneity_two():
         family_cohomogeneity_two("A", -1)
     with pytest.raises(ValueError):
         family_cohomogeneity_two("C", 0)
+
+
+def test_family_range_errors_write_values_past_the_int_to_str_limit():
+    big = decimal_by_digits(10**5000)
+    with pytest.raises(ValueError, match=f"^p must be >= 1, got -{big}$"):
+        family_cohomogeneity_one(-10**5000)
+    with pytest.raises(ValueError, match=f"^k must be >= 0, got -{big}$"):
+        family_cohomogeneity_two("A", -10**5000)
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40),
