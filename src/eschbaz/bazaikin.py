@@ -6,10 +6,16 @@ candidates can still be represented and reported.  Freeness demands all q_i
 odd and gcd(q_i + q_j, q_k + q_l) == 2 for every pair of disjoint index
 pairs; positive curvature demands all ten pairwise sums share a strict sign.
 
-|H^6| is |sigma_3| / 8 of the six-tuple (q1, ..., q5, -qsum).  That tuple
-sums to zero, so Newton's identity p_3 = sigma_1 p_2 - sigma_2 p_1 +
-3 sigma_3 reduces to p_3 = 3 sigma_3, and |H^6| = |q1^3 + ... + q5^3 -
-qsum^3| / 24.
+|H^6| is |sigma_3| / 8 of the six-tuple (q1, ..., q6) = (q1, ..., q5,
+-qsum).  That tuple sums to zero, so sigma_3 = p_3 / 3 (Newton's
+identity).  Split it into the triples (q1, q2, q4) and (q3, q5, q6), whose
+sums are negatives of each other; with (x+y+z)^3 = x^3 + y^3 + z^3 +
+3(x+y)(y+z)(z+x) for each, the cubes of the triple sums cancel and
+
+    sigma_3 = -[(q1+q2)(q1+q4)(q2+q4) + (q3+q5)(q3+q6)(q5+q6)].
+
+For a shift candidate the pair sums q1+q4, q2+q4, q3+q5 and q3+q6 do not
+depend on the shift, so each product has one factor that grows with it.
 
 Each 5-tuple carries ten totally geodesic Eschenburg parameter sets, one per
 2-subset of indices; ``submanifolds`` extracts them.
@@ -115,17 +121,17 @@ def is_pc_baz(b: BazParams) -> bool:
 def h6_order(b: BazParams) -> int:
     """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples.
 
-    The six-tuple sums to zero, so sigma_3 = p_3 / 3 with p_3 its power sum
-    of cubes (Newton's identity), and |H^6| = |p_3| / 24.
+    sigma_3 is minus the sum of two triple products of pair sums (see the
+    module docstring); each pair sum of two odd entries is even, so each
+    product is a multiple of 8.
     """
     if not b.all_odd():
         raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
-    q0, q1, q2, q3, q4 = b.q
-    s = q0 + q1 + q2 + q3 + q4
-    p3 = q0 * q0 * q0 + q1 * q1 * q1 + q2 * q2 * q2 + q3 * q3 * q3 + q4 * q4 * q4 - s * s * s
-    magnitude, remainder = divmod(abs(p3), 24)
+    q1, q2, q3, q4, q5 = b.q
+    q6 = -(q1 + q2 + q3 + q4 + q5)
+    sigma3 = -((q1 + q2) * (q1 + q4) * (q2 + q4) + (q3 + q5) * (q3 + q6) * (q5 + q6))
+    magnitude, remainder = divmod(abs(sigma3), 8)
     if remainder:
-        # p_3 = 3 sigma_3 exactly, so this is sigma_3 % 8 != 0
         raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
     return magnitude
 

@@ -56,6 +56,10 @@ K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
 # The largest box ever scanned: 7.77M spaces, 97 s serial on a 2-core Xeon VM.
 MAX_ABS_LIMIT = 200
+# Shifts in the curvature window that ``window`` builds certificates for; the
+# window of a=(1,0,0), b=(100001,-1,-99999) has 50,000 and writes 43.6 MB of
+# JSON, while the stored counterexamples have at most 11.
+WINDOW_LIMIT = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,11 @@ def _cmd_embed(args) -> dict:
 
 def _cmd_window(args) -> dict:
     e = _esch_from_args(args)
+    window = embedding.pc_shift_window(eschenburg.pc_normal_form(e))
+    # stop - start, since len() of a range overflows past 2**63 - 1
+    if window.stop - window.start > WINDOW_LIMIT:
+        raise ValueError(f"the curvature window of {e} has {to_decimal(window.stop - window.start)} "
+                         f"shifts; window is capped at {WINDOW_LIMIT} shifts")
     report = embedding.window_scan(e)
     certs = [_cert_dict(c) for c in report.certificates]
     result = {

@@ -7,11 +7,11 @@ c is an isometry, but it changes the associated Bazaikin candidate
 
 This module decides, in exact integer arithmetic, for which shifts the
 candidate is non-singular (``nonsingular_shift``; ``first_nonsingular_shift``
-is the three-gcd form used by box scans) and positively curved
-(``pc_shift_window``), builds embedding certificates, and tracks when two
-shifts can share the same |H^6| (``collision_locus``).  ``certified_shift``
-is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
-``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
+is the three-gcd walk) and positively curved (``pc_shift_window``), builds
+embedding certificates, and tracks when two shifts can share the same |H^6|
+(``collision_locus``).  ``certified_shift`` is the one construction of the
+non-singular shifts +-2**(mu-1) * P**mu; ``homotopy_distinct_embeddings``
+walks it for hosts with distinct |H^6|.
 
 ``certified_shift`` checks a space and computes its P once: the checks
 (freeness, nine nonzero differences) and ``shift_prime_product`` run in
@@ -20,6 +20,12 @@ with a fixed ``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the
 parameters.  So the certified shifts of one space and its distinct hosts
 share one check and one P, and its nine differences are factored once.
 Errors are never cached: an invalid space raises on every call.
+
+The window bounds, the moduli and the walk each live in one private helper
+on plain ints (``_shift_window``, ``_moduli``, ``_first_nonsingular``), so
+the box scan decides each enumerated form without building an
+``EschParams`` and still shares every formula with
+``first_nonsingular_shift``.
 """
 
 from __future__ import annotations
@@ -118,14 +124,19 @@ def candidate_q(e: EschParams, c: int) -> BazParams:
 
 
 def _singularity_moduli(f: EschParams) -> tuple[tuple[int, int], ...]:
+    """``_moduli`` of the six entries of f."""
+    return _moduli(*f.a, *f.b)
+
+
+def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[tuple[int, int], ...]:
     """(s_k, D_k) for k = 1, 2, 3, with s_k = a_i + a_j + 1, D_k = prod_l (a_k - b_l).
 
-    For free f, shift c is non-singular iff gcd(s_k + 2c, D_k) == 1 for
-    every k: the nine conditions gcd(s_k + 2c, a_k - b_l) == 1 merge, three
-    at a time, into one against their product (a zero difference zeroes
-    D_k, and gcd(x, 0) == 1 iff |x| == 1, as for the single difference).
+    For free parameters, shift c is non-singular iff gcd(s_k + 2c, D_k) == 1
+    for every k: the nine conditions gcd(s_k + 2c, a_k - b_l) == 1 merge,
+    three at a time, into one against their product (a zero difference
+    zeroes D_k, and gcd(x, 0) == 1 iff |x| == 1, as for the single
+    difference).
     """
-    (a1, a2, a3), (b1, b2, b3) = f.a, f.b
     return (
         (a2 + a3 + 1, (a1 - b1) * (a1 - b2) * (a1 - b3)),
         (a1 + a3 + 1, (a2 - b1) * (a2 - b2) * (a2 - b3)),
@@ -138,7 +149,7 @@ def nonsingular_shift(e: EschParams, c: int) -> bool:
 
     Equivalent to e being free plus the nine conditions
     gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1, where {i, j} is the complement
-    of k; checked as three gcds (see ``_singularity_moduli``).
+    of k; checked as three gcds (see ``_moduli``).
     """
     if not is_free(e):
         return False
@@ -151,12 +162,16 @@ def first_nonsingular_shift(f: EschParams) -> int | None:
     """The smallest shift in the curvature window with a non-singular candidate.
 
     f must be free and in positive-curvature normal form; freeness is not
-    rechecked.  Each shift costs three gcds (see ``_singularity_moduli``)
-    and the walk stops at the first non-singular one.  None means every
-    shift in the window is singular.
+    rechecked.  Each shift costs three gcds (see ``_moduli``) and the walk
+    stops at the first non-singular one.  None means every shift in the
+    window is singular.
     """
-    window = pc_shift_window(f)
-    (s1, d1), (s2, d2), (s3, d3) = _singularity_moduli(f)
+    return _first_nonsingular(pc_shift_window(f), _singularity_moduli(f))
+
+
+def _first_nonsingular(window: range, moduli: tuple[tuple[int, int], ...]) -> int | None:
+    """The first c in window with gcd(s_k + 2c, D_k) == 1 for all three ``_moduli`` pairs."""
+    (s1, d1), (s2, d2), (s3, d3) = moduli
     for c in window:
         t = 2 * c
         if gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1:
@@ -188,21 +203,27 @@ def _certificate(e: EschParams, c: int, esch_pc: bool) -> EmbeddingCertificate:
 def pc_shift_window(e: EschParams) -> range:
     """All integer shifts whose candidate is positively curved.
 
-    Solves -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1) in integer arithmetic (no
-    halving, no floats).  Nonempty for every input in normal form: the open
-    interval has half-length >= 1 and its endpoints cannot both be even
-    integers at the minimal length.
+    e must be in normal form; the window is ``_shift_window`` of its tail
+    sums.  Nonempty for every input in normal form: the open interval has
+    half-length >= 1 and its endpoints cannot both be even integers at the
+    minimal length.
     """
     if not in_pc_normal_form(e):
         raise NormalFormError(f"{e} is not in positive-curvature normal form")
-    lo = -(e.a[1] + e.a[2] + 1)  # 2c must exceed this
-    hi = -(e.b[1] + e.b[2] + 1)  # 2c must stay below this
-    c_min = lo // 2 + 1
-    c_max = (hi - 1) // 2
-    window = range(c_min, c_max + 1)
+    window = _shift_window(e.a[1] + e.a[2], e.b[1] + e.b[2])
     if not window:
         raise InternalError(f"{e} is in normal form but has an empty shift window")
     return window
+
+
+def _shift_window(a_tail: int, b_tail: int) -> range:
+    """The c with -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1), from a_tail = a2 + a3 and b_tail = b2 + b3.
+
+    Solved in integer arithmetic (no halving, no floats).
+    """
+    lo = -(a_tail + 1)  # 2c must exceed this
+    hi = -(b_tail + 1)  # 2c must stay below this
+    return range(lo // 2 + 1, (hi - 1) // 2 + 1)
 
 
 def window_scan(e: EschParams) -> WindowReport:
@@ -230,11 +251,11 @@ def shift_prime_product(e: EschParams) -> int:
 
     For each of the nine (k, l) pairs, take the distinct prime divisors of
     a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j} the complement
-    of k, s_k as in ``_singularity_moduli``); each such prime contributes
-    one factor of P per pair in which it qualifies.  Zero differences
-    contribute nothing; an empty product is 1.  Not memoized itself:
-    ``certified_shift`` reaches it through the cached
-    ``_checked_prime_product`` (see the module docstring).
+    of k, s_k as in ``_moduli``); each such prime contributes one factor of
+    P per pair in which it qualifies.  Zero differences contribute nothing;
+    an empty product is 1.  Not memoized itself: ``certified_shift``
+    reaches it through the cached ``_checked_prime_product`` (see the
+    module docstring).
     """
     product = 1
     for ak, (pair_sum, _) in zip(e.a, _singularity_moduli(e)):

@@ -159,9 +159,13 @@ def pc_normal_form(e: EschParams) -> EschParams:
 
 
 def in_pc_normal_form(e: EschParams) -> bool:
-    """True iff e satisfies the normal-form chain b3 <= b2 < a3 <= a2 <= a1 < b1."""
-    a, b = e.a, e.b
-    return b[2] <= b[1] < a[2] <= a[1] <= a[0] < b[0]
+    """True iff e satisfies the normal-form chain (see ``_in_chain``)."""
+    return _in_chain(*e.a, *e.b)
+
+
+def _in_chain(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> bool:
+    """The normal-form chain b3 <= b2 < a3 <= a2 <= a1 < b1 on six ints."""
+    return b3 <= b2 < a3 <= a2 <= a1 < b1
 
 
 def h4_order(e: EschParams) -> int:

@@ -10,16 +10,19 @@ non-singular Bazaikin host under the shift construction.
 ``scan_box`` enumerates each space in the box once, as its normal form: a
 normal form whose own entries overflow the box is still in it when its
 mirrored canonical form fits, and that condition is a bound on b1 alone.  It
-decides each form as soon as it is enumerated, with the three-gcd test of
-``first_nonsingular_shift``, stopping at the first non-singular shift of the
-curvature window; it builds no certificates.  The two counterexample jobs
-decide their spaces the same way, in one helper, and build no certificates
-either: a space that embeds after all fails, naming its non-singular
-shifts.  One function builds the rows of all three.  The
-cohomogeneity-one job and the ``window`` command keep the full-certificate
-path, which is also the test oracle for the fast one.  ``scan_box`` can
-shard its (a1, a2) pairs over worker processes; rows are merged by
-deterministic sort, so output is identical for any worker count.
+decides each form as soon as it is enumerated, on its six ints: the window,
+the moduli and the three-gcd walk come from the same ``embedding`` helpers
+that ``first_nonsingular_shift`` is built from, and the walk stops at the
+first non-singular shift of the curvature window.  It builds no
+``EschParams`` for a form that embeds, and no certificates.  The two
+counterexample jobs decide their spaces with ``first_nonsingular_shift``
+itself, in one helper, and build no certificates either: a space that
+embeds after all fails, naming its non-singular shifts.  One function
+builds the rows of all three.  The cohomogeneity-one job and the ``window``
+command keep the full-certificate path, which is also the test oracle for
+the fast one.  ``scan_box`` can shard its (a1, a2) pairs over worker
+processes; rows are merged by deterministic sort, so output is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import to_decimal
+from .arith import InternalError, to_decimal, tuple_to_decimal
 from .bazaikin import BazParams
 from .embedding import (
     EmbeddingCertificate,
+    _first_nonsingular,
+    _moduli,
+    _shift_window,
     first_nonsingular_shift,
     make_certificate,
     nonsingular_shift,
@@ -41,6 +47,7 @@ from .embedding import (
 )
 from .eschenburg import (
     EschParams,
+    _in_chain,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
     h4_order,
@@ -201,12 +208,22 @@ def _normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple
 
 
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
-    """The number of normal forms of a shard, and those whose whole window is singular."""
+    """The number of normal forms of a shard, and those whose whole window is singular.
+
+    Each form is decided on its six ints by ``first_nonsingular_shift``'s
+    helpers, without an ``EschParams``; the chain and window checks that
+    ``pc_shift_window`` makes are kept, as invariants of the enumerator.
+    """
     apairs, max_abs = args
     count, singular = 0, []
     for a, b in _normal_forms(apairs, max_abs):
         count += 1
-        if first_nonsingular_shift(EschParams(a, b)) is None:
+        (a1, a2, a3), (b1, b2, b3) = a, b
+        window = _shift_window(a2 + a3, b2 + b3)
+        if not (window and _in_chain(a1, a2, a3, b1, b2, b3)):
+            raise InternalError(f"enumerated form a={tuple_to_decimal(a)} b={tuple_to_decimal(b)} "
+                                "breaks the normal-form chain or has an empty shift window")
+        if _first_nonsingular(window, _moduli(a1, a2, a3, b1, b2, b3)) is None:
             singular.append((a, b))
     return count, singular
 
@@ -223,12 +240,14 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     whose entries are bounded by max_abs in absolute value, each once as
     its normal form: a space is also in the box when only its mirrored
     canonical form is, which widens the bound on b1 (see ``_normal_forms``).
-    Each form is decided as it is enumerated, with the three-gcd test of
-    ``first_nonsingular_shift``, which stops at the first non-singular
-    shift of the curvature window.  Returns counts plus up to ``limit``
-    counterexample rows sorted by |H^4| (ties broken lexicographically).
-    ``workers`` is capped at the core count (and at the number of (a1, a2)
-    pairs); a value of 1, or a cap of 1, scans in this process.
+    Each form is decided as it is enumerated, on its six ints, by the
+    helpers ``first_nonsingular_shift`` is built from (see ``_scan_shard``);
+    the walk stops at the first non-singular shift of the curvature window,
+    and only a singular form becomes an ``EschParams``.  Returns counts plus
+    up to ``limit`` counterexample rows sorted by |H^4| (ties broken
+    lexicographically).  ``workers`` is capped at the core count (and at
+    the number of (a1, a2) pairs); a value of 1, or a cap of 1, scans in
+    this process.
     """
     if max_abs < 1:
         raise ValueError(f"max_abs must be >= 1, got {to_decimal(max_abs)}")

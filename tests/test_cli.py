@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -178,6 +179,36 @@ def test_resource_flag_past_int_to_str_limit_meets_its_cap(capsys, schema):
     code, report = invoke_json(capsys, schema, *argv)
     assert code == 2
     assert report["error"] == {"kind": "invalid-input", "reason": "--k-max must be <= 10000"}
+
+
+def test_window_is_capped(capsys, schema, monkeypatch):
+    assert cli.WINDOW_LIMIT == 10_000
+    argv = ("window", "--a=1,0,0", "--b=100001,-1,-99999")
+    reason = ("the curvature window of a=(1, 0, 0) b=(100001, -1, -99999) has 50000 shifts; "
+              "window is capped at 10000 shifts")
+    assert invoke(capsys, *argv) == (2, "", f"error (invalid-input): {reason}\n")
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 2
+    assert report["error"] == {"kind": "invalid-input", "reason": reason}
+    # the running example's window 0..5 has 6 shifts
+    monkeypatch.setattr(cli, "WINDOW_LIMIT", 6)
+    assert invoke(capsys, "window", "--a=2,0,0", "--b=15,-2,-11")[0] == 0
+    monkeypatch.setattr(cli, "WINDOW_LIMIT", 5)
+    assert invoke(capsys, "window", "--a=2,0,0", "--b=15,-2,-11")[0] == 2
+
+
+def test_window_past_int_to_str_limit_is_refused_at_once(capsys, schema):
+    # about 10**5000 / 2 shifts: len() of that range would overflow, and a scan would never end
+    big = 10**5000
+    argv = ("window", "--a=1,0,0", f"--b={decimal_by_digits(big + 1)},-1,{decimal_by_digits(1 - big)}")
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, *argv)
+    code_json, report = invoke_json(capsys, schema, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, code_json) == (2, 2)
+    shifts = decimal_by_digits(big // 2)
+    assert err.endswith(f"has {shifts} shifts; window is capped at 10000 shifts\n")
+    assert report["error"]["reason"].endswith(f"has {shifts} shifts; window is capped at 10000 shifts")
 
 
 @pytest.mark.parametrize("mu_max", ["0", "-5"])

@@ -65,6 +65,8 @@ _PER_FORMAT = [
     ("families", "--k-max=10001"),  # over K_MAX_LIMIT
     ("cohom1", "--p-max=10001"),  # over P_MAX_LIMIT
     ("scan", "--max-abs=201", "--limit=1"),  # over MAX_ABS_LIMIT
+    ("window", "--a=1,0,0", "--b=100001,-1,-99999"),  # 50,000 shifts, over WINDOW_LIMIT
+    ("window", "--a=1,0,0", f"--b={HUGE + 1},-1,{1 - HUGE}"),  # 5 * 10**69 shifts
     # exit 3: a 71-digit difference is past the factorizer's digit bound
     ("certified-shifts", f"--a={HUGE},0,0", f"--b={HUGE + 16},-3,-13", "--mu-max=1"),
 ]

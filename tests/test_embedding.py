@@ -486,7 +486,7 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
             pc_shift_window(EschParams((0, 0, 0), (0, 0, 0)))
 
     with monkeypatch.context() as mp:
-        # (2, 1, 1, 1, 1) has p_3 = 12 - 6**3 = -204, which is 12 mod 24
+        # (2, 1, 1, 1, 1) has sigma_3 = -(3 * 3 * 2 + 2 * (-5) * (-5)) = -68, which is 4 mod 8
         mp.setattr(bazaikin_mod.BazParams, "all_odd", lambda self: True)
         with pytest.raises(InternalError, match="not divisible by 8"):
             h6_order(BazParams((2, 1, 1, 1, 1)))

@@ -23,6 +23,7 @@ from eschbaz import (
     BazParams,
     EmbeddingCertificate,
     EschParams,
+    InternalError,
     VerificationFailure,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
@@ -285,6 +286,42 @@ def test_kernel_matches_certificates_on_every_window_in_box30():
         assert first_nonsingular_shift(f) == first, f
         checked += len(verdicts)
     assert checked == 50_305
+
+
+def _per_form_singular(keys):
+    """The old kernel: one EschParams and one first_nonsingular_shift per enumerated form."""
+    return {(a, b) for a, b in keys if first_nonsingular_shift(EschParams(a, b)) is None}
+
+
+def test_scan_box_matches_the_per_form_path_in_every_box_to_30():
+    for max_abs in range(1, 31):
+        keys = _box_keys(max_abs)
+        stats, rows = scan_box(max_abs, 10**6)
+        assert stats.total == len(keys), max_abs
+        assert {(row.esch.a, row.esch.b) for row in rows} == _per_form_singular(keys), max_abs
+        assert stats.counterexamples == len(rows), max_abs
+    # those boxes hold no counterexample, so also compare shards that do:
+    # the (a1, a2) pair of each stored one, in the box that b1 bounds
+    for a, b, _window in KNOWN_COUNTEREXAMPLES:
+        shard = ([a[:2]], b[0])
+        keys = list(_normal_forms(*shard))
+        count, singular = survey_mod._scan_shard(shard)
+        assert count == len(keys), (a, b)
+        assert set(singular) == _per_form_singular(keys), (a, b)
+        assert (a, b) in singular
+
+
+def test_scan_shard_checks_each_enumerated_form(monkeypatch):
+    shard = ([(2, 0)], 15)  # holds the running example a=(2, 0, 0), b=(15, -2, -11)
+    assert survey_mod._scan_shard(shard)[0] > 0
+    with monkeypatch.context() as mp:
+        mp.setattr(survey_mod, "_in_chain", lambda *entries: False)
+        with pytest.raises(InternalError, match="breaks the normal-form chain or has an empty shift window"):
+            survey_mod._scan_shard(shard)
+    with monkeypatch.context() as mp:
+        mp.setattr(survey_mod, "_shift_window", lambda a_tail, b_tail: range(0))
+        with pytest.raises(InternalError, match="breaks the normal-form chain or has an empty shift window"):
+            survey_mod._scan_shard(shard)
 
 
 def test_kernel_matches_certificates_off_the_window():
