@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import index
 
-from .arith import InternalError, elementary_symmetric, to_decimal, tuple_to_decimal
+from .arith import InternalError, to_decimal, tuple_to_decimal
 
 
 class DegenerateActionError(ValueError):
@@ -64,19 +64,31 @@ def shift(e: EschParams, c: int) -> EschParams:
 
 
 def is_free(e: EschParams) -> bool:
-    """Freeness of the circle action: six pairwise-coprimality checks.
+    """Freeness of the circle action: three gcds.
 
-    gcd(a1 - b_s(1), a2 - b_s(2)) == 1 for every permutation s; the third
-    difference is redundant because the six entries have balanced sums.
-    With x_i = a1 - b_i and y_i = a2 - b_i the six checks are
-    gcd(x_i, y_j) == 1 for i != j.
+    The action is free iff gcd(x_i, y_j) == 1 for all i != j, where
+    x_i = a1 - b_i and y_i = a2 - b_i: one check gcd(a1 - b_s(1),
+    a2 - b_s(2)) per permutation s of b, the third difference being
+    redundant because the sums balance.  Since gcd(x, y) == gcd(x, x + y),
+    and with v = b3 - a3 the balanced sums give x3 + y1 == x1 + y3 == b2 - a3
+    and x1 + y2 == x2 + y1 == v, the six checks pair up into three
+    (gcd(n, k*m) == 1 iff gcd(n, k) == gcd(n, m) == 1):
+
+        gcd(b2 - a3, x3*y3) == gcd(a2 - b2, x3*v) == gcd(a1 - b2, y3*v) == 1.
+
+    The moduli depend on (a1, a2, a3, b3) only; ``_freeness_moduli``
+    computes them.
     """
-    a1, a2, _ = e.a
-    b1, b2, b3 = e.b
-    x1, x2, x3 = a1 - b1, a1 - b2, a1 - b3
-    y1, y2, y3 = a2 - b1, a2 - b2, a2 - b3
-    return (gcd(x1, y2) == 1 and gcd(x1, y3) == 1 and gcd(x2, y1) == 1
-            and gcd(x2, y3) == 1 and gcd(x3, y1) == 1 and gcd(x3, y2) == 1)
+    a1, a2, a3 = e.a
+    _, b2, b3 = e.b
+    m1, m2, m3 = _freeness_moduli(a1, a2, a3, b3)
+    return gcd(b2 - a3, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1
+
+
+def _freeness_moduli(a1: int, a2: int, a3: int, b3: int) -> tuple[int, int, int]:
+    """The moduli x3*y3, x3*v, y3*v of the three ``is_free`` gcds, taken against b2 - a3, a2 - b2, a1 - b2."""
+    x3, y3, v = a1 - b3, a2 - b3, b3 - a3
+    return x3 * y3, x3 * v, y3 * v
 
 
 def kernel_order(e: EschParams) -> int:
@@ -116,9 +128,11 @@ def canonicalize(e: EschParams) -> EschParams:
     shifts all six entries so min(a) == 0.  The multiset of differences
     a_i - b_j is unchanged, so every predicate in this module is preserved.
     """
-    a = tuple(sorted(e.a, reverse=True))
-    b = (e.b[0],) + tuple(sorted(e.b[1:], reverse=True))
-    return shift(EschParams(a, b), -a[2])
+    a1, a2, a3 = sorted(e.a, reverse=True)
+    b1, b2, b3 = e.b
+    if b2 < b3:
+        b2, b3 = b3, b2
+    return EschParams((a1 - a3, a2 - a3, 0), (b1 - a3, b2 - a3, b3 - a3))
 
 
 def admits_positive_curvature(e: EschParams) -> bool:
@@ -170,7 +184,9 @@ def _in_chain(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> bool:
 
 def h4_order(e: EschParams) -> int:
     """|H^4| = |sigma_2(a) - sigma_2(b)|; 0 only for degenerate inputs."""
-    return abs(elementary_symmetric(2, e.a) - elementary_symmetric(2, e.b))
+    a1, a2, a3 = e.a
+    b1, b2, b3 = e.b
+    return abs(a1 * a2 + a1 * a3 + a2 * a3 - b1 * b2 - b1 * b3 - b2 * b3)
 
 
 def family_cohomogeneity_one(p: int) -> EschParams:

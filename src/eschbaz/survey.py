@@ -7,22 +7,23 @@ enumerates every canonical free, positively curved Eschenburg parameter set
 inside a box and reports which of them admit no positively curved
 non-singular Bazaikin host under the shift construction.
 
-``scan_box`` enumerates each space in the box once, as its normal form: a
-normal form whose own entries overflow the box is still in it when its
-mirrored canonical form fits, and that condition is a bound on b1 alone.  It
-decides each form as soon as it is enumerated, on its six ints: the window,
-the moduli and the three-gcd walk come from the same ``embedding`` helpers
-that ``first_nonsingular_shift`` is built from, and the walk stops at the
-first non-singular shift of the curvature window.  It builds no
-``EschParams`` for a form that embeds, and no certificates.  The two
-counterexample jobs decide their spaces with ``first_nonsingular_shift``
-itself, in one helper, and build no certificates either: a space that
-embeds after all fails, naming its non-singular shifts.  One function
-builds the rows of all three.  The cohomogeneity-one job and the ``window``
-command keep the full-certificate path, which is also the test oracle for
-the fast one.  ``scan_box`` can shard its (a1, a2) pairs over worker
-processes; rows are merged by deterministic sort, so output is identical
-for any worker count.
+``scan_box`` enumerates each space in the box once, as its normal form.  A
+space is in the box when its normal form or its mirrored canonical form
+fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
+b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
+bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  It decides each form
+as soon as it is enumerated, on its six ints: the window, the moduli and
+the three-gcd walk come from the same ``embedding`` helpers that
+``first_nonsingular_shift`` is built from, and the walk stops at the first
+non-singular shift of the curvature window.  It builds no ``EschParams``
+for a form that embeds, and no certificates.  The two counterexample jobs
+decide their spaces by the same walk over the window they report, in one
+helper, and build no certificates either: a space that embeds after all
+fails, naming its non-singular shifts.  One function builds the rows of
+all three.  The cohomogeneity-one job and the ``window`` command keep the
+full-certificate path, which is also the test oracle for the fast one.
+``scan_box`` can shard its (a1, a2) pairs over worker processes; rows are
+merged by deterministic sort, so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .embedding import (
     _first_nonsingular,
     _moduli,
     _shift_window,
-    first_nonsingular_shift,
+    _singularity_moduli,
     make_certificate,
     nonsingular_shift,
     pc_shift_window,
 )
 from .eschenburg import (
     EschParams,
+    _freeness_moduli,
     _in_chain,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
@@ -99,13 +101,13 @@ KNOWN_COUNTEREXAMPLES: tuple[tuple[tuple[int, int, int], tuple[int, int, int], r
 )
 
 
-def _singular_row(f: EschParams) -> SurveyRow:
+def _singular_row(f: EschParams, window: range) -> SurveyRow:
     """The counterexample row of free f in positive-curvature normal form.
 
-    The caller has found every shift of the window singular (the window is
-    never empty, see ``pc_shift_window``), so each verdict is False.
+    The caller has found every shift of ``window``, f's curvature window,
+    singular (the window is never empty, see ``pc_shift_window``), so each
+    verdict is False.
     """
-    window = pc_shift_window(f)
     return SurveyRow(
         esch=f, window=window, verdicts=(False,) * len(window), is_counterexample=True, h4=h4_order(f)
     )
@@ -123,10 +125,11 @@ def _counterexample_row(e: EschParams, where: str) -> SurveyRow:
     if not is_pc_metric(e):
         raise VerificationFailure(f"{where}: {e} is not positively curved")
     f = pc_normal_form(e)
-    if first_nonsingular_shift(f) is not None:
-        good = [c for c in pc_shift_window(f) if nonsingular_shift(f, c)]
+    window = pc_shift_window(f)
+    if _first_nonsingular(window, _singularity_moduli(f)) is not None:
+        good = [c for c in window if nonsingular_shift(f, c)]
         raise VerificationFailure(f"{where}: {e} embeds after all (non-singular at c in {good})")
-    return _singular_row(f)
+    return _singular_row(f, window)
 
 
 def verify_known_counterexamples() -> list[SurveyRow]:
@@ -187,24 +190,20 @@ def _normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple
     A normal form is a=(a1, a2, 0), b=(b1, b2, b3) with b3 <= b2 <= -1 and
     b1 = a1 + a2 - b2 - b3 > a1.  The same space has a mirrored canonical
     form a=(a1, a1 - a2, 0), b=(a1 - b1, a1 - b3, a1 - b2), and a space is
-    in the box when either form is.  The mirror fits exactly when
-    b3 >= a1 - max_abs and b1 <= a1 + max_abs, so b1 is bounded by
-    a1 + max_abs for those b3 and by max_abs below them.  Each space is
-    yielded once, as its normal form, with no set to deduplicate against.
+    in the box when either form is.  The box is exactly b3 >= a1 - max_abs
+    and b1 <= a1 + max_abs, the bounds of the mirror: a normal form that
+    fits has b1 <= max_abs, and with b2 <= -1 that gives
+    b3 = a1 + a2 - b1 - b2 >= a1 + a2 + 1 - max_abs > a1 - max_abs, so its
+    mirror fits too.  Freeness is the three gcds of ``is_free`` (a3 = 0),
+    whose moduli depend on b3 and not on b2.  Each space is yielded once,
+    as its normal form, with no set to deduplicate against.
     """
     for a1, a2 in apairs:
-        s = a1 + a2
-        for b3 in range(-max_abs, 0):
-            b1_max = a1 + max_abs if b3 >= a1 - max_abs else max_abs
-            x3, y3 = a1 - b3, a2 - b3
-            for b2 in range(max(b3, s - b1_max - b3), 0):
-                b1 = s - b2 - b3
-                x1, y1, x2, y2 = a1 - b1, a2 - b1, a1 - b2, a2 - b2
-                # Freeness: gcd(a1 - b_s(1), a2 - b_s(2)) == 1 for all six
-                # permutations s, as in ``is_free`` with a3 = 0.
-                if (gcd(x3, y1) == 1 and gcd(x3, y2) == 1 and gcd(x1, y2) == 1
-                        and gcd(x1, y3) == 1 and gcd(x2, y1) == 1 and gcd(x2, y3) == 1):
-                    yield (a1, a2, 0), (b1, b2, b3)
+        for b3 in range(a1 - max_abs, 0):
+            m1, m2, m3 = _freeness_moduli(a1, a2, 0, b3)
+            for b2 in range(max(b3, a2 - max_abs - b3), 0):
+                if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
+                    yield (a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3)
 
 
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
@@ -238,8 +237,8 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
 
     Enumerates the free, positively curved spaces with a canonical form
     whose entries are bounded by max_abs in absolute value, each once as
-    its normal form: a space is also in the box when only its mirrored
-    canonical form is, which widens the bound on b1 (see ``_normal_forms``).
+    its normal form: the box is exactly the bounds of the mirrored canonical
+    form, b3 >= a1 - max_abs and b1 <= a1 + max_abs (see ``_normal_forms``).
     Each form is decided as it is enumerated, on its six ints, by the
     helpers ``first_nonsingular_shift`` is built from (see ``_scan_shard``);
     the walk stops at the first non-singular shift of the curvature window,
@@ -267,7 +266,8 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
-    rows = [_singular_row(EschParams(a, b)) for _, keys in shards for a, b in keys]
+    singular = [EschParams(a, b) for _, keys in shards for a, b in keys]
+    rows = [_singular_row(f, pc_shift_window(f)) for f in singular]
     stats = ScanStats(total=total, embeddable=total - len(rows), counterexamples=len(rows))
     rows.sort(key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return stats, rows[:limit]

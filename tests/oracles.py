@@ -36,6 +36,20 @@ def is_free_oracle(e: EschParams) -> bool:
     return True
 
 
+def is_free_six_gcds(e: EschParams) -> bool:
+    """Freeness as six pairwise-coprimality checks, one per pair i != j.
+
+    gcd(x_i, y_j) == 1 with x_i = a1 - b_i and y_i = a2 - b_i, the checks
+    that ``is_free`` pairs into three gcds through the balanced sums.
+    """
+    a1, a2, _ = e.a
+    b1, b2, b3 = e.b
+    x1, x2, x3 = a1 - b1, a1 - b2, a1 - b3
+    y1, y2, y3 = a2 - b1, a2 - b2, a2 - b3
+    return (gcd(x1, y2) == 1 and gcd(x1, y3) == 1 and gcd(x2, y1) == 1
+            and gcd(x2, y3) == 1 and gcd(x3, y1) == 1 and gcd(x3, y2) == 1)
+
+
 def is_free_baz_oracle(b: BazParams) -> bool:
     """Freeness evaluated literally over all 120 permutations of the indices."""
     if not b.all_odd():
@@ -167,7 +181,9 @@ def enumerate_normal_forms(max_abs: int) -> set[tuple]:
 
     The enumeration ``scan_box`` used before it wrote keys down directly:
     walk both inequality chains for every 0 <= a2 <= a1 <= max_abs, test
-    freeness with ``is_free`` and normalize each hit with ``pc_normal_form``.
+    freeness with the six gcds of ``is_free_six_gcds`` (not ``is_free``,
+    whose three-gcd identity this checks) and normalize each hit with
+    ``pc_normal_form``.
     """
     found: set[tuple] = set()
     for a1 in range(max_abs + 1):
@@ -184,7 +200,7 @@ def enumerate_normal_forms(max_abs: int) -> set[tuple]:
                     candidates.append((s - b2 - b3, b2, b3))
             for b in candidates:
                 e = EschParams((a1, a2, 0), b)
-                if is_free(e):
+                if is_free_six_gcds(e):
                     f = pc_normal_form(e)
                     found.add((f.a, f.b))
     return found

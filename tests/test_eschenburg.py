@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import decimal_by_digits, is_free_oracle
+from oracles import decimal_by_digits, is_free_oracle, is_free_six_gcds
 from eschbaz import (
     DegenerateActionError,
     EschParams,
@@ -88,6 +88,27 @@ def test_freeness_oracle_agreement_degenerate_corners():
         EschParams((1, 0, 0), (0, 1, 0)),
     ]:
         assert is_free(e) == is_free_oracle(e), e
+
+
+@pytest.mark.parametrize(("seed", "bound", "n"), [
+    (1, 3, 10_000),  # most tuples have a zero difference a_i - b_j
+    (2, 60, 10_000),
+    (3, 10**6, 10_000),
+    (4, 10**30, 10_000),
+    (5, 10**5000, 250),
+], ids=["up-to-3", "up-to-60", "up-to-1e6", "30-digits", "5000-digits"])
+def test_three_gcd_freeness_matches_the_six_gcds(seed, bound, n):
+    rng = random.Random(seed)
+    free = zero_diff = 0
+    for _ in range(n):
+        e = random_esch(rng, -bound, bound)
+        result = is_free(e)
+        assert result == is_free_six_gcds(e), e
+        free += result
+        zero_diff += any(ai == bj for ai in e.a for bj in e.b)
+    assert 0 < free < n
+    if bound == 3:
+        assert zero_diff > n // 2
 
 
 # ---------------------------------------------------------------------------

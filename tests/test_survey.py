@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_pc_esch
-from oracles import enumerate_normal_forms, row_from_report
+from oracles import enumerate_normal_forms, is_free_six_gcds, row_from_report
 from eschbaz import (
     BazParams,
     EmbeddingCertificate,
@@ -260,6 +260,21 @@ def test_enumerator_matches_normal_form_oracle():
         keys = _box_keys(max_abs)
         assert len(keys) == len(set(keys)), max_abs
         assert set(keys) == enumerate_normal_forms(max_abs), max_abs
+
+
+def test_every_normal_form_that_fits_the_box_has_its_mirror_in_it():
+    # the box lemma behind the enumerator's b3 >= a1 - max_abs: a free
+    # chain-1 form (b3 <= b2 <= -1) whose own entries fit has b3 > a1 - max_abs
+    for max_abs in range(1, 31):
+        fitting = 0
+        for a1 in range(max_abs + 1):
+            for a2 in range(a1 + 1):
+                for b3 in range(-max_abs, 0):
+                    for b2 in range(max(b3, a1 + a2 - max_abs - b3), 0):
+                        if is_free_six_gcds(EschParams((a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3))):
+                            assert b3 > a1 - max_abs, (max_abs, a1, a2, b2, b3)
+                            fitting += 1
+        assert fitting > 0 or max_abs == 1
 
 
 def test_scan_box_with_fewer_pairs_than_shards():
