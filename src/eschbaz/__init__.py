@@ -6,13 +6,7 @@ parameter boxes for positively curved Eschenburg spaces with no positively
 curved Bazaikin host.
 """
 
-from .arith import (
-    Factorization,
-    FactorizationIncomplete,
-    InternalError,
-    elementary_symmetric,
-    factorize,
-)
+from .arith import FactorizationIncomplete, InternalError, factorize
 from .bazaikin import (
     BazParams,
     freeness_failures,

@@ -7,12 +7,14 @@ immediately.  Plain Python ints are the point, not a convenience.
 
 ``factorize`` spends a fixed effort, set by module constants rather than
 by its callers: trial division up to ``TRIAL_DIVISION_BOUND``, Brent's rho
-seeded from each cofactor alone, and a refusal past ``MAX_DIGITS`` digits.
-Factorization is unique, so no result depends on that effort, only whether
-one is found.  ``factorize`` is memoized by ``functools.lru_cache`` with a
-fixed ``FACTORIZE_CACHE_SIZE`` (4096) entries, keyed on the input.  Every
-check runs on each miss, ``Factorization`` is frozen, so sharing a cached
-result is safe, and errors are never cached.
+seeded from each cofactor alone and stopped after ``RHO_STEP_BUDGET`` steps
+per cofactor, and a refusal past ``MAX_DIGITS`` digits.  Prime factorization
+is unique, so no result depends on that effort, only whether one is found.
+``factorize`` returns the increasing (prime, exponent) pairs of |n| and is
+memoized by ``functools.lru_cache`` with a fixed ``FACTORIZE_CACHE_SIZE``
+(4096) entries, keyed on the input.  Every check runs on each miss, the
+result is a tuple, so sharing a cached result is safe, and errors are never
+cached.
 
 ``to_decimal`` and ``from_decimal`` convert ints to and from decimal text
 ``DECIMAL_CHUNK_DIGITS`` (600) digits at a time, below the interpreter's
@@ -22,21 +24,16 @@ parameter tuple the same way, for reports and error messages alike.  Range
 and precondition messages across the package write their offending value
 with ``to_decimal`` too, so a value past the limit is reported for what is
 wrong with it.
-
-A ``Factorization`` is a sign and its ``factors``, the increasing (prime,
-exponent) pairs; callers read the primes from ``factors``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-from operator import index
-from typing import Iterable
+from math import gcd, prod
 
 TRIAL_DIVISION_BOUND = 10**6
+RHO_STEP_BUDGET = 10**6
 MAX_DIGITS = 64
 _DIGIT_BOUND = 10**MAX_DIGITS  # the smallest integer with more than MAX_DIGITS digits
 FACTORIZE_CACHE_SIZE = 4096
@@ -110,25 +107,6 @@ def from_decimal(text: str) -> int:
     return sign * n
 
 
-def elementary_symmetric(k: int, xs: Iterable[int]) -> int:
-    """sigma_k(xs): the sum over all k-element subsets of xs of their products.
-
-    sigma_0 == 1 (empty product).  Equivalently the coefficient of y**(m-k)
-    in prod_j (y + x_j) for m = len(xs).
-    """
-    values = tuple(xs)
-    if not 0 <= k <= len(values):
-        raise ValueError(f"k={k} out of range for a sequence of length {len(values)}")
-    # multiply out (y + x) factor by factor, keeping degrees up to k only
-    coeffs = [1] + [0] * k
-    top = 0
-    for x in values:
-        top = min(top + 1, k)
-        for i in range(top, 0, -1):
-            coeffs[i] += x * coeffs[i - 1]
-    return coeffs[k]
-
-
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality check.
 
@@ -170,88 +148,63 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """One Brent-cycle attempt at a nontrivial factor of odd composite n.
+def _brent_rho(n: int) -> int:
+    """A nontrivial factor of odd composite n, by Brent's cycle variant of rho.
 
-    Returns n on failure; the caller retries with fresh parameters.
+    Each attempt draws its parameters from a generator seeded by n alone.
+    All attempts share ``RHO_STEP_BUDGET`` steps of the map y -> y*y + c: a
+    round of r steps and r checked steps starts only if its 2r steps fit,
+    and FactorizationIncomplete is raised when none does.
     """
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
+    rng = random.Random(n)
+    budget = RHO_STEP_BUDGET
     m = 128
-    g = r = q = 1
-    x = ys = y
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += m
-        r *= 2
-    if g == n:
-        g = 1
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        g = r = q = 1
+        x = ys = y
         while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-    return g
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Sign and multiset of (prime, exponent) pairs for a nonzero integer.
-
-    Primes are strictly increasing and each one passes a primality check;
-    the original integer is recoverable via ``value``.  The sign, primes and
-    exponents go through ``operator.index``: floats and strings raise
-    TypeError.
-    """
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sign", index(self.sign))
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {to_decimal(self.sign)}")
-        object.__setattr__(self, "factors", tuple((index(p), index(e)) for p, e in self.factors))
-        previous = 1
-        for p, e in self.factors:
-            if p <= previous:
-                raise ValueError(f"primes must be strictly increasing, got {self.factors}")
-            if e < 1:
-                raise ValueError(f"exponent for prime {to_decimal(p)} must be >= 1, got {to_decimal(e)}")
-            if not is_probable_prime(p):
-                raise ValueError(f"{to_decimal(p)} is not prime")
-            previous = p
-
-    @property
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
+            if 2 * r > budget:
+                raise FactorizationIncomplete(
+                    f"could not split composite {n} within {RHO_STEP_BUDGET} rho steps"
+                )
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
-def factorize(n: int) -> Factorization:
-    """Factor a nonzero integer into primes, or refuse explicitly.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The increasing (prime, exponent) pairs of |n| for nonzero n, or an explicit refusal.
 
-    Trial division up to ``TRIAL_DIVISION_BOUND``, then Brent's rho seeded
-    deterministically from each cofactor, then a primality check on every
+    Trial division up to ``TRIAL_DIVISION_BOUND``, then Brent's rho on each
+    composite cofactor (see ``_brent_rho``), with a primality check on every
     surviving piece.  Inputs wider than ``MAX_DIGITS`` decimal digits, and
-    composites rho cannot split within its attempt budget, raise
+    composites rho cannot split within ``RHO_STEP_BUDGET`` steps, raise
     FactorizationIncomplete rather than risking a wrong answer.  Results
     are memoized on n (see the module docstring); ``factorize.__wrapped__``
     is the uncached function.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
-    sign = 1 if n > 0 else -1
     m = abs(n)
     # compared as integers: str() of a huge m would hit the int-to-str limit
     if m >= _DIGIT_BOUND:
@@ -280,20 +233,12 @@ def factorize(n: int) -> Factorization:
         if is_probable_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        rng = random.Random(m)
-        factor = m
-        for _ in range(64):
-            factor = _brent_rho(m, rng)
-            if 1 < factor < m:
-                break
-        else:
-            raise FactorizationIncomplete(f"could not split composite {m}")
+        factor = _brent_rho(m)
         pending.append(factor)
         pending.append(m // factor)
 
-    result = Factorization(sign, tuple(sorted(counts.items())))
-    if result.value != n:
-        raise InternalError(
-            f"the factorization of {to_decimal(n)} multiplies back to {to_decimal(result.value)}"
-        )
-    return result
+    factors = tuple(sorted(counts.items()))
+    back = prod(p**e for p, e in factors) * (1 if n > 0 else -1)
+    if back != n:
+        raise InternalError(f"the factorization of {to_decimal(n)} multiplies back to {to_decimal(back)}")
+    return factors

@@ -6,26 +6,24 @@ c is an isometry, but it changes the associated Bazaikin candidate
     q^c = (2(a1+c)+1, 2(a2+c)+1, 2(a3+c)+1, -(2(b2+c)+1), -(2(b3+c)+1)).
 
 This module decides, in exact integer arithmetic, for which shifts the
-candidate is non-singular (``nonsingular_shift``; ``first_nonsingular_shift``
-is the three-gcd walk) and positively curved (``pc_shift_window``), builds
-embedding certificates, and tracks when two shifts can share the same |H^6|
-(``collision_locus``).  ``certified_shift`` is the one construction of the
-non-singular shifts +-2**(mu-1) * P**mu; ``homotopy_distinct_embeddings``
-walks it for hosts with distinct |H^6|.
+candidate is non-singular (``nonsingular_shift``) and positively curved
+(``pc_shift_window``), builds embedding certificates, and tracks when two
+shifts can share the same |H^6| (``collision_locus``).  ``certified_shift``
+is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
+``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
-``certified_shift`` checks a space and computes its P once: the checks
-(freeness, nine nonzero differences) and ``shift_prime_product`` run in
-``_checked_prime_product``, which is memoized by ``functools.lru_cache``
+``shift_prime_product`` checks a space (freeness, nine nonzero differences)
+and computes its P in one function, memoized by ``functools.lru_cache``
 with a fixed ``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the
 parameters.  So the certified shifts of one space and its distinct hosts
 share one check and one P, and its nine differences are factored once.
 Errors are never cached: an invalid space raises on every call.
 
-The window bounds, the moduli and the walk each live in one private helper
-on plain ints (``_shift_window``, ``_moduli``, ``_first_nonsingular``), so
-the box scan decides each enumerated form without building an
-``EschParams`` and still shares every formula with
-``first_nonsingular_shift``.
+The window bounds, the moduli and the walk over a window each live in one
+private helper on plain ints (``_shift_window``, ``_moduli``,
+``_first_nonsingular``), so the box scan decides each enumerated form
+without building an ``EschParams`` and shares its window and moduli with
+``pc_shift_window`` and ``nonsingular_shift``.
 """
 
 from __future__ import annotations
@@ -36,13 +34,14 @@ from functools import lru_cache
 from math import gcd
 
 from . import bazaikin
-from .arith import InternalError, elementary_symmetric, factorize, to_decimal
+from .arith import InternalError, factorize, to_decimal
 from .bazaikin import BazParams
 from .eschenburg import (
     EschParams,
+    _in_chain,
+    _sigma2_difference,
     canonicalize,
     family_cohomogeneity_one,
-    in_pc_normal_form,
     is_free,
     is_pc_metric,
     pc_normal_form,
@@ -123,11 +122,6 @@ def candidate_q(e: EschParams, c: int) -> BazParams:
     )
 
 
-def _singularity_moduli(f: EschParams) -> tuple[tuple[int, int], ...]:
-    """``_moduli`` of the six entries of f."""
-    return _moduli(*f.a, *f.b)
-
-
 def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[tuple[int, int], ...]:
     """(s_k, D_k) for k = 1, 2, 3, with s_k = a_i + a_j + 1, D_k = prod_l (a_k - b_l).
 
@@ -153,20 +147,9 @@ def nonsingular_shift(e: EschParams, c: int) -> bool:
     """
     if not is_free(e):
         return False
-    (s1, d1), (s2, d2), (s3, d3) = _singularity_moduli(e)
+    (s1, d1), (s2, d2), (s3, d3) = _moduli(*e.a, *e.b)
     t = 2 * c
     return gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1
-
-
-def first_nonsingular_shift(f: EschParams) -> int | None:
-    """The smallest shift in the curvature window with a non-singular candidate.
-
-    f must be free and in positive-curvature normal form; freeness is not
-    rechecked.  Each shift costs three gcds (see ``_moduli``) and the walk
-    stops at the first non-singular one.  None means every shift in the
-    window is singular.
-    """
-    return _first_nonsingular(pc_shift_window(f), _singularity_moduli(f))
 
 
 def _first_nonsingular(window: range, moduli: tuple[tuple[int, int], ...]) -> int | None:
@@ -208,7 +191,7 @@ def pc_shift_window(e: EschParams) -> range:
     half-length >= 1 and its endpoints cannot both be even integers at the
     minimal length.
     """
-    if not in_pc_normal_form(e):
+    if not _in_chain(*e.a, *e.b):
         raise NormalFormError(f"{e} is not in positive-curvature normal form")
     window = _shift_window(e.a[1] + e.a[2], e.b[1] + e.b[2])
     if not window:
@@ -246,34 +229,17 @@ def window_scan(e: EschParams) -> WindowReport:
     )
 
 
+@lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
 def shift_prime_product(e: EschParams) -> int:
     """Product P underlying the certified shifts.
 
-    For each of the nine (k, l) pairs, take the distinct prime divisors of
-    a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j} the complement
-    of k, s_k as in ``_moduli``); each such prime contributes one factor of
-    P per pair in which it qualifies.  Zero differences contribute nothing;
-    an empty product is 1.  Not memoized itself: ``certified_shift``
-    reaches it through the cached ``_checked_prime_product`` (see the
-    module docstring).
-    """
-    product = 1
-    for ak, (pair_sum, _) in zip(e.a, _singularity_moduli(e)):
-        for bl in e.b:
-            if ak != bl:
-                for p, _ in factorize(ak - bl).factors:
-                    if gcd(p, pair_sum) == 1:
-                        product *= p
-    return product
-
-
-@lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
-def _checked_prime_product(e: EschParams) -> int:
-    """``shift_prime_product(e)`` for an e that ``certified_shift`` accepts.
-
     Raises ValueError unless e is free with all nine differences a_k - b_l
-    nonzero.  Memoized (see the module docstring);
-    ``_checked_prime_product.__wrapped__`` is the uncached function.
+    nonzero.  For each of the nine (k, l) pairs, take the distinct prime
+    divisors of a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j}
+    the complement of k, s_k as in ``_moduli``); each such prime
+    contributes one factor of P per pair in which it qualifies.  An empty
+    product is 1.  Memoized (see the module docstring);
+    ``shift_prime_product.__wrapped__`` is the uncached function.
     """
     if not is_free(e):
         raise ValueError(f"certified shifts exist only for free parameters, got {e}")
@@ -287,7 +253,13 @@ def _checked_prime_product(e: EschParams) -> int:
             f"{e} has a vanishing difference (free parameters with a vanishing "
             "difference admit at most two non-singular shifts)"
         )
-    return shift_prime_product(e)
+    product = 1
+    for ak, (pair_sum, _) in zip(e.a, _moduli(*e.a, *e.b)):
+        for bl in e.b:
+            for p, _ in factorize(ak - bl):
+                if gcd(p, pair_sum) == 1:
+                    product *= p
+    return product
 
 
 def certified_shift(e: EschParams, mu: int, sign: int) -> int:
@@ -296,13 +268,13 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
     Returns sign * 2**(mu-1) * P**mu with P from ``shift_prime_product``.
     Requires mu >= 1, sign in (1, -1), and e free with all nine differences
     a_k - b_l nonzero; e is checked and P computed once per space (see
-    ``_checked_prime_product``).  Factorization-effort errors propagate.
+    ``shift_prime_product``); ``FactorizationIncomplete`` propagates.
     """
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {to_decimal(mu)}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {to_decimal(sign)}")
-    return sign * 2 ** (mu - 1) * _checked_prime_product(e) ** mu
+    return sign * 2 ** (mu - 1) * shift_prime_product(e) ** mu
 
 
 def collision_locus(e: EschParams) -> Fraction | None:
@@ -314,12 +286,11 @@ def collision_locus(e: EschParams) -> Fraction | None:
     affine in c.  Returns None when sigma_2(a) == sigma_2(b), in which case
     |sigma_3| is constant and every shift pair collides ("everywhere").
     """
-    a, b = e.a, e.b
-    d2 = elementary_symmetric(2, a) - elementary_symmetric(2, b)
+    d2 = _sigma2_difference(e)
     if d2 == 0:
         return None
-    d3 = elementary_symmetric(3, a) - elementary_symmetric(3, b)
-    return Fraction(d3, d2) - sum(a) - 1
+    (a1, a2, a3), (b1, b2, b3) = e.a, e.b
+    return Fraction(a1 * a2 * a3 - b1 * b2 * b3, d2) - a1 - a2 - a3 - 1
 
 
 def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertificate]:

@@ -167,14 +167,9 @@ def pc_normal_form(e: EschParams) -> EschParams:
     f = canonicalize(e)
     if f.b[1] > max(f.a):
         f = canonicalize(EschParams(tuple(-x for x in f.a), tuple(-x for x in f.b)))
-    if not in_pc_normal_form(f):
+    if not _in_chain(*f.a, *f.b):
         raise InternalError(f"{f}, the normal form of {e}, breaks the normal-form chain")
     return f
-
-
-def in_pc_normal_form(e: EschParams) -> bool:
-    """True iff e satisfies the normal-form chain (see ``_in_chain``)."""
-    return _in_chain(*e.a, *e.b)
 
 
 def _in_chain(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> bool:
@@ -184,9 +179,14 @@ def _in_chain(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> bool:
 
 def h4_order(e: EschParams) -> int:
     """|H^4| = |sigma_2(a) - sigma_2(b)|; 0 only for degenerate inputs."""
+    return abs(_sigma2_difference(e))
+
+
+def _sigma2_difference(e: EschParams) -> int:
+    """sigma_2(a) - sigma_2(b), written out."""
     a1, a2, a3 = e.a
     b1, b2, b3 = e.b
-    return abs(a1 * a2 + a1 * a3 + a2 * a3 - b1 * b2 - b1 * b3 - b2 * b3)
+    return a1 * a2 + a1 * a3 + a2 * a3 - b1 * b2 - b1 * b3 - b2 * b3
 
 
 def family_cohomogeneity_one(p: int) -> EschParams:

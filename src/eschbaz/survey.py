@@ -13,15 +13,16 @@ fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
 b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
 bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  It decides each form
 as soon as it is enumerated, on its six ints: the window, the moduli and
-the three-gcd walk come from the same ``embedding`` helpers that
-``first_nonsingular_shift`` is built from, and the walk stops at the first
-non-singular shift of the curvature window.  It builds no ``EschParams``
-for a form that embeds, and no certificates.  The two counterexample jobs
-decide their spaces by the same walk over the window they report, in one
-helper, and build no certificates either: a space that embeds after all
-fails, naming its non-singular shifts.  One function builds the rows of
-all three.  The cohomogeneity-one job and the ``window`` command keep the
-full-certificate path, which is also the test oracle for the fast one.
+the three-gcd walk come from private ``embedding`` helpers (the window and
+the moduli are those of ``pc_shift_window`` and ``nonsingular_shift``), and
+the walk stops at the first non-singular shift of the curvature window.  It
+builds no ``EschParams`` for a form that embeds, and no certificates.  The
+two counterexample jobs decide their spaces by the same walk over the
+window they report, in one helper, and build no certificates either: a
+space that embeds after all fails, naming its non-singular shifts.  One
+function builds the rows of all three.  The cohomogeneity-one job and the
+``window`` command keep the full-certificate path, which is also the test
+oracle for the fast one.
 ``scan_box`` can shard its (a1, a2) pairs over worker processes; rows are
 merged by deterministic sort, so output is identical for any worker count.
 """
@@ -41,7 +42,6 @@ from .embedding import (
     _first_nonsingular,
     _moduli,
     _shift_window,
-    _singularity_moduli,
     make_certificate,
     nonsingular_shift,
     pc_shift_window,
@@ -126,7 +126,7 @@ def _counterexample_row(e: EschParams, where: str) -> SurveyRow:
         raise VerificationFailure(f"{where}: {e} is not positively curved")
     f = pc_normal_form(e)
     window = pc_shift_window(f)
-    if _first_nonsingular(window, _singularity_moduli(f)) is not None:
+    if _first_nonsingular(window, _moduli(*f.a, *f.b)) is not None:
         good = [c for c in window if nonsingular_shift(f, c)]
         raise VerificationFailure(f"{where}: {e} embeds after all (non-singular at c in {good})")
     return _singular_row(f, window)
@@ -209,9 +209,10 @@ def _normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
     """The number of normal forms of a shard, and those whose whole window is singular.
 
-    Each form is decided on its six ints by ``first_nonsingular_shift``'s
-    helpers, without an ``EschParams``; the chain and window checks that
-    ``pc_shift_window`` makes are kept, as invariants of the enumerator.
+    Each form is decided on its six ints by the ``embedding`` window,
+    moduli and walk helpers, without an ``EschParams``; the chain and
+    window checks that ``pc_shift_window`` makes are kept, as invariants of
+    the enumerator.
     """
     apairs, max_abs = args
     count, singular = 0, []
@@ -240,7 +241,7 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     its normal form: the box is exactly the bounds of the mirrored canonical
     form, b3 >= a1 - max_abs and b1 <= a1 + max_abs (see ``_normal_forms``).
     Each form is decided as it is enumerated, on its six ints, by the
-    helpers ``first_nonsingular_shift`` is built from (see ``_scan_shard``);
+    ``embedding`` window, moduli and walk helpers (see ``_scan_shard``);
     the walk stops at the first non-singular shift of the curvature window,
     and only a singular form becomes an ``EschParams``.  Returns counts plus
     up to ``limit`` counterexample rows sorted by |H^4| (ties broken

@@ -4,12 +4,34 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import gcd
+from typing import Iterable
 
 from eschbaz import BazParams, EschParams, SurveyRow, WindowReport, h4_order, is_free, pc_normal_form
-from eschbaz.arith import elementary_symmetric, to_decimal
+from eschbaz.arith import to_decimal
+from eschbaz.embedding import _first_nonsingular, _moduli, pc_shift_window
 
 _PERMS3 = tuple(permutations(range(3)))
 _PERMS5 = tuple(permutations(range(5)))
+
+
+def elementary_symmetric(k: int, xs: Iterable[int]) -> int:
+    """sigma_k(xs): the sum over all k-element subsets of xs of their products.
+
+    sigma_0 == 1 (empty product).  Equivalently the coefficient of y**(m-k)
+    in prod_j (y + x_j) for m = len(xs).  The package writes each sigma it
+    needs out in full; this general form is what they are tested against.
+    """
+    values = tuple(xs)
+    if not 0 <= k <= len(values):
+        raise ValueError(f"k={k} out of range for a sequence of length {len(values)}")
+    # multiply out (y + x) factor by factor, keeping degrees up to k only
+    coeffs = [1] + [0] * k
+    top = 0
+    for x in values:
+        top = min(top + 1, k)
+        for i in range(top, 0, -1):
+            coeffs[i] += x * coeffs[i - 1]
+    return coeffs[k]
 
 
 def is_free_oracle(e: EschParams) -> bool:
@@ -94,6 +116,18 @@ def nonsingular_shift_oracle(e: EschParams, c: int) -> bool:
         if any(gcd(pair_sum, a[k] - bl) != 1 for bl in b):
             return False
     return True
+
+
+def first_nonsingular_shift(f: EschParams) -> int | None:
+    """The smallest shift in the curvature window with a non-singular candidate.
+
+    f must be free and in positive-curvature normal form; freeness is not
+    rechecked.  The per-form reference for the box scan, which decides the
+    same walk on plain ints without building an ``EschParams``: one window,
+    one set of moduli and one three-gcd walk per form.  None means every
+    shift in the window is singular.
+    """
+    return _first_nonsingular(pc_shift_window(f), _moduli(*f.a, *f.b))
 
 
 def shift_prime_product_oracle(e: EschParams) -> int:

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 from conftest import random_esch, random_free_esch, random_odd_baz
-from oracles import is_free_baz_oracle, is_free_oracle, sigma3_shift_closed_form
+from oracles import elementary_symmetric, is_free_baz_oracle, is_free_oracle, sigma3_shift_closed_form
 from eschbaz import (
     BazParams,
     EschParams,
@@ -31,7 +31,6 @@ from eschbaz import (
     verify_known_counterexamples,
     window_scan,
 )
-from eschbaz.arith import elementary_symmetric
 from eschbaz.embedding import collision_locus
 from eschbaz.survey import KNOWN_COUNTEREXAMPLES
 

@@ -4,7 +4,7 @@ from itertools import permutations, product
 import pytest
 
 from conftest import random_free_esch, random_odd_baz
-from oracles import h6_order_oracle, is_free_baz_oracle, is_pc_baz_oracle
+from oracles import elementary_symmetric, h6_order_oracle, is_free_baz_oracle, is_pc_baz_oracle
 from eschbaz import (
     BazParams,
     EschParams,
@@ -19,7 +19,6 @@ from eschbaz import (
     is_pc_metric,
     submanifolds,
 )
-from eschbaz.arith import elementary_symmetric
 
 
 def test_is_free_baz_examples():

@@ -18,7 +18,7 @@ from oracles import decimal_by_digits, to_jsonable_oracle
 from eschbaz import EschParams, InternalError, certified_shift, nonsingular_shift
 from eschbaz import cli
 from eschbaz.cli import run
-from eschbaz.embedding import _singularity_moduli
+from eschbaz.embedding import _moduli
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
@@ -103,9 +103,27 @@ def test_exit_three_on_factorization_limit(capsys):
     assert "digit" in err
 
 
+@pytest.mark.parametrize(("p", "q"), [
+    (1000000000000037, 1000000000000091),  # 16 digits each
+    (10000000000000000051, 10000000000000000087),  # 20 digits each
+], ids=["32-digits", "40-digits"])
+def test_exit_three_when_rho_runs_out_of_steps(capsys, p, q):
+    # free parameters with a1 - b2 = x + 3 = p * q: rho would need about
+    # sqrt(p) steps to split it, far past its step budget, so the factorizer
+    # refuses in bounded time
+    x = p * q - 3
+    started = time.perf_counter()
+    code, _, err = invoke(
+        capsys, "certified-shifts", "--a", f"{x},0,0", "--b", f"{x + 16},-3,-13", "--mu-max", "1",
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 3
+    assert err == f"error (effort-exceeded): could not split composite {p * q} within 1000000 rho steps\n"
+
+
 def test_exit_four_on_internal_error(capsys, schema, monkeypatch):
     # a normal form that breaks its own chain is a bug, not bad input
-    monkeypatch.setattr("eschbaz.eschenburg.in_pc_normal_form", lambda e: False)
+    monkeypatch.setattr("eschbaz.eschenburg._in_chain", lambda *entries: False)
     argv = ("window", "--a", "2,0,0", "--b", "15,-2,-11")
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (4, "")
@@ -128,19 +146,19 @@ def test_exit_four_on_internal_error(capsys, schema, monkeypatch):
 def test_exit_four_on_factorization_mismatch(capsys, monkeypatch):
     from eschbaz import arith, embedding
 
-    class OffByOne(arith.Factorization):
-        @property
-        def value(self):
-            return super().value + 1
-
-    # the first difference of the running example is a1 - b1 = -13
-    monkeypatch.setattr(arith, "Factorization", OffByOne)
+    # a1 - b2 = x + 3 = 1000003 * 1000033 is left to rho by trial division; a
+    # rho that returns the prime non-divisor 1000183 (the cofactor
+    # 1000036000099 // 1000183 = 999853 is prime) breaks the reconstruction
+    m = 1000003 * 1000033
+    brent_rho = arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho", lambda n: 1000183 if n == m else brent_rho(n))
     # bypass both caches, so factorize runs its reconstruction check
     monkeypatch.setattr(embedding, "factorize", arith.factorize.__wrapped__)
-    monkeypatch.setattr(embedding, "_checked_prime_product", embedding._checked_prime_product.__wrapped__)
-    code, out, err = invoke(capsys, "certified-shifts", "--a", "2,0,0", "--b", "15,-2,-11", "--mu-max", "1")
+    monkeypatch.setattr(embedding, "shift_prime_product", embedding.shift_prime_product.__wrapped__)
+    x = m - 3
+    code, out, err = invoke(capsys, "certified-shifts", "--a", f"{x},0,0", "--b", f"{x + 16},-3,-13", "--mu-max", "1")
     assert (code, out) == (4, "")
-    assert err == "error (internal-error): the factorization of -13 multiplies back to -12\n"
+    assert err == "error (internal-error): the factorization of 1000036000099 multiplies back to 1000035973099\n"
 
 
 # each capped command: its cap, and the rest of a valid invocation
@@ -410,7 +428,7 @@ def test_dual_rejects_a_singular_shift_past_the_limit(capsys):
     # shifting by a multiple of every modulus D_k keeps shift 0's verdict,
     # and shift 0 of the running example is singular
     period = 1
-    for _, d in _singularity_moduli(E_RUNNING):
+    for _, d in _moduli(*E_RUNNING.a, *E_RUNNING.b):
         period *= abs(d)
     c = period * 10**5000
     assert not nonsingular_shift(E_RUNNING, c)

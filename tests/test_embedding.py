@@ -8,6 +8,7 @@ import pytest
 from conftest import random_esch, random_free_esch, random_pc_esch
 from oracles import (
     decimal_by_digits,
+    elementary_symmetric,
     enumerate_normal_forms,
     nonsingular_shift_oracle,
     shift_prime_product_oracle,
@@ -37,11 +38,9 @@ from eschbaz import (
     shift,
     window_scan,
 )
-from eschbaz.arith import elementary_symmetric
 from eschbaz.embedding import (
     COHOM1_WINDOW_NOTE,
     SHIFT_PRODUCT_CACHE_SIZE,
-    _checked_prime_product,
     make_certificate,
     shift_prime_product,
 )
@@ -190,19 +189,17 @@ def test_certified_shift_rejects_vanishing_differences():
 
 
 def test_cached_checked_prime_product_matches_uncached():
-    _checked_prime_product.cache_clear()
+    shift_prime_product.cache_clear()
     rng = random.Random(4202)
     spaces = list(dict.fromkeys(random_free_esch(rng, -60, 60, nonzero_diffs=True) for _ in range(100)))
     for e in spaces:
-        expected = _checked_prime_product.__wrapped__(e)
-        assert expected == shift_prime_product(e), e
-        assert _checked_prime_product(e) == expected, e  # miss
-        assert _checked_prime_product(e) == expected, e  # hit
-    info = _checked_prime_product.cache_info()
+        expected = shift_prime_product.__wrapped__(e)
+        assert shift_prime_product(e) == expected, e  # miss
+        assert shift_prime_product(e) == expected, e  # hit
+    info = shift_prime_product.cache_info()
     assert (info.hits, info.misses, info.currsize) == (len(spaces), len(spaces), len(spaces))
     assert info.maxsize == SHIFT_PRODUCT_CACHE_SIZE
     assert isinstance(info.maxsize, int) and 0 < info.maxsize < 10**6
-    assert not hasattr(shift_prime_product, "cache_info")  # one cache, in front of the checks
 
 
 @pytest.mark.parametrize(("e", "reason"), [
@@ -210,23 +207,33 @@ def test_cached_checked_prime_product_matches_uncached():
     (EschParams((0, 2, 2), (0, 1, 3)), "vanishing difference"),  # free, a1 - b1 vanishes
 ])
 def test_checked_prime_product_never_caches_an_error(e, reason):
-    _checked_prime_product.cache_clear()
-    _checked_prime_product(E_RUNNING)
+    shift_prime_product.cache_clear()
+    shift_prime_product(E_RUNNING)
     for _ in range(3):
         with pytest.raises(ValueError, match=reason):
-            _checked_prime_product(e)
+            shift_prime_product(e)
         with pytest.raises(ValueError, match=reason):
             certified_shift(e, 1, 1)
-    info = _checked_prime_product.cache_info()
+    info = shift_prime_product.cache_info()
     assert (info.hits, info.currsize) == (0, 1)
 
 
 def test_shift_prime_product_matches_its_definition():
     rng = random.Random(2718)
     spaces = [random_free_esch(rng, -30, 30, nonzero_diffs=True) for _ in range(100)]
-    spaces += [random_esch(rng, -15, 15) for _ in range(30)]
     for e in spaces + [E_RUNNING]:
         assert shift_prime_product(e) == shift_prime_product_oracle(e), e
+    # unchecked spaces: P is defined only where the certified shifts exist
+    refused = 0
+    for _ in range(30):
+        e = random_esch(rng, -15, 15)
+        if is_free(e) and not set(e.a) & set(e.b):
+            assert shift_prime_product(e) == shift_prime_product_oracle(e), e
+        else:
+            with pytest.raises(ValueError, match="only for free parameters|vanishing difference"):
+                shift_prime_product(e)
+            refused += 1
+    assert refused == 24  # the other 6 are free with nine nonzero differences
 
 
 def test_certified_shifts_always_nonsingular_sampled():
@@ -275,6 +282,25 @@ def test_collision_locus_against_brute_force():
                 collide = values[c] == values[d]
                 predicted = locus is None or Fraction(c + d) == locus
                 assert collide == predicted, (e, c, d)
+
+
+@pytest.mark.parametrize(("seed", "bound", "n"), [
+    (9, 3, 10_000),
+    (10, 10**6, 10_000),
+    (11, 10**5000, 100),
+], ids=["up-to-3", "up-to-1e6", "5000-digits"])
+def test_collision_locus_matches_the_sigma_oracle(seed, bound, n):
+    rng = random.Random(seed)
+    everywhere = 0
+    for _ in range(n):
+        e = random_esch(rng, -bound, bound)
+        d2 = elementary_symmetric(2, e.a) - elementary_symmetric(2, e.b)
+        d3 = elementary_symmetric(3, e.a) - elementary_symmetric(3, e.b)
+        expected = None if d2 == 0 else Fraction(d3, d2) - sum(e.a) - 1
+        assert collision_locus(e) == expected, e
+        everywhere += expected is None
+    if bound == 3:
+        assert everywhere > 0
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +502,12 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
     import eschbaz.eschenburg as eschenburg_mod
 
     with monkeypatch.context() as mp:
-        mp.setattr(eschenburg_mod, "in_pc_normal_form", lambda e: False)
+        mp.setattr(eschenburg_mod, "_in_chain", lambda *entries: False)
         with pytest.raises(InternalError, match="breaks the normal-form chain"):
             pc_normal_form(E_RUNNING)
 
     with monkeypatch.context() as mp:
-        mp.setattr(embedding_mod, "in_pc_normal_form", lambda e: True)
+        mp.setattr(embedding_mod, "_in_chain", lambda *entries: True)
         with pytest.raises(InternalError, match="empty shift window"):
             pc_shift_window(EschParams((0, 0, 0), (0, 0, 0)))
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import decimal_by_digits, is_free_oracle, is_free_six_gcds
+from oracles import decimal_by_digits, elementary_symmetric, is_free_oracle, is_free_six_gcds
 from eschbaz import (
     DegenerateActionError,
     EschParams,
@@ -252,6 +252,23 @@ def test_h4_order_examples():
     assert h4_order(EschParams((2, 0, 0), (15, -2, -11))) == 173
     assert h4_order(EschParams((1, 0, 0), (1, 0, 0))) == 0
     assert h4_order(EschParams((0, 0, 0), (2, -1, -1))) == 3
+
+
+@pytest.mark.parametrize(("seed", "bound", "n"), [
+    (6, 3, 10_000),
+    (7, 10**6, 10_000),
+    (8, 10**5000, 250),
+], ids=["up-to-3", "up-to-1e6", "5000-digits"])
+def test_h4_order_matches_the_sigma_2_oracle(seed, bound, n):
+    rng = random.Random(seed)
+    degenerate = 0
+    for _ in range(n):
+        e = random_esch(rng, -bound, bound)
+        h4 = h4_order(e)
+        assert h4 == abs(elementary_symmetric(2, e.a) - elementary_symmetric(2, e.b)), e
+        degenerate += h4 == 0
+    if bound == 3:
+        assert degenerate > 0
 
 
 def test_h4_odd_for_free_parameters():

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_pc_esch
-from oracles import enumerate_normal_forms, is_free_six_gcds, row_from_report
+from oracles import enumerate_normal_forms, first_nonsingular_shift, is_free_six_gcds, row_from_report
 from eschbaz import (
     BazParams,
     EmbeddingCertificate,
@@ -38,7 +38,7 @@ from eschbaz import (
     verify_known_counterexamples,
     window_scan,
 )
-from eschbaz.embedding import _singularity_moduli, first_nonsingular_shift
+from eschbaz.embedding import _moduli
 import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
@@ -287,7 +287,7 @@ def test_scan_box_with_fewer_pairs_than_shards():
 
 
 def _kernel_verdict(f, c):
-    return all(gcd(s + 2 * c, d) == 1 for s, d in _singularity_moduli(f))
+    return all(gcd(s + 2 * c, d) == 1 for s, d in _moduli(*f.a, *f.b))
 
 
 def test_kernel_matches_certificates_on_every_window_in_box30():
