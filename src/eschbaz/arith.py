@@ -88,12 +88,11 @@ def tuple_to_decimal(values) -> str:
 def from_decimal(text: str) -> int:
     """The int written in decimal by text, at any size; inverse of ``to_decimal``.
 
-    Short text goes to ``int`` as is.  Text longer than one chunk must be
-    an optional sign followed by ASCII digits (surrounding whitespace
-    allowed); anything else raises ValueError, as ``int`` would.
+    Text of every length must be an optional sign followed by ASCII digits,
+    with surrounding whitespace (``str.strip``'s) allowed.  Anything else,
+    such as ``1_0`` or non-ASCII digits that ``int`` would accept, raises
+    ValueError.
     """
-    if len(text) <= DECIMAL_CHUNK_DIGITS:
-        return int(text)
     body = text.strip()
     sign = -1 if body.startswith("-") else 1
     if body.startswith(("+", "-")):

@@ -16,7 +16,9 @@ held to the interpreter's 4300-digit int/str limit.
 The argument parser is built once per process, on the first ``run``, and
 reused by every later call; each parse starts from a fresh namespace, and
 help and usage text are written to the ``sys.stdout``/``sys.stderr`` of the
-moment.
+moment.  ``_parser`` declares each parameter once; ``_read_input``, run
+between parsing and the handler, checks the ``_bounds`` caps, parses the
+space and echoes it with every declared integer flag as the JSON ``input``.
 
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
@@ -81,12 +83,35 @@ def _ints(text: str, count: int, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {text!r}") from None
 
 
-def _esch_from_args(args: argparse.Namespace) -> EschParams:
-    return EschParams(_ints(args.a, 3, "--a"), _ints(args.b, 3, "--b"))
+def _bounds() -> dict[str, tuple[int | None, int]]:
+    """(least or None, cap) of each bounded integer flag, read at call time."""
+    return {"mu_max": (1, MU_MAX_LIMIT), "n": (None, N_LIMIT), "k_max": (None, K_MAX_LIMIT),
+            "p_max": (None, P_MAX_LIMIT), "max_abs": (None, MAX_ABS_LIMIT)}
 
 
-def _baz_from_args(args: argparse.Namespace) -> BazParams:
-    return BazParams(_ints(args.q, 5, "--q"))
+def _read_input(args: argparse.Namespace) -> tuple[EschParams | BazParams | None, dict]:
+    """(space or None, JSON ``input``), checking each bound before parsing the space.
+
+    The echo holds the space, then each declared integer flag, with ``--c`` as "shift".
+    """
+    given = vars(args)
+    for key, (least, cap) in _bounds().items():
+        if key in given:
+            flag = "--" + key.replace("_", "-")
+            if least is not None and given[key] < least:
+                raise ValueError(f"{flag} must be >= {least}")
+            if given[key] > cap:
+                raise ValueError(f"{flag} must be <= {cap}")
+    space, echo = None, {}
+    if "a" in given:
+        space = EschParams(_ints(args.a, 3, "--a"), _ints(args.b, 3, "--b"))
+        echo["esch"] = _esch_dict(space)
+    elif "q" in given:
+        space = BazParams(_ints(args.q, 5, "--q"))
+        echo["baz"] = _baz_dict(space)
+    for key in args.integers:
+        echo["shift" if key == "c" else key] = given[key]
+    return space, echo
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +215,13 @@ def _row_line(r: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each computes its results eagerly, so every error is
-# raised before any output, and returns the JSON parts (input, results, notes,
-# summary) with zero-argument "text" and "csv" builders that only format them
+# subcommand handlers: each takes the parsed space (or None) and flags, computes
+# its results eagerly, so every error is raised before any output, and returns
+# the JSON parts (results, notes, summary) with zero-argument "text" and "csv"
+# builders that only format them
 
 
-def _cmd_verify_esch(args) -> dict:
-    e = _esch_from_args(args)
+def _cmd_verify_esch(e: EschParams, args) -> dict:
     canonical = eschenburg.canonicalize(e)
     result = {
         "esch": _esch_dict(e),
@@ -208,7 +233,6 @@ def _cmd_verify_esch(args) -> dict:
         "canonical": _esch_dict(canonical),
     }
     return {
-        "input": {"esch": _esch_dict(e)},
         "results": [result],
         "text": lambda: [
             _fmt_esch(result["esch"]),
@@ -229,8 +253,7 @@ def _cmd_verify_esch(args) -> dict:
     }
 
 
-def _cmd_verify_baz(args) -> dict:
-    q = _baz_from_args(args)
+def _cmd_verify_baz(q: BazParams, args) -> dict:
     all_odd = q.all_odd()
     offenses = _offense_dicts(bazaikin.freeness_failures(q))
     result = {
@@ -257,7 +280,6 @@ def _cmd_verify_baz(args) -> dict:
         return lines
 
     return {
-        "input": {"baz": _baz_dict(q)},
         "results": [result],
         "text": text,
         "csv": lambda: [
@@ -279,19 +301,16 @@ def _certs_csv(certs: list[dict]) -> list[list]:
     return table
 
 
-def _cmd_embed(args) -> dict:
-    e = _esch_from_args(args)
+def _cmd_embed(e: EschParams, args) -> dict:
     cert = _cert_dict(embedding.make_certificate(e, args.c))
     return {
-        "input": {"esch": _esch_dict(e), "shift": args.c},
         "results": [cert],
         "text": lambda: _cert_lines(cert),
         "csv": lambda: _certs_csv([cert]),
     }
 
 
-def _cmd_window(args) -> dict:
-    e = _esch_from_args(args)
+def _cmd_window(e: EschParams, args) -> dict:
     window = embedding.pc_shift_window(eschenburg.pc_normal_form(e))
     # stop - start, since len() of a range overflows past 2**63 - 1
     if window.stop - window.start > WINDOW_LIMIT:
@@ -323,7 +342,6 @@ def _cmd_window(args) -> dict:
         return lines
 
     return {
-        "input": {"esch": _esch_dict(e)},
         "results": [result],
         "notes": notes,
         "text": text,
@@ -331,19 +349,13 @@ def _cmd_window(args) -> dict:
     }
 
 
-def _cmd_certified_shifts(args) -> dict:
-    if args.mu_max < 1:
-        raise ValueError("--mu-max must be >= 1")
-    if args.mu_max > MU_MAX_LIMIT:
-        raise ValueError(f"--mu-max must be <= {MU_MAX_LIMIT}")
-    e = _esch_from_args(args)
+def _cmd_certified_shifts(e: EschParams, args) -> dict:
     results = []
     for mu in range(1, args.mu_max + 1):
         for sign in (1, -1):
             c = embedding.certified_shift(e, mu, sign)
             results.append({"mu": mu, "sign": sign, "c": c, "nonsingular": embedding.nonsingular_shift(e, c)})
     return {
-        "input": {"esch": _esch_dict(e), "mu_max": args.mu_max},
         "results": results,
         "text": lambda: [str(e)] + [
             f"  mu={r['mu']} sign={'+' if r['sign'] > 0 else '-'}  c = {to_decimal(r['c'])}  "
@@ -355,21 +367,16 @@ def _cmd_certified_shifts(args) -> dict:
     }
 
 
-def _cmd_distinct(args) -> dict:
-    if args.n > N_LIMIT:
-        raise ValueError(f"--n must be <= {N_LIMIT}")
-    e = _esch_from_args(args)
+def _cmd_distinct(e: EschParams, args) -> dict:
     certs = [_cert_dict(c) for c in embedding.homotopy_distinct_embeddings(e, args.n)]
     return {
-        "input": {"esch": _esch_dict(e), "n": args.n},
         "results": certs,
         "text": lambda: [line for c in certs for line in _cert_lines(c)],
         "csv": lambda: _certs_csv(certs),
     }
 
 
-def _cmd_submanifolds(args) -> dict:
-    q = _baz_from_args(args)
+def _cmd_submanifolds(q: BazParams, args) -> dict:
     entries = bazaikin.submanifolds(q)
     results = [
         {"pair": list(pair), "esch": _esch_dict(e), "h4": eschenburg.h4_order(e), "free": eschenburg.is_free(e)}
@@ -377,7 +384,6 @@ def _cmd_submanifolds(args) -> dict:
     ]
     distinct = len({eschenburg.canonicalize(e) for _, e in entries})
     return {
-        "input": {"baz": _baz_dict(q)},
         "results": results,
         "summary": {"distinct_count": distinct},
         "text": lambda: [f"q = {tuple_to_decimal(q.q)}"] + [
@@ -393,14 +399,12 @@ def _cmd_submanifolds(args) -> dict:
     }
 
 
-def _cmd_dual(args) -> dict:
-    e = _esch_from_args(args)
+def _cmd_dual(e: EschParams, args) -> dict:
     q = embedding.candidate_q(e, args.c)
     dual_esch, dual_baz = embedding.dual_embedding(e, args.c)
     original = {"esch": _esch_dict(e), "shift": args.c, "baz": _baz_dict(q), "h6": bazaikin.h6_order(q)}
     dual = {"esch": _esch_dict(dual_esch), "baz": _baz_dict(dual_baz), "h6": bazaikin.h6_order(dual_baz)}
     return {
-        "input": {"esch": _esch_dict(e), "shift": args.c},
         "results": [{"original": original, "dual": dual}],
         "text": lambda: [
             f"original: {_fmt_esch(original['esch'])}  shift c={to_decimal(args.c)}",
@@ -418,11 +422,10 @@ def _cmd_dual(args) -> dict:
     }
 
 
-def _cmd_counterexamples(args) -> dict:
+def _cmd_counterexamples(_, args) -> dict:
     rows = survey.verify_known_counterexamples()
     results = [{**_row_dict(row), "q_formula": _q_formula(row.esch)} for row in rows]
     return {
-        "input": {},
         "results": results,
         "text": lambda: [_row_line(d) for d in results]
         + [f"all {len(rows)} stored counterexamples verified"],
@@ -434,9 +437,7 @@ def _cmd_counterexamples(args) -> dict:
     }
 
 
-def _cmd_families(args) -> dict:
-    if args.k_max > K_MAX_LIMIT:
-        raise ValueError(f"--k-max must be <= {K_MAX_LIMIT}")
+def _cmd_families(_, args) -> dict:
     rows = survey.verify_infinite_families(args.k_max)
     per_variant = args.k_max + 1
     results = [
@@ -444,7 +445,6 @@ def _cmd_families(args) -> dict:
         for i, row in enumerate(rows)
     ]
     return {
-        "input": {"k_max": args.k_max},
         "results": results,
         "text": lambda: [f"{d['variant']} k={d['k']:<4} {_row_line(d)}" for d in results]
         + [f"both families verified as counterexamples for 0 <= k <= {args.k_max}"],
@@ -456,14 +456,11 @@ def _cmd_families(args) -> dict:
     }
 
 
-def _cmd_cohom1(args) -> dict:
-    if args.p_max > P_MAX_LIMIT:
-        raise ValueError(f"--p-max must be <= {P_MAX_LIMIT}")
+def _cmd_cohom1(_, args) -> dict:
     certificates = survey.verify_cohomogeneity_one(args.p_max)
     certs = [{**_cert_dict(c), "p": p} for p, c in enumerate(certificates, start=1)]
     checked, notes = args.p_max, [embedding.COHOM1_WINDOW_NOTE]
     return {
-        "input": {"p_max": args.p_max},
         "results": certs,
         "summary": {"checked": checked},
         "notes": notes,
@@ -477,14 +474,11 @@ def _cmd_cohom1(args) -> dict:
     }
 
 
-def _cmd_scan(args) -> dict:
-    if args.max_abs > MAX_ABS_LIMIT:
-        raise ValueError(f"--max-abs must be <= {MAX_ABS_LIMIT}")
+def _cmd_scan(_, args) -> dict:
     stats, rows = survey.scan_box(args.max_abs, args.limit, workers=args.workers)
     results = [_row_dict(row) for row in rows]
     beyond = stats.counterexamples - len(rows)
     return {
-        "input": {"max_abs": args.max_abs, "limit": args.limit, "workers": args.workers},
         "results": results,
         "summary": {"stats": {"total": stats.total, "embeddable": stats.embeddable,
                               "counterexamples": stats.counterexamples}},
@@ -568,14 +562,14 @@ def _csv_cell(v):
     return v
 
 
-def _emit(fmt: str, command: str, outcome: dict) -> None:
+def _emit(fmt: str, command: str, echo: dict, outcome: dict) -> None:
     """Write the outcome in one format, building only that format's output."""
     out = sys.stdout
     if fmt == "json":
         report = {
             "command": command,
             "version": __version__,
-            "input": outcome.get("input", {}),
+            "input": echo,
             "results": outcome.get("results", []),
             "discrepancy_notes": outcome.get("notes", []),
         }
@@ -628,7 +622,7 @@ def _parser() -> argparse.ArgumentParser:
         for key, default in integers.items():
             p.add_argument("--" + key.replace("_", "-"), type=integer,
                            required=default is None, default=default)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, integers=tuple(integers))
 
     add("verify-esch", _cmd_verify_esch, "freeness, curvature, |H4|, kernel order, canonical form", esch)
     add("verify-baz", _cmd_verify_baz, "freeness (with offending gcd pairs), curvature, |H6|", baz)
@@ -654,7 +648,8 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
     fmt, command = args.format, args.command
     try:
-        outcome = args.handler(args)
+        space, echo = _read_input(args)
+        outcome = args.handler(space, args)
     except VerificationFailure as exc:
         _emit_error(fmt, command, "verification-failed", str(exc))
         return EXIT_VERIFICATION_FAILED
@@ -667,7 +662,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         _emit_error(fmt, command, "internal-error", str(exc))
         return EXIT_INTERNAL_ERROR
-    _emit(fmt, command, outcome)
+    _emit(fmt, command, echo, outcome)
     return EXIT_OK
 
 

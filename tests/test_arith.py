@@ -253,6 +253,30 @@ def test_from_decimal_rejects_malformed_long_text():
         from_decimal("12a")
 
 
+# (template, accepted); {} is the digits
+_SYNTAX = [
+    ("{}", True), ("+{}", True), ("-{}", True), (" {} ", True), ("\t-{}\n", True), ("\v\r+{}\f", True),
+    ("\u2003{}\xa0", True), ("\x1c{}", True),
+    ("1_{}", False), ("{}_1", False), ("\u0661{}", False), ("{}\u0660", False), ("\uff11{}", False),
+    ("+-{}", False), ("--{}", False), ("- {}", False), ("{}.0", False), ("0x{}", False), ("{}e3", False),
+]
+
+
+@pytest.mark.parametrize("digits", ["12", "12" * 2500], ids=["short", "long"])
+def test_from_decimal_has_one_syntax_at_every_length(digits):
+    magnitude = from_decimal(digits)
+    for template, accepted in _SYNTAX:
+        text = template.format(digits)
+        if accepted:
+            assert from_decimal(text) == (-magnitude if "-" in template else magnitude), template
+        else:
+            with pytest.raises(ValueError):
+                from_decimal(text)
+    for empty in ("", " ", "+", "-"):
+        with pytest.raises(ValueError):
+            from_decimal(empty)
+
+
 def test_is_probable_prime_small():
     primes = [p for p in range(2, 200) if trial_division_prime(p)]
     for n in range(2, 200):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -239,6 +240,29 @@ def test_exit_two_on_mu_max_below_one(capsys, schema, mu_max):
     assert report["error"] == {"kind": "invalid-input", "reason": "--mu-max must be >= 1"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("certified-shifts", "--a", "x,y,z", "--b", "1,2", "--mu-max", "1001"),
+    ("certified-shifts", "--a", "x,y,z", "--b", "1,2", "--mu-max", "0"),
+    ("distinct", "--a", "x,y,z", "--b", "1,2", "--n", "1001"),
+])
+def test_bound_error_comes_before_a_malformed_space(capsys, argv):
+    flag, value = argv[-2:]
+    reason = f"{flag} must be >= 1" if value == "0" else f"{flag} must be <= 1000"
+    assert invoke(capsys, *argv) == (2, "", f"error (invalid-input): {reason}\n")
+
+
+@pytest.mark.parametrize("body", ["1_0", "١", "１", "1_" + "0" * 700, "١" + "0" * 700],
+                         ids=["underscore", "arabic-indic", "fullwidth", "long-underscore", "long-arabic-indic"])
+def test_exit_two_on_integers_outside_the_decimal_syntax(capsys, body):
+    # int() accepts these below 600 characters; the CLI holds every length to sign and ASCII digits
+    code, out, err = invoke(capsys, "embed", "--a", "2,0,0", "--b", "15,-2,-11", f"--c={body}")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --c: invalid integer value: {body!r}\n")
+    code, out, err = invoke(capsys, "verify-esch", f"--a={body},0,0", "--b=1,1,-2")
+    assert (code, out) == (2, "")
+    assert err == f"error (invalid-input): --a must be integers, got '{body},0,0'\n"
+
+
 _INTEGER_FLAGS = [
     (("embed", "--a", "2,0,0", "--b", "15,-2,-11"), "--c"),
     (("dual", "--a", "2,0,0", "--b", "15,-2,-11"), "--c"),
@@ -474,26 +498,50 @@ def test_json_error_reports_are_machine_readable(capsys, schema):
     assert "sum(a)" in report["error"]["reason"]
 
 
+# one valid invocation of every subcommand; scan leaves --workers at its default
+_VALID = {
+    "verify-esch": ("--a=2,0,0", "--b=15,-2,-11"),
+    "verify-baz": ("--q=3,-1,-1,5,23",),
+    "embed": ("--a=2,0,0", "--b=15,-2,-11", "--c=2"),
+    "window": ("--a=3,1,1", "--b=5,0,0"),
+    "certified-shifts": ("--a=1,1,1", "--b=3,0,0", "--mu-max=2"),
+    "distinct": ("--a=2,0,0", "--b=15,-2,-11", "--n=3"),
+    "submanifolds": ("--q=3,-1,-1,5,23",),
+    "dual": ("--a=2,0,0", "--b=15,-2,-11", "--c=-1"),
+    "counterexamples": (),
+    "families": ("--k-max=1",),
+    "cohom1": ("--p-max=5",),
+    "scan": ("--max-abs=8", "--limit=5"),
+}
+
+
 def test_json_all_commands_validate(capsys, schema):
-    invocations = [
-        ("verify-esch", "--a", "2,0,0", "--b", "15,-2,-11"),
-        ("verify-baz", "--q", "3,-1,-1,5,23"),
-        ("embed", "--a", "2,0,0", "--b", "15,-2,-11", "--c", "2"),
-        ("window", "--a", "3,1,1", "--b", "5,0,0"),
-        ("certified-shifts", "--a", "1,1,1", "--b", "3,0,0", "--mu-max", "2"),
-        ("distinct", "--a", "2,0,0", "--b", "15,-2,-11", "--n", "3"),
-        ("submanifolds", "--q", "3,-1,-1,5,23"),
-        ("dual", "--a", "2,0,0", "--b", "15,-2,-11", "--c", "-1"),
-        ("counterexamples",),
-        ("families", "--k-max", "1"),
-        ("cohom1", "--p-max", "5"),
-        ("scan", "--max-abs", "8", "--limit", "5"),
-    ]
-    for argv in invocations:
-        code, report = invoke_json(capsys, schema, *argv)
-        assert code == 0, argv
-        assert report["command"] == argv[0]
+    for command, args in _VALID.items():
+        code, report = invoke_json(capsys, schema, command, *args)
+        assert code == 0, command
+        assert report["command"] == command
         assert "version" in report
+
+
+def test_json_input_echoes_the_space_and_every_declared_integer_flag(capsys, schema):
+    (subparsers,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(_VALID)
+    for command, subparser in subparsers.choices.items():
+        given = dict(arg[2:].split("=") for arg in _VALID[command])
+        expected = {}
+        if "a" in given:
+            expected["esch"] = {"a": [int(x) for x in given["a"].split(",")],
+                                "b": [int(x) for x in given["b"].split(",")]}
+        if "q" in given:
+            q = [int(x) for x in given["q"].split(",")]
+            expected["baz"] = {"q": q, "qsum": sum(q)}
+        for action in subparser._actions:
+            if action.type is cli.integer:
+                key = "shift" if action.dest == "c" else action.dest
+                expected[key] = int(given.get(action.option_strings[0][2:], action.default))
+        code, report = invoke_json(capsys, schema, command, *_VALID[command])
+        assert code == 0, command
+        assert list(report["input"].items()) == list(expected.items()), command
 
 
 # ---------------------------------------------------------------------------
