@@ -28,6 +28,10 @@ GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 FORMATS = ("text", "json", "csv")
 RUNNING = ("--a=2,0,0", "--b=15,-2,-11")
 HUGE = 10**70
+# a free space with 12-digit entries: P has 104 digits
+MID = ("--a=-84582978028,-140484178480,-306611382605", "--b=473485365637,-58368626567,-946795278183")
+# the square of the largest prime below 10**6, the difference a1 - b2 of a free space
+SQUARE = 999983**2
 
 # each entry runs once per format
 _PER_FORMAT = [
@@ -51,6 +55,9 @@ _PER_FORMAT = [
     ("cohom1", "--p-max=5"),
     ("scan", "--max-abs=8", "--limit=5"),
     ("scan", "--max-abs=56", "--limit=1"),
+    ("certified-shifts", *MID, "--mu-max=2"),
+    ("distinct", *MID, "--n=3"),
+    ("certified-shifts", f"--a={SQUARE - 3},0,0", f"--b={SQUARE + 13},-3,-13", "--mu-max=2"),
     # exit 2: invalid input
     ("verify-esch", "--a=1,0,0", "--b=1,1,0"),
     ("verify-baz", "--q=1,2,3"),
