@@ -5,11 +5,13 @@ like 2**(mu-1) * P**mu for a product P of primes drawn from nine small
 differences, which leaves any fixed-width integer type behind almost
 immediately.  Plain Python ints are the point, not a convenience.
 
-``factorize`` spends a fixed effort, set by module constants rather than
-by its callers: trial division up to ``TRIAL_DIVISION_BOUND``, Brent's rho
-seeded from each cofactor alone and stopped after ``RHO_STEP_BUDGET`` steps
-per cofactor, and a refusal past ``MAX_DIGITS`` digits.  Prime factorization
-is unique, so no result depends on that effort, only whether one is found.
+``factorize`` splits |n| by one loop: a piece that Miller-Rabin accepts is a
+prime, and any other piece is split by its first small prime base or else by
+Brent's rho.  Its effort is fixed by module constants rather than by its
+callers: rho is seeded from each cofactor alone and stopped after
+``RHO_STEP_BUDGET`` steps per cofactor, and inputs past ``MAX_DIGITS``
+digits are refused.  Prime factorization is unique, so no result depends on
+that effort, only whether one is found.
 ``factorize`` returns the increasing (prime, exponent) pairs of |n| and is
 memoized by ``functools.lru_cache`` with a fixed ``FACTORIZE_CACHE_SIZE``
 (4096) entries, keyed on the input.  Every check runs on each miss, the
@@ -29,10 +31,10 @@ wrong with it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from math import gcd, prod
 
-TRIAL_DIVISION_BOUND = 10**6
 RHO_STEP_BUDGET = 10**6
 MAX_DIGITS = 64
 _DIGIT_BOUND = 10**MAX_DIGITS  # the smallest integer with more than MAX_DIGITS digits
@@ -194,13 +196,13 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The increasing (prime, exponent) pairs of |n| for nonzero n, or an explicit refusal.
 
-    Trial division up to ``TRIAL_DIVISION_BOUND``, then Brent's rho on each
-    composite cofactor (see ``_brent_rho``), with a primality check on every
-    surviving piece.  Inputs wider than ``MAX_DIGITS`` decimal digits, and
-    composites rho cannot split within ``RHO_STEP_BUDGET`` steps, raise
-    FactorizationIncomplete rather than risking a wrong answer.  Results
-    are memoized on n (see the module docstring); ``factorize.__wrapped__``
-    is the uncached function.
+    One splitting loop: a piece that ``is_probable_prime`` accepts is a
+    prime; any other piece is split by the first of ``_MR_BASES`` that
+    divides it, or else by ``_brent_rho``.  Inputs wider than
+    ``MAX_DIGITS`` decimal digits, and composites rho cannot split within
+    ``RHO_STEP_BUDGET`` steps, raise FactorizationIncomplete rather than
+    risking a wrong answer.  Results are memoized on n (see the module
+    docstring); ``factorize.__wrapped__`` is the uncached function.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -211,30 +213,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             f"|n| has {m.bit_length()} bits, above the {MAX_DIGITS}-digit effort bound"
         )
 
-    counts: dict[int, int] = {}
-    while m % 2 == 0:
-        counts[2] = counts.get(2, 0) + 1
-        m //= 2
-    d = 3
-    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
-        while m % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            m //= d
-        d += 2
-    if 1 < m and m <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
-        # trial division ran past sqrt(m), so the cofactor is prime
-        counts[m] = counts.get(m, 0) + 1
-        m = 1
-
+    counts = Counter()
     pending = [m] if m > 1 else []
     while pending:
         m = pending.pop()
         if is_probable_prime(m):
-            counts[m] = counts.get(m, 0) + 1
+            counts[m] += 1
             continue
-        factor = _brent_rho(m)
-        pending.append(factor)
-        pending.append(m // factor)
+        factor = next((p for p in _MR_BASES if m % p == 0), None) or _brent_rho(m)
+        pending += (factor, m // factor)
 
     factors = tuple(sorted(counts.items()))
     back = prod(p**e for p, e in factors) * (1 if n > 0 else -1)

@@ -23,6 +23,9 @@ space and echoes it with every declared integer flag as the JSON ``input``.
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
 invariant of the package failed (a bug; the error kind is "internal-error").
+A usage error exits 2 with argparse's usage text on stderr; when the
+arguments ask for JSON it also writes an "invalid-input" report with
+argparse's message to stdout.
 """
 
 from __future__ import annotations
@@ -597,6 +600,17 @@ def _emit_error(fmt: str, command: str, kind: str, reason: str) -> None:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser; a usage error's SystemExit keeps the message, for a JSON report."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as exc:
+            exc.reason = message
+            raise
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser every ``run`` shares, built on first use (not at import)."""
@@ -609,7 +623,7 @@ def _parser() -> argparse.ArgumentParser:
     baz = argparse.ArgumentParser(add_help=False)
     baz.add_argument("--q", required=True, help="q1,q2,q3,q4,q5")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eschbaz",
         description="Exact-integer verification and search for totally geodesic "
                     "embeddings of Eschenburg spaces into Bazaikin spaces.",
@@ -645,7 +659,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
+        if not exc.code:  # help
+            return EXIT_OK
+        # only now that parsing failed: does argv ask for JSON, and for which command?
+        # Optional values, so no argv can make the probe itself fail.
+        probe = argparse.ArgumentParser(add_help=False)
+        probe.add_argument("--format", nargs="?")
+        probe.add_argument("command", nargs="?")
+        asked = probe.parse_known_args(argv)[0]
+        if asked.format == "json":
+            _emit_error("json", asked.command or "", "invalid-input", exc.reason)
+        return EXIT_INVALID_INPUT
     fmt, command = args.format, args.command
     try:
         space, echo = _read_input(args)

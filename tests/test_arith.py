@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import prod
 
 import pytest
@@ -120,6 +120,38 @@ def test_factorize_roundtrip(n):
     assert primes == sorted(set(primes))
 
 
+def _primes_below(limit):
+    """The primes below limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+def test_factorize_splits_primes_past_the_small_bases():
+    # factors are checked against a sieve, not is_probable_prime: every
+    # prime here is below 10**12, so the primes below 10**6 decide it
+    primes = _primes_below(10**6)
+    mid = [p for p in primes if p > 37]
+
+    def is_prime(n):
+        return n > 1 and all(n % q for q in takewhile(lambda q: q * q <= n, primes))
+
+    rng = random.Random(4104)
+    samples = [p ** rng.randint(1, 4) for p in rng.sample(mid, 20)]
+    samples += [p**2 for p in mid[:3] + mid[-3:]]
+    samples += [37 * 41, 37**2, 41**2] + [2**k * 41 for k in (1, 2, 7, 30, 150)]
+    samples += [p * _random_prime(rng, 10**11, 10**12) for p in (2, 3, 37, 41, rng.choice(mid))]
+    for n in samples + [-n for n in samples]:
+        f = factorize.__wrapped__(n)
+        assert prod(p**e for p, e in f) == abs(n), n
+        primes_of_n = [p for p, _ in f]
+        assert primes_of_n == sorted(set(primes_of_n)), n
+        assert all(is_prime(p) for p in primes_of_n), n
+
+
 def test_factorize_beyond_trial_bound_uses_rho():
     p, q = 1000003, 1000033
     f = factorize(p * q)
@@ -172,9 +204,9 @@ def _factorize_samples(rng):
     samples = [1, -1, 2, -2, 97, -(2**89 - 1)]
     samples += [p * sign for p in small + large for sign in (1, -1)]
     samples += [p ** rng.randint(2, 6) for p in small]
-    # both primes above the trial-division bound: only rho can split these
+    # both primes above 10**6: rho splits these
     samples += [p * q for p, q in zip(large[:3], large[3:6])]
-    # a repeated prime above the trial-division bound: rho meets it twice
+    # a repeated prime above 10**6: rho meets it twice
     samples += [large[6] ** 2]
     samples += [rng.randint(-10**9, 10**9) or 1 for _ in range(100)]
     return samples

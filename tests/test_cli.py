@@ -147,9 +147,10 @@ def test_exit_four_on_internal_error(capsys, schema, monkeypatch):
 def test_exit_four_on_factorization_mismatch(capsys, monkeypatch):
     from eschbaz import arith, embedding
 
-    # a1 - b2 = x + 3 = 1000003 * 1000033 is left to rho by trial division; a
-    # rho that returns the prime non-divisor 1000183 (the cofactor
-    # 1000036000099 // 1000183 = 999853 is prime) breaks the reconstruction
+    # a1 - b2 = x + 3 = 1000003 * 1000033 has no prime factor up to 37, so
+    # rho splits it; a rho that returns the prime non-divisor 1000183 (the
+    # cofactor 1000036000099 // 1000183 = 999853 is prime) breaks the
+    # reconstruction
     m = 1000003 * 1000033
     brent_rho = arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho", lambda n: 1000183 if n == m else brent_rho(n))
@@ -496,6 +497,33 @@ def test_json_error_reports_are_machine_readable(capsys, schema):
     jsonschema.validate(report, schema)
     assert report["error"]["kind"] == "invalid-input"
     assert "sum(a)" in report["error"]["reason"]
+
+
+@pytest.mark.parametrize(("argv", "command", "reason"), [
+    (("embed", "--a=2,0,0", "--b=15,-2,-11", "--c=x", "--format", "json"),
+     "embed", "argument --c: invalid integer value: 'x'"),
+    (("certified-shifts", "--a=2,0,0", "--b=15,-2,-11", "--format=json"),
+     "certified-shifts", "the following arguments are required: --mu-max"),
+    (("embed", "--format", "csv", "--a=2,0,0", "--b=15,-2,-11", "--c=1", "--bogus", "--form", "json"),
+     "embed", "unrecognized arguments: --bogus"),
+    (("no-such-command", "--format", "json"), "no-such-command", "argument command: invalid choice: "),
+    # the top-level parser has no --format, so it reads json as the command
+    (("--format", "json"), "", "argument command: invalid choice: 'json'"),
+], ids=["malformed-flag", "missing-flag", "unknown-flag", "unknown-command", "no-command"])
+def test_usage_errors_under_json_write_an_invalid_input_report(capsys, schema, argv, command, reason):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and err.startswith("usage: ")
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert report["command"] == command and report["error"]["kind"] == "invalid-input"
+    assert report["error"]["reason"].startswith(reason)
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "text"), ("--format", "csv"), ("--format", "json", "--format", "csv"),
+                                 ("--format",), ("--format", "xml")])
+def test_usage_errors_outside_json_leave_stdout_empty(capsys, fmt):
+    code, out, err = invoke(capsys, "embed", "--a=2,0,0", "--b=15,-2,-11", "--c=x", *fmt)
+    assert (code, out) == (2, "") and err.startswith("usage: ")
 
 
 # one valid invocation of every subcommand; scan leaves --workers at its default

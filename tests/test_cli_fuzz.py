@@ -14,9 +14,7 @@ is what their caps bound.
 
 A call is flagged when anything escapes ``run``, the exit code is not one of
 the documented five, stderr holds a traceback, JSON output does not parse, or
-the call runs past ``CALL_SECONDS``.  A usage error, such as a malformed
-``--c``, is written by argparse to stderr before ``--format`` is read, so it
-leaves stdout empty in every format.
+the call runs past ``CALL_SECONDS``.
 """
 
 from __future__ import annotations
@@ -152,8 +150,7 @@ def _problem(argv: list[str]) -> str | None:
         return f"undocumented exit code {code!r}"
     if "Traceback" in err.getvalue():
         return "traceback on stderr"
-    usage_error = code == cli.EXIT_INVALID_INPUT and err.getvalue().startswith("usage: ")
-    if argv[-1] == "json" and not usage_error:
+    if argv[-1] == "json":
         try:
             json.loads(out.getvalue())
         except ValueError as exc:

@@ -78,7 +78,7 @@ _PER_FORMAT = [
     ("certified-shifts", f"--a={HUGE},0,0", f"--b={HUGE + 16},-3,-13", "--mu-max=1"),
 ]
 
-# help and usage errors: no --format
+# help and usage errors: no --format, except the JSON usage errors at the end
 SUBCOMMANDS = ("verify-esch", "verify-baz", "embed", "window", "certified-shifts", "distinct",
                "submanifolds", "dual", "counterexamples", "families", "cohom1", "scan")
 _ONCE = [
@@ -88,6 +88,8 @@ _ONCE = [
     ("no-such-command",),
     ("families", "--k-max"),
     ("embed", *RUNNING, "--c=x"),
+    ("embed", *RUNNING, "--c=x", "--format", "json"),
+    ("certified-shifts", *RUNNING, "--format", "json"),  # --mu-max is required
 ]
 
 
