@@ -59,7 +59,7 @@ N_LIMIT = 1000
 # cohom1 0.37 MB.
 K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
-# The largest box ever scanned: 7.77M spaces, 97 s serial on a 2-core Xeon VM.
+# The largest box ever scanned: 7.77M spaces, 29 s serial on a 2-core Xeon VM.
 MAX_ABS_LIMIT = 200
 # Shifts in the curvature window that ``window`` builds certificates for; the
 # window of a=(1,0,0), b=(100001,-1,-99999) has 50,000 and writes 43.6 MB of
@@ -314,12 +314,7 @@ def _cmd_embed(e: EschParams, args) -> dict:
 
 
 def _cmd_window(e: EschParams, args) -> dict:
-    window = embedding.pc_shift_window(eschenburg.pc_normal_form(e))
-    # stop - start, since len() of a range overflows past 2**63 - 1
-    if window.stop - window.start > WINDOW_LIMIT:
-        raise ValueError(f"the curvature window of {e} has {to_decimal(window.stop - window.start)} "
-                         f"shifts; window is capped at {WINDOW_LIMIT} shifts")
-    report = embedding.window_scan(e)
+    report = embedding.window_scan(e, WINDOW_LIMIT)
     certs = [_cert_dict(c) for c in report.certificates]
     result = {
         "esch": _esch_dict(report.esch),

@@ -21,9 +21,9 @@ Errors are never cached: an invalid space raises on every call.
 
 The window bounds, the moduli and the walk over a window each live in one
 private helper on plain ints (``_shift_window``, ``_moduli``,
-``_first_nonsingular``), so the box scan decides each enumerated form
-without building an ``EschParams`` and shares its window and moduli with
-``pc_shift_window`` and ``nonsingular_shift``.
+``_first_nonsingular``).  The box scan writes the first two inline for
+a3 = 0 (``survey._scan_shard`` derives its formulas from them) and calls
+the walk, with ``_moduli``, only past a singular first shift.
 """
 
 from __future__ import annotations
@@ -209,14 +209,20 @@ def _shift_window(a_tail: int, b_tail: int) -> range:
     return range(lo // 2 + 1, (hi - 1) // 2 + 1)
 
 
-def window_scan(e: EschParams) -> WindowReport:
+def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:
     """Certificates for every shift in the positive-curvature window.
 
     Normalizes e first, so the window is reported in normal-form
-    coordinates.  Certificates are ordered by shift.
+    coordinates.  Certificates are ordered by shift.  A window of more than
+    ``max_shifts`` shifts, if given, raises ValueError before any
+    certificate is built.
     """
     f = pc_normal_form(e)
     window = pc_shift_window(f)
+    # stop - start, since len() of a range overflows past 2**63 - 1
+    if max_shifts is not None and window.stop - window.start > max_shifts:
+        raise ValueError(f"the curvature window of {e} has {to_decimal(window.stop - window.start)} "
+                         f"shifts; window is capped at {to_decimal(max_shifts)} shifts")
     esch_pc = is_pc_metric(f)
     certificates = tuple(_certificate(f, c, esch_pc) for c in window)
     notes = (COHOM1_WINDOW_NOTE,) if f == canonicalize(family_cohomogeneity_one(f.a[0] + 1)) else ()

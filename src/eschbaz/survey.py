@@ -11,13 +11,13 @@ non-singular Bazaikin host under the shift construction.
 space is in the box when its normal form or its mirrored canonical form
 fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
 b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
-bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  It decides each form
-as soon as it is enumerated, on its six ints: the window, the moduli and
-the three-gcd walk come from private ``embedding`` helpers (the window and
-the moduli are those of ``pc_shift_window`` and ``nonsingular_shift``), and
-the walk stops at the first non-singular shift of the curvature window.  It
-builds no ``EschParams`` for a form that embeds, and no certificates.  The
-two counterexample jobs decide their spaces by the same walk over the
+bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
+``_scan_shard``, enumerates the forms and decides each as it meets it, on
+plain ints: the curvature window and the moduli of ``nonsingular_shift``
+are written inline, three gcds decide the window's first shift, and only
+a singular first shift walks on through ``embedding._first_nonsingular``.
+It builds no ``EschParams`` for a form that embeds, and no certificates.
+The two counterexample jobs decide their spaces by that walk over the
 window they report, in one helper, and build no certificates either: a
 space that embeds after all fails, naming its non-singular shifts.  One
 function builds the rows of all three.  The cohomogeneity-one job and the
@@ -30,26 +30,23 @@ merged by deterministic sort, so output is identical for any worker count.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import starmap
 from math import gcd
 
-from .arith import InternalError, to_decimal, tuple_to_decimal
+from .arith import InternalError, to_decimal
 from .bazaikin import BazParams
 from .embedding import (
     EmbeddingCertificate,
     _first_nonsingular,
     _moduli,
-    _shift_window,
     make_certificate,
     nonsingular_shift,
     pc_shift_window,
 )
 from .eschenburg import (
     EschParams,
-    _freeness_moduli,
-    _in_chain,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
     h4_order,
@@ -184,47 +181,53 @@ def verify_cohomogeneity_one(p_max: int) -> tuple[EmbeddingCertificate, ...]:
     return tuple(certificates)
 
 
-def _normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple]:
-    """Yield the free, positively curved normal forms (a, b) of a set of (a1, a2) pairs.
-
-    A normal form is a=(a1, a2, 0), b=(b1, b2, b3) with b3 <= b2 <= -1 and
-    b1 = a1 + a2 - b2 - b3 > a1.  The same space has a mirrored canonical
-    form a=(a1, a1 - a2, 0), b=(a1 - b1, a1 - b3, a1 - b2), and a space is
-    in the box when either form is.  The box is exactly b3 >= a1 - max_abs
-    and b1 <= a1 + max_abs, the bounds of the mirror: a normal form that
-    fits has b1 <= max_abs, and with b2 <= -1 that gives
-    b3 = a1 + a2 - b1 - b2 >= a1 + a2 + 1 - max_abs > a1 - max_abs, so its
-    mirror fits too.  Freeness is the three gcds of ``is_free`` (a3 = 0),
-    whose moduli depend on b3 and not on b2.  Each space is yielded once,
-    as its normal form, with no set to deduplicate against.
-    """
-    for a1, a2 in apairs:
-        for b3 in range(a1 - max_abs, 0):
-            m1, m2, m3 = _freeness_moduli(a1, a2, 0, b3)
-            for b2 in range(max(b3, a2 - max_abs - b3), 0):
-                if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
-                    yield (a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3)
-
-
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
     """The number of normal forms of a shard, and those whose whole window is singular.
 
-    Each form is decided on its six ints by the ``embedding`` window,
-    moduli and walk helpers, without an ``EschParams``; the chain and
-    window checks that ``pc_shift_window`` makes are kept, as invariants of
-    the enumerator.
+    One loop enumerates the normal forms a=(a1, a2, 0), b=(b1, b2, b3),
+    b3 <= b2 <= -1, b1 = a1 + a2 - b2 - b3, of the shard's (a1, a2) pairs in
+    the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, and decides each on plain
+    ints.  With a3 = 0 the helpers it writes inline reduce as follows:
+
+    - ``_shift_window(a2, b2 + b3)`` is range(-(a2 + 1)//2 + 1,
+      (-(b2 + b3 + 1) - 1)//2 + 1) = range(c0, -(b2 + b3)//2) with
+      c0 = (1 - a2)//2 (a floor quotient moves by one when its numerator
+      moves by two), so 2*c0 = a2 % 2 - a2;
+    - ``_moduli(a1, a2, 0, b1, b2, b3)`` pairs s_k = a2 + 1, a1 + 1,
+      a1 + a2 + 1 with D_1 = (a1 - b1)(a1 - b2)u, D_2 = (a2 - b1)(a2 - b2)w
+      and D_3 = -v*b3, for u = a1 - b3, w = a2 - b3 and v = b1*b2; as
+      b1 + b2 = a1 + a2 - b3, D_1 = (v - a1*w)u and D_2 = (v - a2*u)w;
+    - ``_freeness_moduli(a1, a2, 0, b3)`` is (u*w, u*b3, w*b3), against b2, a2 - b2, a1 - b2.
+
+    So c0 and x_k = s_k + 2*c0 (x1 = 1 + a2 % 2, x3 = x1 + a1, x2 = x3 - a2)
+    are fixed per pair, u, w and the freeness moduli per b3, and a free form
+    costs three gcds at c0 (the sign of D_3 leaves its gcd alone); only a
+    singular c0 walks on.  The chain and a nonempty window, both checked by
+    ``pc_shift_window``, are checked on every form, as invariants.
     """
     apairs, max_abs = args
     count, singular = 0, []
-    for a, b in _normal_forms(apairs, max_abs):
-        count += 1
-        (a1, a2, a3), (b1, b2, b3) = a, b
-        window = _shift_window(a2 + a3, b2 + b3)
-        if not (window and _in_chain(a1, a2, a3, b1, b2, b3)):
-            raise InternalError(f"enumerated form a={tuple_to_decimal(a)} b={tuple_to_decimal(b)} "
-                                "breaks the normal-form chain or has an empty shift window")
-        if _first_nonsingular(window, _moduli(a1, a2, a3, b1, b2, b3)) is None:
-            singular.append((a, b))
+    for a1, a2 in apairs:
+        c0 = (1 - a2) // 2
+        x1 = 1 + a2 % 2
+        x3 = x1 + a1
+        x2 = x3 - a2
+        for b3 in range(a1 - max_abs, 0):
+            u, w = a1 - b3, a2 - b3
+            m1, m2, m3 = u * w, u * b3, w * b3
+            for b2 in range(max(b3, a2 - max_abs - b3), 0):
+                if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
+                    count += 1
+                    b1 = a1 + a2 - b2 - b3
+                    stop = -(b2 + b3) // 2
+                    if stop <= c0 or not b3 <= b2 < 0 <= a2 <= a1 < b1:
+                        raise InternalError(f"enumerated form {EschParams((a1, a2, 0), (b1, b2, b3))} breaks "
+                                            "the normal-form chain or has an empty shift window")
+                    v = b1 * b2
+                    if gcd(x1, (v - a1 * w) * u) == gcd(x2, (v - a2 * u) * w) == gcd(x3, v * b3) == 1:
+                        continue
+                    if _first_nonsingular(range(c0 + 1, stop), _moduli(a1, a2, 0, b1, b2, b3)) is None:
+                        singular.append(((a1, a2, 0), (b1, b2, b3)))
     return count, singular
 
 
@@ -239,9 +242,8 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     Enumerates the free, positively curved spaces with a canonical form
     whose entries are bounded by max_abs in absolute value, each once as
     its normal form: the box is exactly the bounds of the mirrored canonical
-    form, b3 >= a1 - max_abs and b1 <= a1 + max_abs (see ``_normal_forms``).
-    Each form is decided as it is enumerated, on its six ints, by the
-    ``embedding`` window, moduli and walk helpers (see ``_scan_shard``);
+    form, b3 >= a1 - max_abs and b1 <= a1 + max_abs.  Each form is decided
+    as it is enumerated, on plain ints, in one loop (see ``_scan_shard``);
     the walk stops at the first non-singular shift of the curvature window,
     and only a singular form becomes an ``EschParams``.  Returns counts plus
     up to ``limit`` counterexample rows sorted by |H^4| (ties broken
@@ -267,8 +269,6 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
-    singular = [EschParams(a, b) for _, keys in shards for a, b in keys]
-    rows = [_singular_row(f, pc_shift_window(f)) for f in singular]
-    stats = ScanStats(total=total, embeddable=total - len(rows), counterexamples=len(rows))
-    rows.sort(key=lambda row: (row.h4, row.esch.a, row.esch.b))
-    return stats, rows[:limit]
+    rows = sorted((_singular_row(f, pc_shift_window(f)) for _, keys in shards
+                   for f in starmap(EschParams, keys)), key=lambda row: (row.h4, row.esch.a, row.esch.b))
+    return ScanStats(total, total - len(rows), len(rows)), rows[:limit]

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from eschbaz import BazParams, EschParams, SurveyRow, WindowReport, h4_order, is_free, pc_normal_form
 from eschbaz.arith import to_decimal
 from eschbaz.embedding import _first_nonsingular, _moduli, pc_shift_window
+from eschbaz.eschenburg import _freeness_moduli
 
 _PERMS3 = tuple(permutations(range(3)))
 _PERMS5 = tuple(permutations(range(5)))
@@ -238,3 +239,21 @@ def enumerate_normal_forms(max_abs: int) -> set[tuple]:
                     f = pc_normal_form(e)
                     found.add((f.a, f.b))
     return found
+
+
+def normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple]:
+    """Yield the free, positively curved normal forms (a, b) of a set of (a1, a2) pairs.
+
+    The enumeration that ``survey._scan_shard`` writes into its loop, as a
+    generator: the normal forms a=(a1, a2, 0), b=(b1, b2, b3) with
+    b3 <= b2 <= -1 and b1 = a1 + a2 - b2 - b3 over the box
+    b3 >= a1 - max_abs, b1 <= a1 + max_abs, free by the three gcds of
+    ``is_free``.  Checked against ``enumerate_normal_forms`` on small boxes;
+    unlike it, it reaches the pair of a stored counterexample in one shard.
+    """
+    for a1, a2 in apairs:
+        for b3 in range(a1 - max_abs, 0):
+            m1, m2, m3 = _freeness_moduli(a1, a2, 0, b3)
+            for b2 in range(max(b3, a2 - max_abs - b3), 0):
+                if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
+                    yield (a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3)

@@ -364,6 +364,22 @@ def test_window_scan_normalizes_and_emits_family_note():
     assert "-1 <= c <= 0" in report.notes[0] and "{-1}" in report.notes[0]
 
 
+def test_window_scan_cap_is_checked_before_any_certificate(monkeypatch):
+    import eschbaz.embedding as embedding_mod
+
+    # the running example shifted by 3, out of normal form; its window 0..5 has 6 shifts
+    e = EschParams((5, 3, 3), (18, 1, -8))
+    assert window_scan(e, 6) == window_scan(e) == window_scan(E_RUNNING)
+
+    def no_certificates(*args):
+        raise AssertionError("a certificate was built past the cap")
+
+    monkeypatch.setattr(embedding_mod, "_certificate", no_certificates)
+    with pytest.raises(ValueError) as info:
+        window_scan(e, 5)
+    assert str(info.value) == f"the curvature window of {e} has 6 shifts; window is capped at 5 shifts"
+
+
 def _has_cohom1_shape(f):
     """a=(t,0,0), b=(t+2,-1,-1): the normal form of the cohomogeneity-one family."""
     t = f.a[0]

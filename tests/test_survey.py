@@ -8,17 +8,25 @@ scan's output, rewrite the file with
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import random
+import re
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 from conftest import random_pc_esch
-from oracles import enumerate_normal_forms, first_nonsingular_shift, is_free_six_gcds, row_from_report
+from oracles import (
+    enumerate_normal_forms,
+    first_nonsingular_shift,
+    is_free_six_gcds,
+    normal_forms,
+    row_from_report,
+)
 from eschbaz import (
     BazParams,
     EmbeddingCertificate,
@@ -44,7 +52,6 @@ from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
     ScanStats,
     SurveyRow,
-    _normal_forms,
     _pool_size,
 )
 
@@ -221,6 +228,7 @@ def test_scan_box_rows_are_counterexamples_and_sorted(box60):
 def test_scan_box_deterministic_across_workers():
     base = scan_box(24, 50)
     assert base == scan_box(24, 50, workers=2)
+    assert base == scan_box(24, 50, workers=8)
     # repeated single-worker runs are bit-identical too
     assert base == scan_box(24, 50)
 
@@ -250,16 +258,23 @@ def test_pool_size_is_bounded():
     assert _pool_size(1, 10**9) == 1
 
 
+@functools.cache
 def _box_keys(max_abs):
-    apairs = [(a1, a2) for a1 in range(max_abs + 1) for a2 in range(a1 + 1)]
-    return list(_normal_forms(apairs, max_abs))
+    """The oracle's normal forms in the box, as sets of keys (a, b) per (a1, a2) pair."""
+    keys = {(a1, a2): set() for a1 in range(max_abs + 1) for a2 in range(a1 + 1)}
+    for a, b in enumerate_normal_forms(max_abs):
+        keys[a[:2]].add((a, b))
+    return keys
 
 
 def test_enumerator_matches_normal_form_oracle():
+    # the one-chain enumerator that the scan kernel writes inline, kept as
+    # the oracle for shards beyond the two-chain oracle's reach
     for max_abs in range(1, 31):
-        keys = _box_keys(max_abs)
-        assert len(keys) == len(set(keys)), max_abs
-        assert set(keys) == enumerate_normal_forms(max_abs), max_abs
+        for pair, want in _box_keys(max_abs).items():
+            keys = list(normal_forms([pair], max_abs))
+            assert len(keys) == len(set(keys)), (max_abs, pair)
+            assert set(keys) == want, (max_abs, pair)
 
 
 def test_every_normal_form_that_fits_the_box_has_its_mirror_in_it():
@@ -292,14 +307,15 @@ def _kernel_verdict(f, c):
 
 def test_kernel_matches_certificates_on_every_window_in_box30():
     checked = 0
-    for a, b in _box_keys(30):
-        f = EschParams(a, b)
-        window = pc_shift_window(f)
-        verdicts = [make_certificate(f, c).baz_free for c in window]
-        assert [_kernel_verdict(f, c) for c in window] == verdicts, f
-        first = next((c for c, ok in zip(window, verdicts) if ok), None)
-        assert first_nonsingular_shift(f) == first, f
-        checked += len(verdicts)
+    for keys in _box_keys(30).values():
+        for a, b in sorted(keys):
+            f = EschParams(a, b)
+            window = pc_shift_window(f)
+            verdicts = [make_certificate(f, c).baz_free for c in window]
+            assert [_kernel_verdict(f, c) for c in window] == verdicts, f
+            first = next((c for c, ok in zip(window, verdicts) if ok), None)
+            assert first_nonsingular_shift(f) == first, f
+            checked += len(verdicts)
     assert checked == 50_305
 
 
@@ -308,34 +324,67 @@ def _per_form_singular(keys):
     return {(a, b) for a, b in keys if first_nonsingular_shift(EschParams(a, b)) is None}
 
 
+def _check_shard(shard, keys):
+    """``_scan_shard`` counts the forms of a shard's keys and reports their singular ones, once each."""
+    count, singular = survey_mod._scan_shard(shard)
+    assert count == len(keys), shard
+    assert len(singular) == len(set(singular)), shard
+    assert set(singular) == _per_form_singular(keys), shard
+    return singular
+
+
 def test_scan_box_matches_the_per_form_path_in_every_box_to_30():
+    # each (a1, a2) pair as its own shard, then the whole box
     for max_abs in range(1, 31):
-        keys = _box_keys(max_abs)
+        pairs, singular = _box_keys(max_abs), set()
+        for pair, keys in pairs.items():
+            singular.update(_check_shard(([pair], max_abs), keys))
         stats, rows = scan_box(max_abs, 10**6)
-        assert stats.total == len(keys), max_abs
-        assert {(row.esch.a, row.esch.b) for row in rows} == _per_form_singular(keys), max_abs
+        assert stats.total == sum(map(len, pairs.values())), max_abs
+        assert {(row.esch.a, row.esch.b) for row in rows} == singular, max_abs
         assert stats.counterexamples == len(rows), max_abs
     # those boxes hold no counterexample, so also compare shards that do:
     # the (a1, a2) pair of each stored one, in the box that b1 bounds
     for a, b, _window in KNOWN_COUNTEREXAMPLES:
         shard = ([a[:2]], b[0])
-        keys = list(_normal_forms(*shard))
-        count, singular = survey_mod._scan_shard(shard)
-        assert count == len(keys), (a, b)
-        assert set(singular) == _per_form_singular(keys), (a, b)
-        assert (a, b) in singular
+        assert (a, b) in _check_shard(shard, list(normal_forms(*shard)))
 
 
-def test_scan_shard_checks_each_enumerated_form(monkeypatch):
+def test_scan_shard_decides_the_first_shift_inline(monkeypatch):
+    # with the walk past the first shift stubbed out, a shard reports exactly
+    # the forms whose first shift is singular, each after handing the walk
+    # the rest of its window and its moduli
+    walks = []
+
+    def walk(window, moduli):
+        walks.append((window, moduli))
+        return None
+
+    monkeypatch.setattr(survey_mod, "_first_nonsingular", walk)
+    pairs = _box_keys(30)
+    keys = set().union(*pairs.values())
+    want = {}
+    for a, b in keys:
+        f = EschParams(a, b)
+        window = pc_shift_window(f)
+        if first_nonsingular_shift(f) != window.start:
+            want[a, b] = (range(window.start + 1, window.stop), _moduli(*a, *b))
+    assert len(want) == 1914
+    count, singular = survey_mod._scan_shard((list(pairs), 30))
+    assert count == len(keys)
+    assert len(singular) == len(walks) == len(want)
+    assert dict(zip(singular, walks)) == want
+
+
+def test_scan_shard_checks_each_enumerated_form():
     shard = ([(2, 0)], 15)  # holds the running example a=(2, 0, 0), b=(15, -2, -11)
     assert survey_mod._scan_shard(shard)[0] > 0
-    with monkeypatch.context() as mp:
-        mp.setattr(survey_mod, "_in_chain", lambda *entries: False)
-        with pytest.raises(InternalError, match="breaks the normal-form chain or has an empty shift window"):
-            survey_mod._scan_shard(shard)
-    with monkeypatch.context() as mp:
-        mp.setattr(survey_mod, "_shift_window", lambda a_tail, b_tail: range(0))
-        with pytest.raises(InternalError, match="breaks the normal-form chain or has an empty shift window"):
+    # out-of-domain pairs: (0, 3) has a2 > a1; (0, -10) has a2 < 0, and its
+    # first form an empty window too (a form in the chain never has one)
+    for shard, form in ((([(0, 3)], 5), "a=(0, 3, 0) b=(5, -1, -1)"),
+                        (([(0, -10)], 5), "a=(0, -10, 0) b=(-1, -4, -5)")):
+        message = f"enumerated form {form} breaks the normal-form chain or has an empty shift window"
+        with pytest.raises(InternalError, match=re.escape(message)):
             survey_mod._scan_shard(shard)
 
 
