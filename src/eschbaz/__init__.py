@@ -31,12 +31,10 @@ from .embedding import (
     window_scan,
 )
 from .eschenburg import (
-    DegenerateActionError,
     EschParams,
     NotPositivelyCurvedError,
     admits_positive_curvature,
     canonicalize,
-    effectivize,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
     h4_order,

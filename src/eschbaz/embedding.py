@@ -19,15 +19,17 @@ parameters.  So the certified shifts of one space and its distinct hosts
 share one check and one P, and its nine differences are factored once.
 Errors are never cached: an invalid space raises on every call.
 
-The window bounds, the moduli and the walk over a window each live in one
-private helper on plain ints (``_shift_window``, ``_moduli``,
-``_first_nonsingular``).  The box scan writes the first two inline for
-a3 = 0 (``survey._scan_shard`` derives its formulas from them) and calls
-the walk, with ``_moduli``, only past a singular first shift.
+The window bounds live in ``pc_shift_window``, and the moduli and the
+three-gcd walk over shifts each in one private helper on plain ints
+(``_moduli``, ``_first_nonsingular``); ``nonsingular_shift`` is that walk
+over the one shift c.  The box scan writes all three inline for a3 = 0
+(``survey._scan_shard`` derives its formulas from them) and calls nothing
+here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -143,16 +145,13 @@ def nonsingular_shift(e: EschParams, c: int) -> bool:
 
     Equivalent to e being free plus the nine conditions
     gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1, where {i, j} is the complement
-    of k; checked as three gcds (see ``_moduli``).
+    of k; checked as three gcds, by ``_first_nonsingular`` over the one
+    shift c.
     """
-    if not is_free(e):
-        return False
-    (s1, d1), (s2, d2), (s3, d3) = _moduli(*e.a, *e.b)
-    t = 2 * c
-    return gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1
+    return is_free(e) and _first_nonsingular((c,), _moduli(*e.a, *e.b)) is not None
 
 
-def _first_nonsingular(window: range, moduli: tuple[tuple[int, int], ...]) -> int | None:
+def _first_nonsingular(window: Iterable[int], moduli: tuple[tuple[int, int], ...]) -> int | None:
     """The first c in window with gcd(s_k + 2c, D_k) == 1 for all three ``_moduli`` pairs."""
     (s1, d1), (s2, d2), (s3, d3) = moduli
     for c in window:
@@ -186,27 +185,20 @@ def _certificate(e: EschParams, c: int, esch_pc: bool) -> EmbeddingCertificate:
 def pc_shift_window(e: EschParams) -> range:
     """All integer shifts whose candidate is positively curved.
 
-    e must be in normal form; the window is ``_shift_window`` of its tail
-    sums.  Nonempty for every input in normal form: the open interval has
-    half-length >= 1 and its endpoints cannot both be even integers at the
-    minimal length.
+    e must be in normal form; the window is the c with
+    -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1), solved in integer arithmetic (no
+    halving, no floats).  Nonempty for every input in normal form: the open
+    interval has half-length >= 1 and its endpoints cannot both be even
+    integers at the minimal length.
     """
     if not _in_chain(*e.a, *e.b):
         raise NormalFormError(f"{e} is not in positive-curvature normal form")
-    window = _shift_window(e.a[1] + e.a[2], e.b[1] + e.b[2])
+    lo = -(e.a[1] + e.a[2] + 1)  # 2c must exceed this
+    hi = -(e.b[1] + e.b[2] + 1)  # 2c must stay below this
+    window = range(lo // 2 + 1, (hi - 1) // 2 + 1)
     if not window:
         raise InternalError(f"{e} is in normal form but has an empty shift window")
     return window
-
-
-def _shift_window(a_tail: int, b_tail: int) -> range:
-    """The c with -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1), from a_tail = a2 + a3 and b_tail = b2 + b3.
-
-    Solved in integer arithmetic (no halving, no floats).
-    """
-    lo = -(a_tail + 1)  # 2c must exceed this
-    hi = -(b_tail + 1)  # 2c must stay below this
-    return range(lo // 2 + 1, (hi - 1) // 2 + 1)
 
 
 def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:

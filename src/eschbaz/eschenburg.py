@@ -7,10 +7,11 @@ curvature (both for some metric and for the fixed metric/labeling), the
 isometry-canonical form, and the order of the fourth cohomology group.
 
 Moves that are isometries (permuting a, permuting b2/b3, adding a common
-shift to all six entries, rescaling by an ineffective kernel) are applied by
-``canonicalize`` and ``effectivize``.  Moves that are mere diffeomorphisms
-(cyclic relabelings of all of b, swapping a and b) are never applied
-implicitly; the a/b swap appears only through the dual-embedding operation.
+shift to all six entries) are applied by ``canonicalize``; the ineffective
+kernel is measured by ``kernel_order`` and never divided out.  Moves that
+are mere diffeomorphisms (cyclic relabelings of all of b, swapping a and b)
+are never applied implicitly; the a/b swap appears only through the
+dual-embedding operation.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from math import gcd
 from operator import index
 
 from .arith import InternalError, to_decimal, tuple_to_decimal
-
-
-class DegenerateActionError(ValueError):
-    """The circle action is trivial (all parameters equal)."""
 
 
 class NotPositivelyCurvedError(ValueError):
@@ -101,24 +98,6 @@ def kernel_order(e: EschParams) -> int:
         for bj in e.b:
             g = gcd(g, ai - bj)
     return g
-
-
-def effectivize(e: EschParams) -> EschParams:
-    """Divide out the ineffective kernel; the quotient space is unchanged.
-
-    Subtracts t = a1 mod g from all six entries and divides by
-    g = kernel_order(e), giving parameters with kernel order 1.
-    """
-    g = kernel_order(e)
-    if g == 0:
-        raise DegenerateActionError(f"all parameters equal ({e}); the action is trivial")
-    if g == 1:
-        return e
-    t = e.a[0] % g
-    return EschParams(
-        tuple((x - t) // g for x in e.a),
-        tuple((x - t) // g for x in e.b),
-    )
 
 
 def canonicalize(e: EschParams) -> EschParams:

@@ -13,16 +13,16 @@ fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
 b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
 bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
 ``_scan_shard``, enumerates the forms and decides each as it meets it, on
-plain ints: the curvature window and the moduli of ``nonsingular_shift``
-are written inline, three gcds decide the window's first shift, and only
-a singular first shift walks on through ``embedding._first_nonsingular``.
-It builds no ``EschParams`` for a form that embeds, and no certificates.
-The two counterexample jobs decide their spaces by that walk over the
-window they report, in one helper, and build no certificates either: a
-space that embeds after all fails, naming its non-singular shifts.  One
-function builds the rows of all three.  The cohomogeneity-one job and the
-``window`` command keep the full-certificate path, which is also the test
-oracle for the fast one.
+plain ints: the curvature window, the moduli of ``nonsingular_shift`` and
+its three gcds are written inline, and each form walks its window once, up
+to its first non-singular shift.  It calls nothing but ``gcd``, builds no
+``EschParams`` for a form that embeds, and no certificates.  The two
+counterexample jobs decide their spaces by ``embedding._first_nonsingular``
+over the window they report, in one helper, and build no certificates
+either: a space that embeds after all fails, naming its non-singular
+shifts.  One function builds the rows of all three.  The cohomogeneity-one
+job and the ``window`` command keep the full-certificate path, which is
+also the test oracle for the fast one.
 ``scan_box`` can shard its (a1, a2) pairs over worker processes; rows are
 merged by deterministic sort, so output is identical for any worker count.
 """
@@ -187,31 +187,33 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     One loop enumerates the normal forms a=(a1, a2, 0), b=(b1, b2, b3),
     b3 <= b2 <= -1, b1 = a1 + a2 - b2 - b3, of the shard's (a1, a2) pairs in
     the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, and decides each on plain
-    ints.  With a3 = 0 the helpers it writes inline reduce as follows:
+    ints.  With a3 = 0 the embedding helpers it writes inline reduce as
+    follows:
 
-    - ``_shift_window(a2, b2 + b3)`` is range(-(a2 + 1)//2 + 1,
-      (-(b2 + b3 + 1) - 1)//2 + 1) = range(c0, -(b2 + b3)//2) with
-      c0 = (1 - a2)//2 (a floor quotient moves by one when its numerator
-      moves by two), so 2*c0 = a2 % 2 - a2;
+    - ``pc_shift_window`` is range(-(a2 + 1)//2 + 1, (-(b2 + b3 + 1) - 1)//2 + 1)
+      = range(c0, -(b2 + b3)//2) with c0 = (1 - a2)//2 (a floor quotient
+      moves by one when its numerator moves by two), so the doubled shifts
+      t = 2c run over range(t0, t_stop, 2) with t0 = 2*c0 = a2 % 2 - a2 and
+      t_stop = 2*(-(b2 + b3)//2);
     - ``_moduli(a1, a2, 0, b1, b2, b3)`` pairs s_k = a2 + 1, a1 + 1,
       a1 + a2 + 1 with D_1 = (a1 - b1)(a1 - b2)u, D_2 = (a2 - b1)(a2 - b2)w
       and D_3 = -v*b3, for u = a1 - b3, w = a2 - b3 and v = b1*b2; as
-      b1 + b2 = a1 + a2 - b3, D_1 = (v - a1*w)u and D_2 = (v - a2*u)w;
+      b1 + b2 = a1 + a2 - b3, D_1 = (v - a1*w)u and D_2 = (v - a2*u)w (the
+      sign of D_3 leaves its gcds alone);
     - ``_freeness_moduli(a1, a2, 0, b3)`` is (u*w, u*b3, w*b3), against b2, a2 - b2, a1 - b2.
 
-    So c0 and x_k = s_k + 2*c0 (x1 = 1 + a2 % 2, x3 = x1 + a1, x2 = x3 - a2)
-    are fixed per pair, u, w and the freeness moduli per b3, and a free form
-    costs three gcds at c0 (the sign of D_3 leaves its gcd alone); only a
-    singular c0 walks on.  The chain and a nonempty window, both checked by
-    ``pc_shift_window``, are checked on every form, as invariants.
+    So t0 and the s_k are fixed per pair, u, w and the freeness moduli per
+    b3, and each free form walks its window with the three gcds of
+    ``_first_nonsingular`` up to its first non-singular shift.  The chain
+    and a nonempty window, both checked by ``pc_shift_window``, are checked
+    on every form, as invariants.
     """
     apairs, max_abs = args
     count, singular = 0, []
     for a1, a2 in apairs:
-        c0 = (1 - a2) // 2
-        x1 = 1 + a2 % 2
-        x3 = x1 + a1
-        x2 = x3 - a2
+        t0 = a2 % 2 - a2
+        s1, s2 = a2 + 1, a1 + 1
+        s3 = s2 + a2
         for b3 in range(a1 - max_abs, 0):
             u, w = a1 - b3, a2 - b3
             m1, m2, m3 = u * w, u * b3, w * b3
@@ -219,14 +221,16 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
                 if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
                     count += 1
                     b1 = a1 + a2 - b2 - b3
-                    stop = -(b2 + b3) // 2
-                    if stop <= c0 or not b3 <= b2 < 0 <= a2 <= a1 < b1:
+                    t_stop = -(b2 + b3) // 2 * 2
+                    if t_stop <= t0 or not b3 <= b2 < 0 <= a2 <= a1 < b1:
                         raise InternalError(f"enumerated form {EschParams((a1, a2, 0), (b1, b2, b3))} breaks "
                                             "the normal-form chain or has an empty shift window")
                     v = b1 * b2
-                    if gcd(x1, (v - a1 * w) * u) == gcd(x2, (v - a2 * u) * w) == gcd(x3, v * b3) == 1:
-                        continue
-                    if _first_nonsingular(range(c0 + 1, stop), _moduli(a1, a2, 0, b1, b2, b3)) is None:
+                    d1, d2, d3 = (v - a1 * w) * u, (v - a2 * u) * w, v * b3
+                    for t in range(t0, t_stop, 2):
+                        if gcd(s1 + t, d1) == gcd(s2 + t, d2) == gcd(s3 + t, d3) == 1:
+                            break
+                    else:
                         singular.append(((a1, a2, 0), (b1, b2, b3)))
     return count, singular
 

@@ -1,4 +1,7 @@
-"""Slow reference implementations that fast paths in the package are tested against."""
+"""Slow reference implementations that fast paths in the package are tested against.
+
+Also holds ``effectivize``, which only the tests use.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,16 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Iterable, Iterator
 
-from eschbaz import BazParams, EschParams, SurveyRow, WindowReport, h4_order, is_free, pc_normal_form
+from eschbaz import (
+    BazParams,
+    EschParams,
+    SurveyRow,
+    WindowReport,
+    h4_order,
+    is_free,
+    kernel_order,
+    pc_normal_form,
+)
 from eschbaz.arith import to_decimal
 from eschbaz.embedding import _first_nonsingular, _moduli, pc_shift_window
 from eschbaz.eschenburg import _freeness_moduli
@@ -33,6 +45,30 @@ def elementary_symmetric(k: int, xs: Iterable[int]) -> int:
         for i in range(top, 0, -1):
             coeffs[i] += x * coeffs[i - 1]
     return coeffs[k]
+
+
+class DegenerateActionError(ValueError):
+    """The circle action is trivial (all parameters equal)."""
+
+
+def effectivize(e: EschParams) -> EschParams:
+    """Divide out the ineffective kernel; the quotient space is unchanged.
+
+    Subtracts t = a1 mod g from all six entries and divides by
+    g = kernel_order(e), giving parameters with kernel order 1.  The
+    package only measures the kernel; the tests use this to check that a
+    kernel of order 2 or more is what blocks freeness.
+    """
+    g = kernel_order(e)
+    if g == 0:
+        raise DegenerateActionError(f"all parameters equal ({e}); the action is trivial")
+    if g == 1:
+        return e
+    t = e.a[0] % g
+    return EschParams(
+        tuple((x - t) // g for x in e.a),
+        tuple((x - t) // g for x in e.b),
+    )
 
 
 def is_free_oracle(e: EschParams) -> bool:

@@ -6,14 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_esch, random_free_esch, random_pc_esch
-from oracles import decimal_by_digits, elementary_symmetric, is_free_oracle, is_free_six_gcds
-from eschbaz import (
+from oracles import (
     DegenerateActionError,
+    decimal_by_digits,
+    effectivize,
+    elementary_symmetric,
+    is_free_oracle,
+    is_free_six_gcds,
+)
+from eschbaz import (
     EschParams,
     NotPositivelyCurvedError,
     admits_positive_curvature,
     canonicalize,
-    effectivize,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
     h4_order,

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_pc_esch
+import oracles
 from oracles import (
     enumerate_normal_forms,
     first_nonsingular_shift,
@@ -350,30 +351,38 @@ def test_scan_box_matches_the_per_form_path_in_every_box_to_30():
         assert (a, b) in _check_shard(shard, list(normal_forms(*shard)))
 
 
-def test_scan_shard_decides_the_first_shift_inline(monkeypatch):
-    # with the walk past the first shift stubbed out, a shard reports exactly
-    # the forms whose first shift is singular, each after handing the walk
-    # the rest of its window and its moduli
-    walks = []
+def _recorder(calls):
+    """A stand-in for ``gcd`` that appends each call's (x, |m|) to calls."""
+    def record(x, m):
+        calls.append((x, abs(m)))
+        return gcd(x, m)
+    return record
 
-    def walk(window, moduli):
-        walks.append((window, moduli))
-        return None
 
-    monkeypatch.setattr(survey_mod, "_first_nonsingular", walk)
-    pairs = _box_keys(30)
-    keys = set().union(*pairs.values())
-    want = {}
-    for a, b in keys:
+def test_scan_shard_walks_each_window_once(monkeypatch):
+    # the kernel's gcd calls on box 30 are the enumerator's freeness gcds,
+    # each free form's followed by its walk: the three-gcd chain at every
+    # shift of its window up to its first non-singular one (the chain takes
+    # the k = 3 gcd only when the first two agree).  Moduli are compared up
+    # to sign, which the kernel's D_3 flips.
+    pairs = list(_box_keys(30))
+    want, forms, past_first = [], [], 0
+    monkeypatch.setattr(oracles, "gcd", _recorder(want))
+    for a, b in normal_forms(pairs, 30):
         f = EschParams(a, b)
-        window = pc_shift_window(f)
-        if first_nonsingular_shift(f) != window.start:
-            want[a, b] = (range(window.start + 1, window.stop), _moduli(*a, *b))
-    assert len(want) == 1914
-    count, singular = survey_mod._scan_shard((list(pairs), 30))
-    assert count == len(keys)
-    assert len(singular) == len(walks) == len(want)
-    assert dict(zip(singular, walks)) == want
+        window, first = pc_shift_window(f), first_nonsingular_shift(f)
+        forms.append((a, b, first))
+        past_first += first != window.start
+        for c in range(window.start, window.stop if first is None else first + 1):
+            (x1, d1), (x2, d2), (x3, d3) = ((s + 2 * c, abs(d)) for s, d in _moduli(*a, *b))
+            want += [(x1, d1), (x2, d2)] + [(x3, d3)] * (gcd(x1, d1) == gcd(x2, d2))
+    assert past_first == 1914
+    got = []
+    monkeypatch.setattr(survey_mod, "gcd", _recorder(got))
+    count, singular = survey_mod._scan_shard((pairs, 30))
+    assert count == len(forms)
+    assert singular == [(a, b) for a, b, first in forms if first is None]
+    assert got == want
 
 
 def test_scan_shard_checks_each_enumerated_form():
