@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Parses parameters, dispatches to the library, and emits a report as
-human-readable text (default), JSON, or CSV.  Each handler computes its
-results first, so every error is raised before any output, and hands back
-its text and CSV renderings as builders: ``_emit`` calls only the one for
-the requested format.  JSON is written by one walk of the report tree,
-``_json_text``, with the layout of ``json.dumps(indent=2)``; it follows the
-schema shipped as ``report_schema.json``, and integers beyond the 53-bit
-float-safe range are written as decimal strings so no consumer can lose
-precision.
+human-readable text (default), JSON, or CSV.  Each handler makes every
+library call first, so every error is raised before any output, and hands
+back one builder per format, each over the library's own values
+(``EschParams``, ``BazParams``, ``range``, certificates, survey rows) or the
+handler's locals: ``_emit`` calls only the one for the requested format, and
+no text or CSV builder reads a JSON dict.  JSON is written by one walk of
+the report tree, ``_json_text``, with the layout of ``json.dumps(indent=2)``;
+it follows the schema shipped as ``report_schema.json``, and integers beyond
+the 53-bit float-safe range are written as decimal strings so no consumer
+can lose precision.
 Integers cross the command line in both directions through
 ``arith.from_decimal`` and ``arith.to_decimal``, so no argument or output is
 held to the interpreter's 4300-digit int/str limit.
@@ -118,7 +120,7 @@ def _read_input(args: argparse.Namespace) -> tuple[EschParams | BazParams | None
 
 
 # ---------------------------------------------------------------------------
-# structured result builders (shared by the text, JSON, and CSV renderings)
+# JSON results
 
 
 def _esch_dict(e: EschParams) -> dict:
@@ -140,7 +142,7 @@ def _offense_dicts(pairs) -> list[dict]:
     ]
 
 
-def _cert_dict(cert: EmbeddingCertificate) -> dict:
+def _cert_dict(cert: EmbeddingCertificate, **extras) -> dict:
     return {
         "esch": _esch_dict(cert.esch),
         "shift": cert.shift,
@@ -150,16 +152,18 @@ def _cert_dict(cert: EmbeddingCertificate) -> dict:
         "esch_pc": cert.esch_pc,
         "h6": cert.h6,
         "offending_pairs": _offense_dicts(cert.offending_pairs),
+        **extras,
     }
 
 
-def _row_dict(row: SurveyRow) -> dict:
+def _row_dict(row: SurveyRow, **extras) -> dict:
     return {
         "esch": _esch_dict(row.esch),
         "window": _window_dict(row.window),
         "verdicts": list(row.verdicts),
         "is_counterexample": row.is_counterexample,
         "h4": row.h4,
+        **extras,
     }
 
 
@@ -171,324 +175,286 @@ def _q_formula(e: EschParams) -> str:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# text and CSV rendering
 
 
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _fmt_esch(d: dict) -> str:
-    return f"a={tuple_to_decimal(d['a'])} b={tuple_to_decimal(d['b'])}"
+def _fmt_window(w: range) -> str:
+    return f"{to_decimal(w.start)} <= c <= {to_decimal(w[-1])}"
 
 
-def _fmt_window(d: dict) -> str:
-    return f"{to_decimal(d['lo'])} <= c <= {to_decimal(d['hi'])}"
+def _fmt_offenses(offenses) -> str:
+    """The ((i, j), (k, l), g) gcd conditions of ``bazaikin.freeness_failures``, on one line."""
+    return "; ".join(f"gcd(q{i}+q{j}, q{k}+q{l}) = {to_decimal(g)}" for (i, j), (k, l), g in offenses)
 
 
-def _fmt_offenses(offenses: list[dict]) -> str:
-    return "; ".join(
-        f"gcd(q{o['pair1'][0]}+q{o['pair1'][1]}, q{o['pair2'][0]}+q{o['pair2'][1]}) = {to_decimal(o['gcd'])}"
-        for o in offenses
-    )
-
-
-def _cert_lines(c: dict) -> list[str]:
+def _cert_lines(c: EmbeddingCertificate) -> list[str]:
     lines = [
-        f"{_fmt_esch(c['esch'])}  shift c={to_decimal(c['shift'])}",
-        f"  q = {tuple_to_decimal(c['baz']['q'])}",
-        f"  non-singular: {_yn(c['baz_free'])}",
+        f"{c.esch}  shift c={to_decimal(c.shift)}",
+        f"  q = {tuple_to_decimal(c.baz.q)}",
+        f"  non-singular: {_yn(c.baz_free)}",
     ]
-    if c["offending_pairs"]:
-        lines.append(f"    {_fmt_offenses(c['offending_pairs'])}")
-    lines.append(f"  positively curved (host): {_yn(c['baz_pc'])}")
-    lines.append(f"  positively curved (submanifold): {_yn(c['esch_pc'])}")
-    if c["baz_free"]:
-        lines.append(f"  |H6| = {to_decimal(c['h6'])}")
+    if c.offending_pairs:
+        lines.append(f"    {_fmt_offenses(c.offending_pairs)}")
+    lines.append(f"  positively curved (host): {_yn(c.baz_pc)}")
+    lines.append(f"  positively curved (submanifold): {_yn(c.esch_pc)}")
+    if c.baz_free:
+        lines.append(f"  |H6| = {to_decimal(c.h6)}")
     return lines
 
 
-def _row_line(r: dict) -> str:
-    verdict = "counterexample" if r["is_counterexample"] else "embeds"
-    marks = "".join("-" if ok else "x" for ok in r["verdicts"])
-    return (
-        f"{_fmt_esch(r['esch'])}  window {_fmt_window(r['window'])}  "
-        f"[{marks}]  |H4|={to_decimal(r['h4'])}  {verdict}"
-    )
+def _row_line(r: SurveyRow) -> str:
+    verdict = "counterexample" if r.is_counterexample else "embeds"
+    marks = "".join("-" if ok else "x" for ok in r.verdicts)
+    return f"{r.esch}  window {_fmt_window(r.window)}  [{marks}]  |H4|={to_decimal(r.h4)}  {verdict}"
+
+
+def _ab_cells(e: EschParams) -> list[str]:
+    """The "a" and "b" cells of a CSV row."""
+    return [tuple_to_decimal(e.a), tuple_to_decimal(e.b)]
+
+
+def _certs_csv(certs) -> list[list]:
+    return [["a", "b", "shift", "q", "baz_free", "baz_pc", "esch_pc", "h6", "offending_pairs"]] + [
+        [*_ab_cells(c.esch), c.shift, tuple_to_decimal(c.baz.q), c.baz_free, c.baz_pc, c.esch_pc, c.h6,
+         _fmt_offenses(c.offending_pairs)]
+        for c in certs
+    ]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes the parsed space (or None) and flags, computes
-# its results eagerly, so every error is raised before any output, and returns
-# the JSON parts (results, notes, summary) with zero-argument "text" and "csv"
-# builders that only format them
+# subcommand handlers: each takes the parsed space (or None) and flags, makes
+# every library call first, so every error is raised before any output, and
+# returns zero-argument "json", "text" and "csv" builders over the values it
+# got.  The JSON builder gives the report's "results" and, where it has them,
+# "discrepancy_notes" and "summary".
 
 
 def _cmd_verify_esch(e: EschParams, args) -> dict:
-    canonical = eschenburg.canonicalize(e)
-    result = {
-        "esch": _esch_dict(e),
-        "free": eschenburg.is_free(e),
-        "pc_some_metric": eschenburg.admits_positive_curvature(e),
-        "pc_fixed_metric": eschenburg.is_pc_metric(e),
-        "h4": eschenburg.h4_order(e),
-        "kernel_order": eschenburg.kernel_order(e),
-        "canonical": _esch_dict(canonical),
-    }
+    canonical, free = eschenburg.canonicalize(e), eschenburg.is_free(e)
+    pc_some, pc_fixed = eschenburg.admits_positive_curvature(e), eschenburg.is_pc_metric(e)
+    h4, kernel = eschenburg.h4_order(e), eschenburg.kernel_order(e)
     return {
-        "results": [result],
+        "json": lambda: {"results": [{
+            "esch": _esch_dict(e),
+            "free": free,
+            "pc_some_metric": pc_some,
+            "pc_fixed_metric": pc_fixed,
+            "h4": h4,
+            "kernel_order": kernel,
+            "canonical": _esch_dict(canonical),
+        }]},
         "text": lambda: [
-            _fmt_esch(result["esch"]),
-            f"  free:                    {_yn(result['free'])}",
-            f"  pc (some metric):        {_yn(result['pc_some_metric'])}",
-            f"  pc (fixed metric):       {_yn(result['pc_fixed_metric'])}",
-            f"  |H4|:                    {to_decimal(result['h4'])}",
-            f"  kernel order:            {to_decimal(result['kernel_order'])}",
-            f"  canonical form:          {_fmt_esch(result['canonical'])}",
+            str(e),
+            f"  free:                    {_yn(free)}",
+            f"  pc (some metric):        {_yn(pc_some)}",
+            f"  pc (fixed metric):       {_yn(pc_fixed)}",
+            f"  |H4|:                    {to_decimal(h4)}",
+            f"  kernel order:            {to_decimal(kernel)}",
+            f"  canonical form:          {canonical}",
         ],
         "csv": lambda: [
             ["a", "b", "free", "pc_some_metric", "pc_fixed_metric", "h4", "kernel_order",
              "canonical_a", "canonical_b"],
-            [tuple_to_decimal(e.a), tuple_to_decimal(e.b), result["free"], result["pc_some_metric"],
-             result["pc_fixed_metric"], result["h4"], result["kernel_order"],
-             tuple_to_decimal(canonical.a), tuple_to_decimal(canonical.b)],
+            [*_ab_cells(e), free, pc_some, pc_fixed, h4, kernel, *_ab_cells(canonical)],
         ],
     }
 
 
 def _cmd_verify_baz(q: BazParams, args) -> dict:
     all_odd = q.all_odd()
-    offenses = _offense_dicts(bazaikin.freeness_failures(q))
-    result = {
-        "baz": _baz_dict(q),
-        "all_odd": all_odd,
-        "free": all_odd and not offenses,
-        "pc": bazaikin.is_pc_baz(q),
-        "h6": bazaikin.h6_order(q) if all_odd else None,
-        "offending_pairs": offenses,
-    }
+    offenses = bazaikin.freeness_failures(q)
+    free, pc = all_odd and not offenses, bazaikin.is_pc_baz(q)
+    h6 = bazaikin.h6_order(q) if all_odd else None
 
     def text() -> list[str]:
         evens = ", ".join(f"q{i}" for i, v in enumerate(q.q, 1) if v % 2 == 0)
         lines = [
             f"q = {tuple_to_decimal(q.q)}  (sum {to_decimal(q.qsum)})",
             f"  all odd:            {_yn(all_odd)}" + ("" if all_odd else f"  (even entries: {evens})"),
-            f"  free:               {_yn(result['free'])}",
+            f"  free:               {_yn(free)}",
         ]
         if offenses:
             lines.append(f"    {_fmt_offenses(offenses)}")
-        lines.append(f"  positively curved:  {_yn(result['pc'])}")
-        h6 = to_decimal(result["h6"]) if all_odd else "undefined (even entries)"
-        lines.append(f"  |H6|:               {h6}")
+        lines.append(f"  positively curved:  {_yn(pc)}")
+        lines.append(f"  |H6|:               {to_decimal(h6) if all_odd else 'undefined (even entries)'}")
         return lines
 
     return {
-        "results": [result],
+        "json": lambda: {"results": [{"baz": _baz_dict(q), "all_odd": all_odd, "free": free, "pc": pc, "h6": h6,
+                                      "offending_pairs": _offense_dicts(offenses)}]},
         "text": text,
         "csv": lambda: [
             ["q", "all_odd", "free", "pc", "h6", "offending_pairs"],
-            [tuple_to_decimal(q.q), all_odd, result["free"], result["pc"],
-             result["h6"], _fmt_offenses(offenses)],
+            [tuple_to_decimal(q.q), all_odd, free, pc, h6, _fmt_offenses(offenses)],
         ],
     }
 
 
-def _certs_csv(certs: list[dict]) -> list[list]:
-    table = [["a", "b", "shift", "q", "baz_free", "baz_pc", "esch_pc", "h6", "offending_pairs"]]
-    for c in certs:
-        table.append([
-            tuple_to_decimal(c["esch"]["a"]), tuple_to_decimal(c["esch"]["b"]), c["shift"],
-            tuple_to_decimal(c["baz"]["q"]), c["baz_free"], c["baz_pc"], c["esch_pc"],
-            c["h6"], _fmt_offenses(c["offending_pairs"]),
-        ])
-    return table
-
-
-def _cmd_embed(e: EschParams, args) -> dict:
-    cert = _cert_dict(embedding.make_certificate(e, args.c))
+def _certs_report(certs) -> dict:
+    """The builders of a certificate list's report, shared by ``embed`` and ``distinct``."""
     return {
-        "results": [cert],
-        "text": lambda: _cert_lines(cert),
-        "csv": lambda: _certs_csv([cert]),
-    }
-
-
-def _cmd_window(e: EschParams, args) -> dict:
-    report = embedding.window_scan(e, WINDOW_LIMIT)
-    certs = [_cert_dict(c) for c in report.certificates]
-    result = {
-        "esch": _esch_dict(report.esch),
-        "window": _window_dict(report.window),
-        "any_nonsingular": report.any_nonsingular,
-        "certificates": certs,
-    }
-    notes = list(report.notes)
-
-    def text() -> list[str]:
-        lines = [
-            f"normal form: {_fmt_esch(result['esch'])}",
-            f"window: {_fmt_window(result['window'])}",
-        ]
-        for c in certs:
-            if c["baz_free"]:
-                mark, extra = "non-singular", f"|H6|={to_decimal(c['h6'])}"
-            else:
-                mark, extra = "singular", _fmt_offenses(c["offending_pairs"][:1])
-            lines.append(f"  c={to_decimal(c['shift']):<4} q={tuple_to_decimal(c['baz']['q']):<40} {mark}  {extra}")
-        lines.append(f"any non-singular: {_yn(result['any_nonsingular'])}")
-        lines.extend(f"note: {note}" for note in notes)
-        return lines
-
-    return {
-        "results": [result],
-        "notes": notes,
-        "text": text,
-        "csv": lambda: _certs_csv(certs),
-    }
-
-
-def _cmd_certified_shifts(e: EschParams, args) -> dict:
-    results = []
-    for mu in range(1, args.mu_max + 1):
-        for sign in (1, -1):
-            c = embedding.certified_shift(e, mu, sign)
-            results.append({"mu": mu, "sign": sign, "c": c, "nonsingular": embedding.nonsingular_shift(e, c)})
-    return {
-        "results": results,
-        "text": lambda: [str(e)] + [
-            f"  mu={r['mu']} sign={'+' if r['sign'] > 0 else '-'}  c = {to_decimal(r['c'])}  "
-            f"non-singular: {_yn(r['nonsingular'])}"
-            for r in results
-        ],
-        "csv": lambda: [["mu", "sign", "c", "nonsingular"]]
-        + [[r["mu"], r["sign"], r["c"], r["nonsingular"]] for r in results],
-    }
-
-
-def _cmd_distinct(e: EschParams, args) -> dict:
-    certs = [_cert_dict(c) for c in embedding.homotopy_distinct_embeddings(e, args.n)]
-    return {
-        "results": certs,
+        "json": lambda: {"results": [_cert_dict(c) for c in certs]},
         "text": lambda: [line for c in certs for line in _cert_lines(c)],
         "csv": lambda: _certs_csv(certs),
     }
 
 
-def _cmd_submanifolds(q: BazParams, args) -> dict:
-    entries = bazaikin.submanifolds(q)
-    results = [
-        {"pair": list(pair), "esch": _esch_dict(e), "h4": eschenburg.h4_order(e), "free": eschenburg.is_free(e)}
-        for pair, e in entries
-    ]
-    distinct = len({eschenburg.canonicalize(e) for _, e in entries})
+def _cmd_embed(e: EschParams, args) -> dict:
+    return _certs_report([embedding.make_certificate(e, args.c)])
+
+
+def _cmd_window(e: EschParams, args) -> dict:
+    report = embedding.window_scan(e, WINDOW_LIMIT)
+
+    def text() -> list[str]:
+        lines = [f"normal form: {report.esch}", f"window: {_fmt_window(report.window)}"]
+        for c in report.certificates:
+            if c.baz_free:
+                mark, extra = "non-singular", f"|H6|={to_decimal(c.h6)}"
+            else:
+                mark, extra = "singular", _fmt_offenses(c.offending_pairs[:1])
+            lines.append(f"  c={to_decimal(c.shift):<4} q={tuple_to_decimal(c.baz.q):<40} {mark}  {extra}")
+        lines.append(f"any non-singular: {_yn(report.any_nonsingular)}")
+        lines.extend(f"note: {note}" for note in report.notes)
+        return lines
+
     return {
-        "results": results,
-        "summary": {"distinct_count": distinct},
-        "text": lambda: [f"q = {tuple_to_decimal(q.q)}"] + [
-            f"  {{{r['pair'][0]},{r['pair'][1]}}}: {_fmt_esch(r['esch'])}  "
-            f"|H4|={to_decimal(r['h4'])}  free: {_yn(r['free'])}"
-            for r in results
-        ] + [f"distinct up to isometry moves: {distinct}"],
-        "csv": lambda: [["pair", "a", "b", "h4", "free"]] + [
-            [f"{{{r['pair'][0]},{r['pair'][1]}}}", tuple_to_decimal(r["esch"]["a"]),
-             tuple_to_decimal(r["esch"]["b"]), r["h4"], r["free"]]
-            for r in results
+        "json": lambda: {
+            "results": [{
+                "esch": _esch_dict(report.esch),
+                "window": _window_dict(report.window),
+                "any_nonsingular": report.any_nonsingular,
+                "certificates": [_cert_dict(c) for c in report.certificates],
+            }],
+            "discrepancy_notes": report.notes,
+        },
+        "text": text,
+        "csv": lambda: _certs_csv(report.certificates),
+    }
+
+
+def _cmd_certified_shifts(e: EschParams, args) -> dict:
+    shifts = []
+    for mu in range(1, args.mu_max + 1):
+        for sign in (1, -1):
+            c = embedding.certified_shift(e, mu, sign)
+            shifts.append((mu, sign, c, embedding.nonsingular_shift(e, c)))
+    return {
+        "json": lambda: {"results": [{"mu": mu, "sign": sign, "c": c, "nonsingular": ok}
+                                     for mu, sign, c, ok in shifts]},
+        "text": lambda: [str(e)] + [
+            f"  mu={mu} sign={'+' if sign > 0 else '-'}  c = {to_decimal(c)}  non-singular: {_yn(ok)}"
+            for mu, sign, c, ok in shifts
         ],
+        "csv": lambda: [["mu", "sign", "c", "nonsingular"], *shifts],
+    }
+
+
+def _cmd_distinct(e: EschParams, args) -> dict:
+    return _certs_report(embedding.homotopy_distinct_embeddings(e, args.n))
+
+
+def _cmd_submanifolds(q: BazParams, args) -> dict:
+    entries = [(pair, e, eschenburg.h4_order(e), eschenburg.is_free(e)) for pair, e in bazaikin.submanifolds(q)]
+    distinct = len({eschenburg.canonicalize(e) for _, e, _, _ in entries})
+    return {
+        "json": lambda: {
+            "results": [{"pair": list(pair), "esch": _esch_dict(e), "h4": h4, "free": free}
+                        for pair, e, h4, free in entries],
+            "summary": {"distinct_count": distinct},
+        },
+        "text": lambda: [f"q = {tuple_to_decimal(q.q)}"] + [
+            f"  {{{i},{j}}}: {e}  |H4|={to_decimal(h4)}  free: {_yn(free)}" for (i, j), e, h4, free in entries
+        ] + [f"distinct up to isometry moves: {distinct}"],
+        "csv": lambda: [["pair", "a", "b", "h4", "free"]]
+        + [[f"{{{i},{j}}}", *_ab_cells(e), h4, free] for (i, j), e, h4, free in entries],
     }
 
 
 def _cmd_dual(e: EschParams, args) -> dict:
     q = embedding.candidate_q(e, args.c)
     dual_esch, dual_baz = embedding.dual_embedding(e, args.c)
-    original = {"esch": _esch_dict(e), "shift": args.c, "baz": _baz_dict(q), "h6": bazaikin.h6_order(q)}
-    dual = {"esch": _esch_dict(dual_esch), "baz": _baz_dict(dual_baz), "h6": bazaikin.h6_order(dual_baz)}
+    h6, dual_h6 = bazaikin.h6_order(q), bazaikin.h6_order(dual_baz)
     return {
-        "results": [{"original": original, "dual": dual}],
+        "json": lambda: {"results": [{
+            "original": {"esch": _esch_dict(e), "shift": args.c, "baz": _baz_dict(q), "h6": h6},
+            "dual": {"esch": _esch_dict(dual_esch), "baz": _baz_dict(dual_baz), "h6": dual_h6},
+        }]},
         "text": lambda: [
-            f"original: {_fmt_esch(original['esch'])}  shift c={to_decimal(args.c)}",
-            f"  q = {tuple_to_decimal(q.q)}  |H6|={to_decimal(original['h6'])}",
-            f"dual:     {_fmt_esch(dual['esch'])}",
-            f"  q = {tuple_to_decimal(dual_baz.q)}  |H6|={to_decimal(dual['h6'])}",
+            f"original: {e}  shift c={to_decimal(args.c)}",
+            f"  q = {tuple_to_decimal(q.q)}  |H6|={to_decimal(h6)}",
+            f"dual:     {dual_esch}",
+            f"  q = {tuple_to_decimal(dual_baz.q)}  |H6|={to_decimal(dual_h6)}",
         ],
         "csv": lambda: [
             ["role", "a", "b", "q", "h6"],
-            ["original", tuple_to_decimal(e.a), tuple_to_decimal(e.b), tuple_to_decimal(q.q),
-             original["h6"]],
-            ["dual", tuple_to_decimal(dual_esch.a), tuple_to_decimal(dual_esch.b),
-             tuple_to_decimal(dual_baz.q), dual["h6"]],
+            ["original", *_ab_cells(e), tuple_to_decimal(q.q), h6],
+            ["dual", *_ab_cells(dual_esch), tuple_to_decimal(dual_baz.q), dual_h6],
         ],
     }
 
 
 def _cmd_counterexamples(_, args) -> dict:
     rows = survey.verify_known_counterexamples()
-    results = [{**_row_dict(row), "q_formula": _q_formula(row.esch)} for row in rows]
+    formulas = [_q_formula(row.esch) for row in rows]
     return {
-        "results": results,
-        "text": lambda: [_row_line(d) for d in results]
-        + [f"all {len(rows)} stored counterexamples verified"],
-        "csv": lambda: [["a", "b", "q_formula", "window"]] + [
-            [tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
-             d["q_formula"], _fmt_window(d["window"])]
-            for d in results
-        ],
+        "json": lambda: {"results": [_row_dict(row, q_formula=f) for row, f in zip(rows, formulas)]},
+        "text": lambda: [_row_line(row) for row in rows] + [f"all {len(rows)} stored counterexamples verified"],
+        "csv": lambda: [["a", "b", "q_formula", "window"]]
+        + [[*_ab_cells(row.esch), f, _fmt_window(row.window)] for row, f in zip(rows, formulas)],
     }
 
 
 def _cmd_families(_, args) -> dict:
     rows = survey.verify_infinite_families(args.k_max)
     per_variant = args.k_max + 1
-    results = [
-        {**_row_dict(row), "variant": "A" if i < per_variant else "B", "k": i % per_variant}
-        for i, row in enumerate(rows)
-    ]
+    labelled = [("A" if i < per_variant else "B", i % per_variant, row) for i, row in enumerate(rows)]
     return {
-        "results": results,
-        "text": lambda: [f"{d['variant']} k={d['k']:<4} {_row_line(d)}" for d in results]
+        "json": lambda: {"results": [_row_dict(row, variant=v, k=k) for v, k, row in labelled]},
+        "text": lambda: [f"{v} k={k:<4} {_row_line(row)}" for v, k, row in labelled]
         + [f"both families verified as counterexamples for 0 <= k <= {args.k_max}"],
-        "csv": lambda: [["variant", "k", "a", "b", "window", "counterexample"]] + [
-            [d["variant"], d["k"], tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
-             _fmt_window(d["window"]), d["is_counterexample"]]
-            for d in results
-        ],
+        "csv": lambda: [["variant", "k", "a", "b", "window", "counterexample"]]
+        + [[v, k, *_ab_cells(row.esch), _fmt_window(row.window), row.is_counterexample] for v, k, row in labelled],
     }
 
 
 def _cmd_cohom1(_, args) -> dict:
-    certificates = survey.verify_cohomogeneity_one(args.p_max)
-    certs = [{**_cert_dict(c), "p": p} for p, c in enumerate(certificates, start=1)]
-    checked, notes = args.p_max, [embedding.COHOM1_WINDOW_NOTE]
+    members = list(enumerate(survey.verify_cohomogeneity_one(args.p_max), start=1))
+    note = embedding.COHOM1_WINDOW_NOTE
     return {
-        "results": certs,
-        "summary": {"checked": checked},
-        "notes": notes,
+        "json": lambda: {
+            "results": [_cert_dict(c, p=p) for p, c in members],
+            "summary": {"checked": args.p_max},
+            "discrepancy_notes": [note],
+        },
         "text": lambda: [
-            f"p={c['p']:<4} q={tuple_to_decimal(c['baz']['q']):<24} "
-            f"non-singular: {_yn(c['baz_free'])}  pc: {_yn(c['baz_pc'])}"
-            for c in certs
-        ] + [f"all {checked} members verified at shift c=-1"] + [f"note: {note}" for note in notes],
+            f"p={p:<4} q={tuple_to_decimal(c.baz.q):<24} non-singular: {_yn(c.baz_free)}  pc: {_yn(c.baz_pc)}"
+            for p, c in members
+        ] + [f"all {args.p_max} members verified at shift c=-1", f"note: {note}"],
         "csv": lambda: [["p", "q", "baz_free", "baz_pc"]]
-        + [[c["p"], tuple_to_decimal(c["baz"]["q"]), c["baz_free"], c["baz_pc"]] for c in certs],
+        + [[p, tuple_to_decimal(c.baz.q), c.baz_free, c.baz_pc] for p, c in members],
     }
 
 
 def _cmd_scan(_, args) -> dict:
     stats, rows = survey.scan_box(args.max_abs, args.limit, workers=args.workers)
-    results = [_row_dict(row) for row in rows]
     beyond = stats.counterexamples - len(rows)
     return {
-        "results": results,
-        "summary": {"stats": {"total": stats.total, "embeddable": stats.embeddable,
-                              "counterexamples": stats.counterexamples}},
+        "json": lambda: {
+            "results": [_row_dict(row) for row in rows],
+            "summary": {"stats": {"total": stats.total, "embeddable": stats.embeddable,
+                                  "counterexamples": stats.counterexamples}},
+        },
         "text": lambda: [
             f"box |entries| <= {args.max_abs}: {stats.total} spaces, {stats.embeddable} embeddable, "
             f"{stats.counterexamples} counterexamples"
-        ] + [_row_line(d) for d in results] + [f"({beyond} more beyond --limit {args.limit})"] * (beyond > 0),
-        "csv": lambda: [["a", "b", "window", "h4"]] + [
-            [tuple_to_decimal(d["esch"]["a"]), tuple_to_decimal(d["esch"]["b"]),
-             _fmt_window(d["window"]), d["h4"]]
-            for d in results
-        ],
+        ] + [_row_line(row) for row in rows] + [f"({beyond} more beyond --limit {args.limit})"] * (beyond > 0),
+        "csv": lambda: [["a", "b", "window", "h4"]]
+        + [[*_ab_cells(row.esch), _fmt_window(row.window), row.h4] for row in rows],
     }
 
 
@@ -560,26 +526,20 @@ def _csv_cell(v):
     return v
 
 
-def _emit(fmt: str, command: str, echo: dict, outcome: dict) -> None:
-    """Write the outcome in one format, building only that format's output."""
-    out = sys.stdout
+def _emit(fmt: str, command: str, echo: dict, builders: dict) -> None:
+    """Write the report in one format, calling only that format's builder."""
+    out, built = sys.stdout, builders[fmt]()
     if fmt == "json":
-        report = {
-            "command": command,
-            "version": __version__,
-            "input": echo,
-            "results": outcome.get("results", []),
-            "discrepancy_notes": outcome.get("notes", []),
-        }
-        if "summary" in outcome:
-            report["summary"] = outcome["summary"]
+        # the builder's keys fill these slots in place, so "summary" comes last
+        report = {"command": command, "version": __version__, "input": echo, "results": [],
+                  "discrepancy_notes": [], **built}
         out.write(_json_text(report) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out)
-        for row in outcome["csv"]():
+        for row in built:
             writer.writerow([_csv_cell(v) for v in row])
     else:
-        for line in outcome["text"]():
+        for line in built:
             out.write(line + "\n")
 
 
@@ -668,7 +628,7 @@ def run(argv: list[str] | None = None) -> int:
     fmt, command = args.format, args.command
     try:
         space, echo = _read_input(args)
-        outcome = args.handler(space, args)
+        builders = args.handler(space, args)
     except VerificationFailure as exc:
         _emit_error(fmt, command, "verification-failed", str(exc))
         return EXIT_VERIFICATION_FAILED
@@ -681,7 +641,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         _emit_error(fmt, command, "internal-error", str(exc))
         return EXIT_INTERNAL_ERROR
-    _emit(fmt, command, echo, outcome)
+    _emit(fmt, command, echo, builders)
     return EXIT_OK
 
 

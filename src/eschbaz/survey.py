@@ -228,7 +228,7 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
                     v = b1 * b2
                     d1, d2, d3 = (v - a1 * w) * u, (v - a2 * u) * w, v * b3
                     for t in range(t0, t_stop, 2):
-                        if gcd(s1 + t, d1) == gcd(s2 + t, d2) == gcd(s3 + t, d3) == 1:
+                        if gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1:
                             break
                     else:
                         singular.append(((a1, a2, 0), (b1, b2, b3)))

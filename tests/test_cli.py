@@ -638,21 +638,29 @@ def _refuse(*args, **kwargs):
     raise AssertionError("built a format nobody asked for")
 
 
-def test_unrequested_formats_are_never_built(capsys, monkeypatch):
-    embed = ("embed", "--a", "2,0,0", "--b", "15,-2,-11", "--c", "2")
-    families = ("families", "--k-max", "2")
-    want = {(argv, fmt): invoke(capsys, *argv, "--format", fmt)
-            for argv in (embed, families) for fmt in ("json", "csv")}
-    assert all(code == 0 for code, _, _ in want.values())
+# the formats whose builders may call each rendering helper
+_HELPER_FORMATS = {
+    "_cert_dict": "json", "_row_dict": "json", "_window_dict": "json", "_offense_dicts": "json",
+    "_json_text": "json",
+    "_cert_lines": "text", "_row_line": "text", "_yn": "text",
+    "_certs_csv": "csv", "_ab_cells": "csv", "_csv_cell": "csv",
+    "_fmt_window": "text csv", "_fmt_offenses": "text csv",
+}
 
-    monkeypatch.setattr(cli, "_cert_lines", _refuse)
-    monkeypatch.setattr(cli, "_row_line", _refuse)
-    for argv in (embed, families):
-        assert invoke(capsys, *argv, "--format", "csv") == want[argv, "csv"]
-    monkeypatch.setattr(cli, "_certs_csv", _refuse)
-    monkeypatch.setattr(cli, "_fmt_window", _refuse)
-    for argv in (embed, families):
-        assert invoke(capsys, *argv, "--format", "json") == want[argv, "json"]
+
+def test_unrequested_formats_are_never_built(capsys, monkeypatch):
+    # every subcommand in every format, with each helper of another format
+    # refused; the input echo's _esch_dict and _baz_dict run for every format
+    want = {(command, fmt): invoke(capsys, command, *argv, "--format", fmt)
+            for command, argv in _VALID.items() for fmt in ("json", "text", "csv")}
+    assert all(code == 0 for code, _, _ in want.values())
+    for fmt in ("json", "text", "csv"):
+        with monkeypatch.context() as m:
+            for name, formats in _HELPER_FORMATS.items():
+                if fmt not in formats.split():
+                    m.setattr(cli, name, _refuse)
+            for command, argv in _VALID.items():
+                assert invoke(capsys, command, *argv, "--format", fmt) == want[command, fmt], (command, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,9 @@ def _recorder(calls):
 def test_scan_shard_walks_each_window_once(monkeypatch):
     # the kernel's gcd calls on box 30 are the enumerator's freeness gcds,
     # each free form's followed by its walk: the three-gcd chain at every
-    # shift of its window up to its first non-singular one (the chain takes
-    # the k = 3 gcd only when the first two agree).  Moduli are compared up
-    # to sign, which the kernel's D_3 flips.
+    # shift of its window up to its first non-singular one (the chain stops
+    # at its first gcd that is not 1).  Moduli are compared up to sign, which
+    # the kernel's D_3 flips.
     pairs = list(_box_keys(30))
     want, forms, past_first = [], [], 0
     monkeypatch.setattr(oracles, "gcd", _recorder(want))
@@ -375,7 +375,8 @@ def test_scan_shard_walks_each_window_once(monkeypatch):
         past_first += first != window.start
         for c in range(window.start, window.stop if first is None else first + 1):
             (x1, d1), (x2, d2), (x3, d3) = ((s + 2 * c, abs(d)) for s, d in _moduli(*a, *b))
-            want += [(x1, d1), (x2, d2)] + [(x3, d3)] * (gcd(x1, d1) == gcd(x2, d2))
+            one, two = gcd(x1, d1) == 1, gcd(x2, d2) == 1
+            want += [(x1, d1)] + [(x2, d2)] * one + [(x3, d3)] * (one and two)
     assert past_first == 1914
     got = []
     monkeypatch.setattr(survey_mod, "gcd", _recorder(got))
