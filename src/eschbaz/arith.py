@@ -42,10 +42,12 @@ FACTORIZE_CACHE_SIZE = 4096
 DECIMAL_CHUNK_DIGITS = 600
 _DECIMAL_CHUNK = 10**DECIMAL_CHUNK_DIGITS
 
-# Miller-Rabin with these bases is a deterministic primality proof below
-# 3_317_044_064_679_887_385_961_981 (25 digits).
+# Miller-Rabin with the twelve prime bases 2..37 is a deterministic primality
+# proof below psi_12 = 318_665_857_834_031_151_167_461 (24 digits), the least
+# strong pseudoprime to all of them (OEIS A014233; Sorenson and Webster,
+# Math. Comp. 86 (2017)).  psi_13, 3.3e24, needs the base 41 as well.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_DETERMINISTIC_LIMIT = 318_665_857_834_031_151_167_461
 _EXTRA_MR_ROUNDS = 64
 
 
@@ -111,7 +113,7 @@ def from_decimal(text: str) -> int:
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality check.
 
-    Deterministic (a proof) for n below ~3.3e24; beyond that, 64 extra
+    Deterministic (a proof) for n below psi_12 ~ 3.2e23; beyond that, 64 extra
     rounds with bases drawn from a generator seeded by n itself, so the
     answer is reproducible across runs.
     """

@@ -24,7 +24,8 @@ space and echoes it with every declared integer flag as the JSON ``input``.
 
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
-invariant of the package failed (a bug; the error kind is "internal-error").
+invariant of the package failed (a bug; the error kind is "internal-error"),
+141 the reader of stdout closed it early (as in ``eschbaz families | head``).
 A usage error exits 2 with argparse's usage text on stderr; when the
 arguments ask for JSON it also writes an "invalid-input" report with
 argparse's message to stdout.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string
@@ -52,6 +54,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_EFFORT_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 # Output grows quadratically in these flags; at 1000 the running example writes
 # about 7 MB (--mu-max) and 12 MB (--n) of CSV.
@@ -646,7 +649,20 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command line; exit 141 if the reader of stdout goes away.
+
+    SIGPIPE keeps its Python default (ignored) so that the ``scan`` worker
+    pool's pipes are untouched; a write into a closed pipe raises
+    BrokenPipeError instead, and devnull replaces stdout so the flush at
+    interpreter exit stays silent.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,11 @@ c is an isometry, but it changes the associated Bazaikin candidate
 This module decides, in exact integer arithmetic, for which shifts the
 candidate is non-singular (``nonsingular_shift``) and positively curved
 (``pc_shift_window``), builds embedding certificates, and tracks when two
-shifts can share the same |H^6| (``collision_locus``).  ``certified_shift``
+shifts can share the same |H^6| (``collision_locus``).  ``make_certificate``
+is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
+``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
+the CLI's ``embed`` build every certificate through it, and each call
+evaluates the straight-line ``is_pc_metric``.  ``certified_shift``
 is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
@@ -163,11 +167,6 @@ def _first_nonsingular(window: Iterable[int], moduli: tuple[tuple[int, int], ...
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
     """Evaluate every certificate field for the shift-c candidate of e."""
-    return _certificate(e, c, is_pc_metric(e))
-
-
-def _certificate(e: EschParams, c: int, esch_pc: bool) -> EmbeddingCertificate:
-    """``make_certificate(e, c)``, with esch_pc = is_pc_metric(e) computed once per space."""
     q = candidate_q(e, c)
     free = bazaikin.is_free_baz(q)
     return EmbeddingCertificate(
@@ -176,7 +175,7 @@ def _certificate(e: EschParams, c: int, esch_pc: bool) -> EmbeddingCertificate:
         baz=q,
         baz_free=free,
         baz_pc=bazaikin.is_pc_baz(q),
-        esch_pc=esch_pc,
+        esch_pc=is_pc_metric(e),
         h6=bazaikin.h6_order(q) if free else 0,
         offending_pairs=() if free else tuple(bazaikin.freeness_failures(q)),
     )
@@ -215,8 +214,7 @@ def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:
     if max_shifts is not None and window.stop - window.start > max_shifts:
         raise ValueError(f"the curvature window of {e} has {to_decimal(window.stop - window.start)} "
                          f"shifts; window is capped at {to_decimal(max_shifts)} shifts")
-    esch_pc = is_pc_metric(f)
-    certificates = tuple(_certificate(f, c, esch_pc) for c in window)
+    certificates = tuple(make_certificate(f, c) for c in window)
     notes = (COHOM1_WINDOW_NOTE,) if f == canonicalize(family_cohomogeneity_one(f.a[0] + 1)) else ()
     return WindowReport(
         esch=f,
@@ -303,13 +301,12 @@ def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertifi
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {to_decimal(n)}")
-    esch_pc = is_pc_metric(e)
     out: list[EmbeddingCertificate] = []
     seen: set[int] = set()
     for mu in range(1, n + 2):
         for sign in (1, -1):
             c = certified_shift(e, mu, sign)
-            cert = _certificate(e, c, esch_pc)
+            cert = make_certificate(e, c)
             if not cert.baz_free:
                 raise InternalError(f"certified shift {to_decimal(c)} produced a singular candidate for {e}")
             if cert.h6 in seen:

@@ -124,13 +124,14 @@ def is_pc_metric(e: EschParams) -> bool:
     """Positive curvature for the fixed metric and labeling.
 
     Demands, on top of ``admits_positive_curvature``, that b2 and b3 lie on
-    the same side of [min(a), max(a)].  Cyclic relabelings of b would change
+    the same side of [min(a), max(a)].  That is the whole test: b1 then lies
+    outside the interval too, since b2, b3 < min(a) gives
+    b1 = sum(a) - b2 - b3 > sum(a) - 2 min(a) >= max(a), and b2, b3 > max(a)
+    gives b1 < min(a) the same way.  Cyclic relabelings of b would change
     the metric and are deliberately not tried.
     """
-    if not admits_positive_curvature(e):
-        return False
     lo, hi = min(e.a), max(e.a)
-    b2, b3 = e.b[1], e.b[2]
+    _, b2, b3 = e.b
     return (b2 < lo and b3 < lo) or (b2 > hi and b3 > hi)
 
 

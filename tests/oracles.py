@@ -109,6 +109,19 @@ def is_free_six_gcds(e: EschParams) -> bool:
             and gcd(x2, y3) == 1 and gcd(x3, y1) == 1 and gcd(x3, y2) == 1)
 
 
+def is_pc_metric_oracle(e: EschParams) -> bool:
+    """Fixed-metric positive curvature from its definition.
+
+    Every b_i lies outside the closed interval [min(a), max(a)], and b2 and
+    b3 lie on one side of it; ``is_pc_metric`` tests the second clause alone.
+    """
+    lo, _, hi = sorted(e.a)
+    if any(lo <= bi <= hi for bi in e.b):
+        return False
+    _, b2, b3 = e.b
+    return (b2 < lo) == (b3 < lo)
+
+
 def is_free_baz_oracle(b: BazParams) -> bool:
     """Freeness evaluated literally over all 120 permutations of the indices."""
     if not b.all_odd():

@@ -315,6 +315,38 @@ def test_is_probable_prime_small():
         assert is_probable_prime(n) == (n in primes)
 
 
+# psi_12 and psi_13 (OEIS A014233): the least strong pseudoprimes to the first
+# 12 and 13 prime bases; the package's 12 bases stop at 37.
+PSI12 = 318_665_857_834_031_151_167_461
+PSI13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_probable_prime_rejects_the_strong_pseudoprimes_to_its_bases():
+    assert PSI12 == 399_165_290_221 * 798_330_580_441
+    assert not is_probable_prime(PSI12)
+    assert not is_probable_prime(PSI13)
+
+
+def test_factorize_never_returns_psi12_as_a_prime():
+    try:
+        f = factorize.__wrapped__(PSI12)
+    except FactorizationIncomplete:
+        return
+    assert f == ((399_165_290_221, 1), (798_330_580_441, 1))
+
+
+def test_the_first_prime_past_psi12_still_tests_prime():
+    n = PSI12 + 22
+    assert is_probable_prime(n)
+    # False is a proof: a Miller-Rabin witness was found
+    assert not any(is_probable_prime(m) for m in range(PSI12, n))
+    # Lucas's test on the full factorization of n - 1 proves n prime
+    factors = (2, 11, 47, 283, 449, 733, 3_308_858_880_343)
+    assert prod(factors) == n - 1 and all(trial_division_prime(q) for q in factors)
+    for q in factors:
+        assert any(pow(a, n - 1, n) == 1 and pow(a, (n - 1) // q, n) != 1 for a in range(2, 10)), q
+
+
 def test_concurrent_use_is_safe():
     # pure functions: hammer from threads and compare against serial answers
     import concurrent.futures

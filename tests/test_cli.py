@@ -122,6 +122,19 @@ def test_exit_three_when_rho_runs_out_of_steps(capsys, p, q):
     assert err == f"error (effort-exceeded): could not split composite {p * q} within 1000000 rho steps\n"
 
 
+def test_exit_three_when_a_difference_is_a_strong_pseudoprime_to_every_base(capsys):
+    # a1 - b3 is psi_12 = 399165290221 * 798330580441, which passes Miller-Rabin
+    # for the bases 2..37; rho cannot split it within budget, so P, which
+    # includes both primes, is refused rather than built without one of them
+    code, out, err = invoke(
+        capsys, "certified-shifts", "--a=399165290234,399165290220,0",
+        "--b=318665857834430316457752,-71,-318665857833631985877227", "--mu-max", "1",
+    )
+    assert (code, out) == (3, "")
+    assert err == ("error (effort-exceeded): could not split composite "
+                   "318665857834031151167461 within 1000000 rho steps\n")
+
+
 def test_exit_four_on_internal_error(capsys, schema, monkeypatch):
     # a normal form that breaks its own chain is a bug, not bad input
     monkeypatch.setattr("eschbaz.eschenburg._in_chain", lambda *entries: False)
@@ -324,10 +337,15 @@ def test_exit_one_on_verification_failure(capsys, monkeypatch):
     assert "window mismatch" in err
 
 
-def test_console_entry_point(capsys):
+def _console_env():
+    """os.environ with this checkout's src/ put first on PYTHONPATH, for ``python -m eschbaz.cli``."""
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_console_entry_point(capsys):
+    env = _console_env()
     argv = ["counterexamples", "--format", "csv"]
     proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", *argv], env=env, capture_output=True)
     assert proc.returncode == 0
@@ -336,6 +354,16 @@ def test_console_entry_point(capsys):
     proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", "verify-baz", "--q", "1,2,3"],
                           env=env, capture_output=True)
     assert proc.returncode == 2
+
+
+def test_console_exits_141_when_the_reader_closes_stdout():
+    with subprocess.Popen([sys.executable, "-m", "eschbaz.cli", "families", "--k-max", "10000"],
+                          env=_console_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"A k=0 ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def six_tuple(e, c):
 
 
 def assert_is_make_certificate(cert):
-    """cert, built with is_pc_metric computed once per space, equals make_certificate field by field."""
+    """cert equals a fresh make_certificate(cert.esch, cert.shift) field by field."""
     expected = make_certificate(cert.esch, cert.shift)
     for field in dataclasses.fields(cert):
         assert getattr(cert, field.name) == getattr(expected, field.name), (cert.esch, cert.shift, field.name)
@@ -374,7 +374,7 @@ def test_window_scan_cap_is_checked_before_any_certificate(monkeypatch):
     def no_certificates(*args):
         raise AssertionError("a certificate was built past the cap")
 
-    monkeypatch.setattr(embedding_mod, "_certificate", no_certificates)
+    monkeypatch.setattr(embedding_mod, "make_certificate", no_certificates)
     with pytest.raises(ValueError) as info:
         window_scan(e, 5)
     assert str(info.value) == f"the curvature window of {e} has 6 shifts; window is capped at 5 shifts"
@@ -464,6 +464,37 @@ def test_homotopy_distinct_embeddings_bulk():
             assert_is_make_certificate(cert)
 
 
+def test_every_certificate_is_built_by_make_certificate(monkeypatch, capsys):
+    import eschbaz
+    from eschbaz import cli, embedding as embedding_mod, survey
+
+    original = embedding_mod.make_certificate
+    built = []
+
+    def counted(e, c):
+        cert = original(e, c)
+        built.append(cert)
+        return cert
+
+    # every module attribute that holds it: survey and the package name-import it
+    for module in (eschbaz, embedding_mod, survey, cli):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+
+    a, b, _ = survey.KNOWN_COUNTEREXAMPLES[0]
+    for call in (lambda: window_scan(EschParams(a, b)).certificates,
+                 lambda: homotopy_distinct_embeddings(E_RUNNING, 3),
+                 lambda: survey.verify_cohomogeneity_one(5)):
+        built.clear()
+        certs = list(call())
+        assert certs and built == certs
+    built.clear()
+    assert cli.run(["embed", "--a", "2,0,0", "--b", "15,-2,-11", "--c", "2"]) == 0
+    capsys.readouterr()
+    assert built == [original(E_RUNNING, 2)]
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -533,16 +564,15 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         with pytest.raises(InternalError, match="not divisible by 8"):
             h6_order(BazParams((2, 1, 1, 1, 1)))
 
-    certificate = embedding_mod._certificate  # what homotopy_distinct_embeddings builds hosts with
     with monkeypatch.context() as mp:
-        mp.setattr(embedding_mod, "_certificate",
-                   lambda e, c, esch_pc: dataclasses.replace(certificate(e, c, esch_pc), baz_free=False))
+        mp.setattr(embedding_mod, "make_certificate",
+                   lambda e, c: dataclasses.replace(make_certificate(e, c), baz_free=False))
         with pytest.raises(InternalError, match="produced a singular candidate"):
             homotopy_distinct_embeddings(E_RUNNING, 2)
 
     with monkeypatch.context() as mp:
-        mp.setattr(embedding_mod, "_certificate",
-                   lambda e, c, esch_pc: dataclasses.replace(certificate(e, c, esch_pc), h6=1))
+        mp.setattr(embedding_mod, "make_certificate",
+                   lambda e, c: dataclasses.replace(make_certificate(e, c), h6=1))
         with pytest.raises(InternalError, match="could not reach 2 distinct"):
             homotopy_distinct_embeddings(E_RUNNING, 2)
 

@@ -13,6 +13,7 @@ from oracles import (
     elementary_symmetric,
     is_free_oracle,
     is_free_six_gcds,
+    is_pc_metric_oracle,
 )
 from eschbaz import (
     EschParams,
@@ -224,6 +225,51 @@ def test_is_pc_metric_examples():
     assert is_pc_metric(EschParams((2, 0, 0), (15, -2, -11)))
     assert is_pc_metric(EschParams((1, 1, 1), (-1, 2, 2)))
     assert not is_pc_metric(EschParams((1, 1, 1), (4, 4, -5)))  # mixed sides
+
+
+def _edge_esch(rng, bound, scale):
+    """Parameters whose b entries are mostly drawn from around min(a) or max(a).
+
+    b2 and b3 are drawn from one end of [min(a), max(a)] and its
+    neighbours, or from anywhere; b1 balances the sums.  All six entries are
+    then multiplied by scale, which keeps every order relation, equalities
+    included.
+    """
+    a = [rng.randint(-bound, bound) for _ in range(3)]
+    end = rng.choice((min(a), max(a)))
+    near = (end - 2, end - 1, end, end + 1, end + 2, rng.randint(-2 * bound, 2 * bound))
+    b2, b3 = rng.choice(near), rng.choice(near)
+    b = (sum(a) - b2 - b3, b2, b3)
+    return EschParams(tuple(x * scale for x in a), tuple(x * scale for x in b))
+
+
+@pytest.mark.parametrize(("seed", "bound", "scale", "n"), [
+    (11, 4, 1, 20_000),
+    (12, 10**6, 1, 5_000),
+    (13, 6, 10**4400 + 7, 500),  # entries past the 4300-digit int/str limit
+], ids=["small", "up-to-1e6", "4400-digits"])
+def test_is_pc_metric_matches_its_definition(seed, bound, scale, n):
+    rng = random.Random(seed)
+    counts = {True: 0, False: 0}
+    on_edge = 0
+    for _ in range(n):
+        e = _edge_esch(rng, bound, scale)
+        result = is_pc_metric(e)
+        assert result == is_pc_metric_oracle(e)
+        counts[result] += 1
+        on_edge += any(bi in (min(e.a), max(e.a)) for bi in e.b)
+    assert min(counts.values()) > n // 20 and on_edge > n // 4
+    for e in (random_esch(rng, -bound * scale, bound * scale) for _ in range(n)):
+        assert is_pc_metric(e) == is_pc_metric_oracle(e)
+
+
+@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5), st.booleans())
+def test_is_pc_metric_matches_its_definition_hypothesis(entries, huge):
+    a1, a2, a3, b2, b3 = entries
+    scale = 10**4400 + 1 if huge else 1
+    b1 = a1 + a2 + a3 - b2 - b3
+    e = EschParams(tuple(x * scale for x in (a1, a2, a3)), tuple(x * scale for x in (b1, b2, b3)))
+    assert is_pc_metric(e) == is_pc_metric_oracle(e)
 
 
 def test_pc_normal_form_examples():
