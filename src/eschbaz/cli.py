@@ -25,7 +25,9 @@ space and echoes it with every declared integer flag as the JSON ``input``.
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
 invariant of the package failed (a bug; the error kind is "internal-error"),
-141 the reader of stdout closed it early (as in ``eschbaz families | head``).
+74 stdout could not be written (as in ``eschbaz families > /dev/full``; one
+"output-failed" line on stderr), 141 the reader of stdout closed it early (as
+in ``eschbaz families | head``).
 A usage error exits 2 with argparse's usage text on stderr; when the
 arguments ask for JSON it also writes an "invalid-input" report with
 argparse's message to stdout.
@@ -54,6 +56,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_EFFORT_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_OUTPUT_FAILED = 74  # EX_IOERR in sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 # Output grows quadratically in these flags; at 1000 the running example writes
@@ -649,12 +652,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    """Run the command line; exit 141 if the reader of stdout goes away.
+    """Run the command line; exit 141 if the reader of stdout goes away, 74 if stdout fails.
 
     SIGPIPE keeps its Python default (ignored) so that the ``scan`` worker
     pool's pipes are untouched; a write into a closed pipe raises
-    BrokenPipeError instead, and devnull replaces stdout so the flush at
-    interpreter exit stays silent.
+    BrokenPipeError instead.  Any other OSError (a full device, say) writes
+    one "output-failed" line to stderr.  Either way devnull replaces stdout
+    so the flush at interpreter exit stays silent.
     """
     try:
         code = run()
@@ -662,6 +666,10 @@ def main() -> None:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        print(f"error (output-failed): {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OUTPUT_FAILED
     sys.exit(code)
 
 

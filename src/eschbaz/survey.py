@@ -23,14 +23,16 @@ either: a space that embeds after all fails, naming its non-singular
 shifts.  One function builds the rows of all three.  The cohomogeneity-one
 job and the ``window`` command keep the full-certificate path, which is
 also the test oracle for the fast one.
-``scan_box`` can shard its (a1, a2) pairs over worker processes; rows are
-merged by deterministic sort, so output is identical for any worker count.
+``scan_box`` can shard its (a1, a2) pairs over worker processes, at most
+one per CPU this process may use; rows are merged by deterministic sort, so
+output is identical for any worker count.  The pool's modules
+(``concurrent.futures``, ``multiprocessing``) load only when a pool starts,
+so no other caller of the package pays for them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import starmap
 from math import gcd
@@ -236,8 +238,9 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
 
 
 def _pool_size(workers: int, n_tasks: int) -> int:
-    """Processes to start for ``workers`` requested: at most one per core and per task."""
-    return max(1, min(workers, os.cpu_count() or 1, n_tasks))
+    """Processes to start for ``workers`` requested: at most one per usable CPU and per task."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(workers, cpus, n_tasks))
 
 
 def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, list[SurveyRow]]:
@@ -251,9 +254,9 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     the walk stops at the first non-singular shift of the curvature window,
     and only a singular form becomes an ``EschParams``.  Returns counts plus
     up to ``limit`` counterexample rows sorted by |H^4| (ties broken
-    lexicographically).  ``workers`` is capped at the core count (and at
-    the number of (a1, a2) pairs); a value of 1, or a cap of 1, scans in
-    this process.
+    lexicographically).  ``workers`` is capped at the CPUs this process may
+    use (and at the number of (a1, a2) pairs); a value of 1, or a cap of 1,
+    scans in this process, and only a pooled scan loads the pool's modules.
     """
     if max_abs < 1:
         raise ValueError(f"max_abs must be >= 1, got {to_decimal(max_abs)}")
@@ -269,6 +272,7 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     else:
         # strided shards mix cheap (large a1) and costly (small a1) pairs
         n = min(4 * processes, len(apairs))
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled scan needs these modules
         with ProcessPoolExecutor(max_workers=processes) as pool:
             shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 

@@ -366,6 +366,30 @@ def test_console_exits_141_when_the_reader_closes_stdout():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_console_exits_74_when_stdout_cannot_be_written():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", "families", "--k-max", "3"],
+                              env=_console_env(), stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == cli.EXIT_OUTPUT_FAILED == 74
+    assert proc.stderr.decode().splitlines() == ["error (output-failed): No space left on device"]
+
+
+def test_no_pool_modules_load_without_a_pool():
+    # only a pooled scan_box may load concurrent.futures and multiprocessing:
+    # every other process would pay their memory and import time for nothing
+    script = (
+        "import sys, eschbaz, eschbaz.cli\n"
+        "eschbaz.scan_box(12, 5, workers=1)\n"
+        "assert eschbaz.cli.run(['verify-esch', '--a=2,0,0', '--b=15,-2,-11']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=_console_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # JSON output and schema
 

@@ -253,10 +253,17 @@ def test_scan_box_validates_arguments():
 
 
 def test_pool_size_is_bounded():
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert _pool_size(10**6, 10**9) == cores
     assert _pool_size(8, 3) == min(3, cores)
     assert _pool_size(1, 10**9) == 1
+
+
+def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
+    # under `taskset -c 0` a 2-core machine reports cpu_count() == 2 but lets the process use one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _pool_size(8, 100) == 1
 
 
 @functools.cache
