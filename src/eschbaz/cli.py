@@ -25,9 +25,12 @@ space and echoes it with every declared integer flag as the JSON ``input``.
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
 invariant of the package failed (a bug; the error kind is "internal-error"),
-74 stdout could not be written (as in ``eschbaz families > /dev/full``; one
-"output-failed" line on stderr), 141 the reader of stdout closed it early (as
-in ``eschbaz families | head``).
+71 the operating system refused a resource a command needed before any output
+(as when the ``scan`` worker pool cannot start; the error kind is
+"os-error", reported in the requested format), 74 stdout could not be
+written (as in ``eschbaz families > /dev/full``; one "output-failed" line on
+stderr), 141 the reader of stdout closed it early (as in
+``eschbaz families | head``).
 A usage error exits 2 with argparse's usage text on stderr; when the
 arguments ask for JSON it also writes an "invalid-input" report with
 argparse's message to stdout.
@@ -56,6 +59,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_EFFORT_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_OS_ERROR = 71  # EX_OSERR in sysexits.h
 EXIT_OUTPUT_FAILED = 74  # EX_IOERR in sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
@@ -163,11 +167,12 @@ def _cert_dict(cert: EmbeddingCertificate, **extras) -> dict:
 
 
 def _row_dict(row: SurveyRow, **extras) -> dict:
+    """A counterexample row: every shift's verdict is False."""
     return {
         "esch": _esch_dict(row.esch),
         "window": _window_dict(row.window),
-        "verdicts": list(row.verdicts),
-        "is_counterexample": row.is_counterexample,
+        "verdicts": [False] * len(row.window),
+        "is_counterexample": True,
         "h4": row.h4,
         **extras,
     }
@@ -213,9 +218,9 @@ def _cert_lines(c: EmbeddingCertificate) -> list[str]:
 
 
 def _row_line(r: SurveyRow) -> str:
-    verdict = "counterexample" if r.is_counterexample else "embeds"
-    marks = "".join("-" if ok else "x" for ok in r.verdicts)
-    return f"{r.esch}  window {_fmt_window(r.window)}  [{marks}]  |H4|={to_decimal(r.h4)}  {verdict}"
+    """A counterexample row: one x per shift of its window, each singular."""
+    marks = "x" * len(r.window)
+    return f"{r.esch}  window {_fmt_window(r.window)}  [{marks}]  |H4|={to_decimal(r.h4)}  counterexample"
 
 
 def _ab_cells(e: EschParams) -> list[str]:
@@ -424,7 +429,7 @@ def _cmd_families(_, args) -> dict:
         "text": lambda: [f"{v} k={k:<4} {_row_line(row)}" for v, k, row in labelled]
         + [f"both families verified as counterexamples for 0 <= k <= {args.k_max}"],
         "csv": lambda: [["variant", "k", "a", "b", "window", "counterexample"]]
-        + [[v, k, *_ab_cells(row.esch), _fmt_window(row.window), row.is_counterexample] for v, k, row in labelled],
+        + [[v, k, *_ab_cells(row.esch), _fmt_window(row.window), True] for v, k, row in labelled],
     }
 
 
@@ -647,6 +652,9 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         _emit_error(fmt, command, "internal-error", str(exc))
         return EXIT_INTERNAL_ERROR
+    except OSError as exc:
+        _emit_error(fmt, command, "os-error", exc.strerror or str(exc))
+        return EXIT_OS_ERROR
     _emit(fmt, command, echo, builders)
     return EXIT_OK
 

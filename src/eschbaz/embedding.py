@@ -26,9 +26,9 @@ Errors are never cached: an invalid space raises on every call.
 The window bounds live in ``pc_shift_window``, and the moduli and the
 three-gcd walk over shifts each in one private helper on plain ints
 (``_moduli``, ``_first_nonsingular``); ``nonsingular_shift`` is that walk
-over the one shift c.  The box scan writes all three inline for a3 = 0
-(``survey._scan_shard`` derives its formulas from them) and calls nothing
-here.
+over the one shift c.  The walk is the one place the three-gcd shift test
+is written: the box scan (``survey._scan_shard``) calls it for every free
+form, with the window and the six moduli it writes inline for a3 = 0.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def candidate_q(e: EschParams, c: int) -> BazParams:
     )
 
 
-def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[tuple[int, int], ...]:
-    """(s_k, D_k) for k = 1, 2, 3, with s_k = a_i + a_j + 1, D_k = prod_l (a_k - b_l).
+def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[int, ...]:
+    """(s_1, D_1, s_2, D_2, s_3, D_3), with s_k = a_i + a_j + 1, D_k = prod_l (a_k - b_l).
 
     For free parameters, shift c is non-singular iff gcd(s_k + 2c, D_k) == 1
     for every k: the nine conditions gcd(s_k + 2c, a_k - b_l) == 1 merge,
@@ -138,9 +138,9 @@ def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[tuple
     difference).
     """
     return (
-        (a2 + a3 + 1, (a1 - b1) * (a1 - b2) * (a1 - b3)),
-        (a1 + a3 + 1, (a2 - b1) * (a2 - b2) * (a2 - b3)),
-        (a1 + a2 + 1, (a3 - b1) * (a3 - b2) * (a3 - b3)),
+        a2 + a3 + 1, (a1 - b1) * (a1 - b2) * (a1 - b3),
+        a1 + a3 + 1, (a2 - b1) * (a2 - b2) * (a2 - b3),
+        a1 + a2 + 1, (a3 - b1) * (a3 - b2) * (a3 - b3),
     )
 
 
@@ -152,12 +152,11 @@ def nonsingular_shift(e: EschParams, c: int) -> bool:
     of k; checked as three gcds, by ``_first_nonsingular`` over the one
     shift c.
     """
-    return is_free(e) and _first_nonsingular((c,), _moduli(*e.a, *e.b)) is not None
+    return is_free(e) and _first_nonsingular((c,), *_moduli(*e.a, *e.b)) is not None
 
 
-def _first_nonsingular(window: Iterable[int], moduli: tuple[tuple[int, int], ...]) -> int | None:
-    """The first c in window with gcd(s_k + 2c, D_k) == 1 for all three ``_moduli`` pairs."""
-    (s1, d1), (s2, d2), (s3, d3) = moduli
+def _first_nonsingular(window: Iterable[int], s1: int, d1: int, s2: int, d2: int, s3: int, d3: int) -> int | None:
+    """The first c in window with gcd(s_k + 2c, D_k) == 1 for k = 1, 2, 3 (the ``_moduli`` values)."""
     for c in window:
         t = 2 * c
         if gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1:
@@ -250,7 +249,7 @@ def shift_prime_product(e: EschParams) -> int:
             "difference admit at most two non-singular shifts)"
         )
     product = 1
-    for ak, (pair_sum, _) in zip(e.a, _moduli(*e.a, *e.b)):
+    for ak, pair_sum in zip(e.a, (a2 + a3 + 1, a1 + a3 + 1, a1 + a2 + 1)):
         for bl in e.b:
             for p, _ in factorize(ak - bl):
                 if gcd(p, pair_sum) == 1:

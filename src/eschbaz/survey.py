@@ -13,16 +13,16 @@ fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
 b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
 bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
 ``_scan_shard``, enumerates the forms and decides each as it meets it, on
-plain ints: the curvature window, the moduli of ``nonsingular_shift`` and
-its three gcds are written inline, and each form walks its window once, up
-to its first non-singular shift.  It calls nothing but ``gcd``, builds no
-``EschParams`` for a form that embeds, and no certificates.  The two
-counterexample jobs decide their spaces by ``embedding._first_nonsingular``
-over the window they report, in one helper, and build no certificates
-either: a space that embeds after all fails, naming its non-singular
-shifts.  One function builds the rows of all three.  The cohomogeneity-one
-job and the ``window`` command keep the full-certificate path, which is
-also the test oracle for the fast one.
+plain ints: the freeness test, the curvature window (in shifts) and the
+moduli of ``nonsingular_shift`` are written inline, and each free form
+walks its window once with ``embedding._first_nonsingular``, up to its
+first non-singular shift.  It builds no ``EschParams`` for a form that
+embeds, and no certificates.  The two counterexample jobs decide their
+spaces by the same walk over the window they report, in one helper, and
+build no certificates either: a space that embeds after all fails, naming
+its non-singular shifts.  Every row the three jobs build is a
+counterexample.  The cohomogeneity-one job and the ``window`` command keep
+the full-certificate path, which is also the test oracle for the fast one.
 ``scan_box`` can shard its (a1, a2) pairs over worker processes, at most
 one per CPU this process may use; rows are merged by deterministic sort, so
 output is identical for any worker count.  The pool's modules
@@ -64,16 +64,14 @@ class VerificationFailure(Exception):
 
 @dataclass(frozen=True)
 class SurveyRow:
-    """One space's window scan in tabular form.
+    """One counterexample: a free space ``esch`` in positive-curvature normal form.
 
-    ``verdicts`` holds one non-singularity flag per shift in the window;
-    a counterexample is a nonempty window whose verdicts are all False.
+    Every shift of its curvature ``window`` (never empty, see
+    ``pc_shift_window``) gives a singular candidate; ``h4`` is |H^4|.
     """
 
     esch: EschParams
     window: range
-    verdicts: tuple[bool, ...]
-    is_counterexample: bool
     h4: int
 
 
@@ -100,18 +98,6 @@ KNOWN_COUNTEREXAMPLES: tuple[tuple[tuple[int, int, int], tuple[int, int, int], r
 )
 
 
-def _singular_row(f: EschParams, window: range) -> SurveyRow:
-    """The counterexample row of free f in positive-curvature normal form.
-
-    The caller has found every shift of ``window``, f's curvature window,
-    singular (the window is never empty, see ``pc_shift_window``), so each
-    verdict is False.
-    """
-    return SurveyRow(
-        esch=f, window=window, verdicts=(False,) * len(window), is_counterexample=True, h4=h4_order(f)
-    )
-
-
 def _counterexample_row(e: EschParams, where: str) -> SurveyRow:
     """The row of e, which must be a free, positively curved counterexample.
 
@@ -125,10 +111,10 @@ def _counterexample_row(e: EschParams, where: str) -> SurveyRow:
         raise VerificationFailure(f"{where}: {e} is not positively curved")
     f = pc_normal_form(e)
     window = pc_shift_window(f)
-    if _first_nonsingular(window, _moduli(*f.a, *f.b)) is not None:
+    if _first_nonsingular(window, *_moduli(*f.a, *f.b)) is not None:
         good = [c for c in window if nonsingular_shift(f, c)]
         raise VerificationFailure(f"{where}: {e} embeds after all (non-singular at c in {good})")
-    return _singular_row(f, window)
+    return SurveyRow(f, window, h4_order(f))
 
 
 def verify_known_counterexamples() -> list[SurveyRow]:
@@ -194,9 +180,7 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
 
     - ``pc_shift_window`` is range(-(a2 + 1)//2 + 1, (-(b2 + b3 + 1) - 1)//2 + 1)
       = range(c0, -(b2 + b3)//2) with c0 = (1 - a2)//2 (a floor quotient
-      moves by one when its numerator moves by two), so the doubled shifts
-      t = 2c run over range(t0, t_stop, 2) with t0 = 2*c0 = a2 % 2 - a2 and
-      t_stop = 2*(-(b2 + b3)//2);
+      moves by one when its numerator moves by two);
     - ``_moduli(a1, a2, 0, b1, b2, b3)`` pairs s_k = a2 + 1, a1 + 1,
       a1 + a2 + 1 with D_1 = (a1 - b1)(a1 - b2)u, D_2 = (a2 - b1)(a2 - b2)w
       and D_3 = -v*b3, for u = a1 - b3, w = a2 - b3 and v = b1*b2; as
@@ -204,16 +188,16 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
       sign of D_3 leaves its gcds alone);
     - ``_freeness_moduli(a1, a2, 0, b3)`` is (u*w, u*b3, w*b3), against b2, a2 - b2, a1 - b2.
 
-    So t0 and the s_k are fixed per pair, u, w and the freeness moduli per
-    b3, and each free form walks its window with the three gcds of
-    ``_first_nonsingular`` up to its first non-singular shift.  The chain
-    and a nonempty window, both checked by ``pc_shift_window``, are checked
-    on every form, as invariants.
+    So c0 and the s_k are fixed per pair, u, w and the freeness moduli per
+    b3, and each free form walks its window with ``_first_nonsingular``,
+    given the s_k and its D_k as six plain ints, up to its first
+    non-singular shift.  The chain and a nonempty window, both checked by
+    ``pc_shift_window``, are checked on every form, as invariants.
     """
     apairs, max_abs = args
     count, singular = 0, []
     for a1, a2 in apairs:
-        t0 = a2 % 2 - a2
+        c0 = (1 - a2) // 2
         s1, s2 = a2 + 1, a1 + 1
         s3 = s2 + a2
         for b3 in range(a1 - max_abs, 0):
@@ -223,16 +207,12 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
                 if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
                     count += 1
                     b1 = a1 + a2 - b2 - b3
-                    t_stop = -(b2 + b3) // 2 * 2
-                    if t_stop <= t0 or not b3 <= b2 < 0 <= a2 <= a1 < b1:
+                    window = range(c0, -(b2 + b3) // 2)
+                    if not window or not b3 <= b2 < 0 <= a2 <= a1 < b1:
                         raise InternalError(f"enumerated form {EschParams((a1, a2, 0), (b1, b2, b3))} breaks "
                                             "the normal-form chain or has an empty shift window")
                     v = b1 * b2
-                    d1, d2, d3 = (v - a1 * w) * u, (v - a2 * u) * w, v * b3
-                    for t in range(t0, t_stop, 2):
-                        if gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1:
-                            break
-                    else:
+                    if _first_nonsingular(window, s1, (v - a1 * w) * u, s2, (v - a2 * u) * w, s3, v * b3) is None:
                         singular.append(((a1, a2, 0), (b1, b2, b3)))
     return count, singular
 
@@ -277,6 +257,6 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
-    rows = sorted((_singular_row(f, pc_shift_window(f)) for _, keys in shards
+    rows = sorted((SurveyRow(f, pc_shift_window(f), h4_order(f)) for _, keys in shards
                    for f in starmap(EschParams, keys)), key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return ScanStats(total, total - len(rows), len(rows)), rows[:limit]

@@ -177,7 +177,7 @@ def first_nonsingular_shift(f: EschParams) -> int | None:
     one set of moduli and one three-gcd walk per form.  None means every
     shift in the window is singular.
     """
-    return _first_nonsingular(pc_shift_window(f), _moduli(*f.a, *f.b))
+    return _first_nonsingular(pc_shift_window(f), *_moduli(*f.a, *f.b))
 
 
 def shift_prime_product_oracle(e: EschParams) -> int:
@@ -215,16 +215,15 @@ def row_from_report(report: WindowReport) -> SurveyRow:
     """The survey row of a window scan, read off its full certificates.
 
     The path the survey jobs took before they decided each space with the
-    three-gcd kernel; every job's rows are checked against it.
+    three-gcd kernel; every job's rows are checked against it.  Every row
+    is a counterexample, so a non-singular certificate anywhere in the
+    window raises ``AssertionError`` (raised, not asserted, so that it
+    holds under ``python -O``).
     """
-    verdicts = tuple(cert.baz_free for cert in report.certificates)
-    return SurveyRow(
-        esch=report.esch,
-        window=report.window,
-        verdicts=verdicts,
-        is_counterexample=len(report.window) > 0 and not any(verdicts),
-        h4=h4_order(report.esch),
-    )
+    good = [cert.shift for cert in report.certificates if cert.baz_free]
+    if good:
+        raise AssertionError(f"{report.esch} is no counterexample: non-singular at c in {good}")
+    return SurveyRow(esch=report.esch, window=report.window, h4=h4_order(report.esch))
 
 
 def decimal_by_digits(n: int) -> str:

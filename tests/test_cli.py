@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -375,6 +376,25 @@ def test_console_exits_74_when_stdout_cannot_be_written():
     assert proc.stderr.decode().splitlines() == ["error (output-failed): No space left on device"]
 
 
+def _refused_pool(*args, **kwargs):
+    """A ``ProcessPoolExecutor`` whose processes the operating system will not start."""
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def test_scan_exits_71_when_its_worker_pool_cannot_start(capsys, schema, monkeypatch):
+    # an OSError raised before any output is the operating system's, not
+    # stdout's: exit 71 and a report in the requested format, not exit 74
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _refused_pool)
+    monkeypatch.setattr("eschbaz.survey._pool_size", lambda workers, n_tasks: workers)  # on one CPU too
+    argv = ("scan", "--max-abs", "12", "--limit", "3", "--workers", "2")
+    reason = os.strerror(errno.EAGAIN)
+    assert invoke(capsys, *argv) == (cli.EXIT_OS_ERROR, "", f"error (os-error): {reason}\n")
+    assert cli.EXIT_OS_ERROR == 71
+    code, report = invoke_json(capsys, schema, *argv)
+    assert code == 71
+    assert report["error"] == {"kind": "os-error", "reason": reason}
+
+
 def test_no_pool_modules_load_without_a_pool():
     # only a pooled scan_box may load concurrent.futures and multiprocessing:
     # every other process would pay their memory and import time for nothing
@@ -505,7 +525,7 @@ def test_dual_rejects_a_singular_shift_past_the_limit(capsys):
     # shifting by a multiple of every modulus D_k keeps shift 0's verdict,
     # and shift 0 of the running example is singular
     period = 1
-    for _, d in _moduli(*E_RUNNING.a, *E_RUNNING.b):
+    for d in _moduli(*E_RUNNING.a, *E_RUNNING.b)[1::2]:
         period *= abs(d)
     c = period * 10**5000
     assert not nonsingular_shift(E_RUNNING, c)

@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from conftest import random_pc_esch
-import oracles
 from oracles import (
     enumerate_normal_forms,
     first_nonsingular_shift,
@@ -47,12 +46,11 @@ from eschbaz import (
     verify_known_counterexamples,
     window_scan,
 )
-from eschbaz.embedding import _moduli
+from eschbaz.embedding import _first_nonsingular, _moduli
 import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
     ScanStats,
-    SurveyRow,
     _pool_size,
 )
 
@@ -74,9 +72,6 @@ def test_verify_known_counterexamples():
     for row, (a, b, window) in zip(rows, KNOWN_COUNTEREXAMPLES):
         assert row.esch == EschParams(a, b)
         assert row.window == window
-        assert row.is_counterexample
-        assert not any(row.verdicts)
-        assert len(row.verdicts) == len(window)
         assert row.h4 % 2 == 1
 
 
@@ -91,7 +86,6 @@ def test_verify_infinite_families_matches_stored_rows_at_k0():
 def test_verify_infinite_families_small():
     rows = verify_infinite_families(3)
     assert len(rows) == 8
-    assert all(r.is_counterexample for r in rows)
     assert all(is_free(r.esch) and is_pc_metric(r.esch) for r in rows)
     with pytest.raises(ValueError):
         verify_infinite_families(-1)
@@ -220,9 +214,9 @@ def test_scan_box_rows_are_counterexamples_and_sorted(box60):
     assert stats.total >= stats.embeddable + stats.counterexamples
     assert stats.total == stats.embeddable + stats.counterexamples
     assert any(r.esch == EschParams((39, 0, 0), (55, -3, -13)) for r in rows)
-    assert all(r.is_counterexample for r in rows)
     assert [r.h4 for r in rows] == sorted(r.h4 for r in rows)
-    # each row equals the one the full-certificate path builds
+    # each row equals the one the full-certificate path builds, which
+    # checks every shift of the window singular
     assert all(r == row_from_report(window_scan(r.esch)) for r in rows)
 
 
@@ -310,7 +304,8 @@ def test_scan_box_with_fewer_pairs_than_shards():
 
 
 def _kernel_verdict(f, c):
-    return all(gcd(s + 2 * c, d) == 1 for s, d in _moduli(*f.a, *f.b))
+    moduli = _moduli(*f.a, *f.b)
+    return all(gcd(s + 2 * c, d) == 1 for s, d in zip(moduli[::2], moduli[1::2]))
 
 
 def test_kernel_matches_certificates_on_every_window_in_box30():
@@ -358,39 +353,26 @@ def test_scan_box_matches_the_per_form_path_in_every_box_to_30():
         assert (a, b) in _check_shard(shard, list(normal_forms(*shard)))
 
 
-def _recorder(calls):
-    """A stand-in for ``gcd`` that appends each call's (x, |m|) to calls."""
-    def record(x, m):
-        calls.append((x, abs(m)))
-        return gcd(x, m)
-    return record
+def _walk_args(window, s1, d1, s2, d2, s3, d3):
+    """The arguments of one ``_first_nonsingular`` walk, with D_3 up to sign (the kernel flips it)."""
+    return window, (s1, d1, s2, d2, s3, abs(d3))
 
 
-def test_scan_shard_walks_each_window_once(monkeypatch):
-    # the kernel's gcd calls on box 30 are the enumerator's freeness gcds,
-    # each free form's followed by its walk: the three-gcd chain at every
-    # shift of its window up to its first non-singular one (the chain stops
-    # at its first gcd that is not 1).  Moduli are compared up to sign, which
-    # the kernel's D_3 flips.
-    pairs = list(_box_keys(30))
-    want, forms, past_first = [], [], 0
-    monkeypatch.setattr(oracles, "gcd", _recorder(want))
-    for a, b in normal_forms(pairs, 30):
-        f = EschParams(a, b)
-        window, first = pc_shift_window(f), first_nonsingular_shift(f)
-        forms.append((a, b, first))
-        past_first += first != window.start
-        for c in range(window.start, window.stop if first is None else first + 1):
-            (x1, d1), (x2, d2), (x3, d3) = ((s + 2 * c, abs(d)) for s, d in _moduli(*a, *b))
-            one, two = gcd(x1, d1) == 1, gcd(x2, d2) == 1
-            want += [(x1, d1)] + [(x2, d2)] * one + [(x3, d3)] * (one and two)
-    assert past_first == 1914
-    got = []
-    monkeypatch.setattr(survey_mod, "gcd", _recorder(got))
+def test_scan_shard_walks_each_free_form_once(monkeypatch):
+    # one walk per free form of box 30, in enumeration order, over the
+    # form's curvature window with its moduli
+    pairs, calls = list(_box_keys(30)), []
+
+    def record(*args):
+        calls.append(_walk_args(*args))
+        return _first_nonsingular(*args)
+
+    monkeypatch.setattr(survey_mod, "_first_nonsingular", record)
     count, singular = survey_mod._scan_shard((pairs, 30))
+    forms = list(normal_forms(pairs, 30))
     assert count == len(forms)
-    assert singular == [(a, b) for a, b, first in forms if first is None]
-    assert got == want
+    assert calls == [_walk_args(pc_shift_window(EschParams(a, b)), *_moduli(*a, *b)) for a, b in forms]
+    assert singular == [(a, b) for a, b in forms if first_nonsingular_shift(EschParams(a, b)) is None]
 
 
 def test_scan_shard_checks_each_enumerated_form():
@@ -422,17 +404,6 @@ def test_first_nonsingular_shift_on_stored_counterexamples():
         assert first_nonsingular_shift(EschParams(a, b)) is None
     # the running example's window 0..5 starts with two singular shifts
     assert first_nonsingular_shift(EschParams((2, 0, 0), (15, -2, -11))) == 2
-
-
-def test_survey_row_invariant():
-    row = SurveyRow(
-        esch=EschParams((39, 0, 0), (55, -3, -13)),
-        window=range(0, 8),
-        verdicts=(False,) * 8,
-        is_counterexample=True,
-        h4=841,
-    )
-    assert row.is_counterexample == (len(row.window) > 0 and not any(row.verdicts))
 
 
 if __name__ == "__main__":
