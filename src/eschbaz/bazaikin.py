@@ -4,7 +4,8 @@ A Bazaikin biquotient is parameterized by five integers q1..q5.  Oddness is
 a predicate input rather than a structural invariant so that singular
 candidates can still be represented and reported.  Freeness demands all q_i
 odd and gcd(q_i + q_j, q_k + q_l) == 2 for every pair of disjoint index
-pairs; positive curvature demands all ten pairwise sums share a strict sign.
+pairs, 15 gcds evaluated once, in ``freeness_failures``; positive curvature
+demands all ten pairwise sums share a strict sign.
 
 |H^6| is |sigma_3| / 8 of the six-tuple (q1, ..., q6) = (q1, ..., q5,
 -qsum).  That tuple sums to zero, so sigma_3 = p_3 / 3 (Newton's
@@ -32,11 +33,11 @@ from .arith import InternalError, tuple_to_decimal
 from .eschenburg import EschParams
 
 # The freeness condition only depends on the two unordered index pairs, so the
-# 120 permutations collapse to 15 pairs of disjoint 2-subsets of {0..4}.
+# 120 permutations collapse to 15 pairs of disjoint 2-subsets of {1..5}.
 _DISJOINT_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
     (p1, p2)
-    for p1 in combinations(range(5), 2)
-    for p2 in combinations(range(5), 2)
+    for p1 in combinations(range(1, 6), 2)
+    for p2 in combinations(range(1, 6), 2)
     if p1 < p2 and not set(p1) & set(p2)
 )
 if len(_DISJOINT_PAIRS) != 15:
@@ -72,40 +73,31 @@ class BazParams:
 
 
 def is_free_baz(b: BazParams) -> bool:
-    """Freeness: all q_i odd and every disjoint pair-sum gcd equals 2.
-
-    The ten pair sums s_ij = q_i + q_j are formed once and the 15 disjoint
-    pairs of ``_DISJOINT_PAIRS`` are tested in that order.
-    """
-    if not b.all_odd():
-        return False
-    q0, q1, q2, q3, q4 = b.q
-    s01, s02, s03, s04 = q0 + q1, q0 + q2, q0 + q3, q0 + q4
-    s12, s13, s14 = q1 + q2, q1 + q3, q1 + q4
-    s23, s24, s34 = q2 + q3, q2 + q4, q3 + q4
-    return (
-        gcd(s01, s23) == 2 and gcd(s01, s24) == 2 and gcd(s01, s34) == 2
-        and gcd(s02, s13) == 2 and gcd(s02, s14) == 2 and gcd(s02, s34) == 2
-        and gcd(s03, s12) == 2 and gcd(s03, s14) == 2 and gcd(s03, s24) == 2
-        and gcd(s04, s12) == 2 and gcd(s04, s13) == 2 and gcd(s04, s23) == 2
-        and gcd(s12, s34) == 2 and gcd(s13, s24) == 2 and gcd(s14, s23) == 2
-    )
+    """Freeness: all q_i odd and no ``freeness_failures`` (every disjoint pair-sum gcd equals 2)."""
+    return b.all_odd() and not freeness_failures(b)
 
 
 def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The disjoint index pairs violating the gcd-equals-2 condition.
+    """The disjoint index pairs violating the gcd-equals-2 condition, in ``_DISJOINT_PAIRS`` order.
 
     Entries are ((i, j), (k, l), g) with 1-based indices and
-    g = gcd(q_i + q_j, q_k + q_l) != 2.  Empty for free parameters; oddness
-    violations are not listed here (check ``BazParams.all_odd`` separately).
+    g = gcd(q_i + q_j, q_k + q_l) != 2, from the ten pair sums formed once.
+    Empty for free parameters; oddness violations are not listed here.
     """
-    q = b.q
-    out = []
-    for (i, j), (k, l) in _DISJOINT_PAIRS:
-        g = gcd(q[i] + q[j], q[k] + q[l])
-        if g != 2:
-            out.append(((i + 1, j + 1), (k + 1, l + 1), g))
-    return out
+    q1, q2, q3, q4, q5 = b.q
+    s12, s13, s14, s15 = q1 + q2, q1 + q3, q1 + q4, q1 + q5
+    s23, s24, s25 = q2 + q3, q2 + q4, q2 + q5
+    s34, s35, s45 = q3 + q4, q3 + q5, q4 + q5
+    gcds = (
+        gcd(s12, s34), gcd(s12, s35), gcd(s12, s45),
+        gcd(s13, s24), gcd(s13, s25), gcd(s13, s45),
+        gcd(s14, s23), gcd(s14, s25), gcd(s14, s35),
+        gcd(s15, s23), gcd(s15, s24), gcd(s15, s34),
+        gcd(s23, s45), gcd(s24, s35), gcd(s25, s34),
+    )
+    if gcds == (2,) * 15:
+        return []
+    return [(p1, p2, g) for (p1, p2), g in zip(_DISJOINT_PAIRS, gcds) if g != 2]
 
 
 def is_pc_baz(b: BazParams) -> bool:

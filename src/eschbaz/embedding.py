@@ -12,7 +12,8 @@ shifts can share the same |H^6| (``collision_locus``).  ``make_certificate``
 is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
 ``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
 the CLI's ``embed`` build every certificate through it, and each call
-evaluates the straight-line ``is_pc_metric``.  ``certified_shift``
+evaluates the straight-line ``is_pc_metric`` and, once, the candidate's
+``bazaikin.freeness_failures``.  ``certified_shift``
 is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
@@ -167,7 +168,8 @@ def _first_nonsingular(window: Iterable[int], s1: int, d1: int, s2: int, d2: int
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
     """Evaluate every certificate field for the shift-c candidate of e."""
     q = candidate_q(e, c)
-    free = bazaikin.is_free_baz(q)
+    offending = bazaikin.freeness_failures(q)
+    free = q.all_odd() and not offending
     return EmbeddingCertificate(
         esch=e,
         shift=c,
@@ -176,7 +178,7 @@ def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
         baz_pc=bazaikin.is_pc_baz(q),
         esch_pc=is_pc_metric(e),
         h6=bazaikin.h6_order(q) if free else 0,
-        offending_pairs=() if free else tuple(bazaikin.freeness_failures(q)),
+        offending_pairs=tuple(offending),
     )
 
 

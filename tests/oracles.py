@@ -130,6 +130,23 @@ def is_free_baz_oracle(b: BazParams) -> bool:
     return all(gcd(q[s[0]] + q[s[1]], q[s[2]] + q[s[3]]) == 2 for s in _PERMS5)
 
 
+def freeness_failures_oracle(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
+    """``freeness_failures`` with one gcd per pair of disjoint index pairs.
+
+    The pairs come from ``itertools.combinations`` on the 1-based indices, in
+    lexicographic order; each ((i, j), (k, l), g) with
+    g = gcd(q_i + q_j, q_k + q_l) != 2 is listed.
+    """
+    q = dict(enumerate(b.q, 1))
+    out = []
+    for (i, j), (k, l) in combinations(combinations(range(1, 6), 2), 2):
+        if {i, j}.isdisjoint({k, l}):
+            g = gcd(q[i] + q[j], q[k] + q[l])
+            if g != 2:
+                out.append(((i, j), (k, l), g))
+    return out
+
+
 def is_pc_baz_oracle(b: BazParams) -> bool:
     """Positive curvature over all ten pairwise sums: all > 0, or all < 0."""
     sums = [b.q[i] + b.q[j] for i, j in combinations(range(5), 2)]

@@ -4,7 +4,13 @@ from itertools import permutations, product
 import pytest
 
 from conftest import random_free_esch, random_odd_baz
-from oracles import elementary_symmetric, h6_order_oracle, is_free_baz_oracle, is_pc_baz_oracle
+from oracles import (
+    elementary_symmetric,
+    freeness_failures_oracle,
+    h6_order_oracle,
+    is_free_baz_oracle,
+    is_pc_baz_oracle,
+)
 from eschbaz import (
     BazParams,
     EschParams,
@@ -31,6 +37,16 @@ def test_offending_pairs():
     fails = freeness_failures(BazParams((5, 1, 1, 3, 21)))
     assert ((1, 2), (4, 5), 6) in fails
     assert freeness_failures(BazParams((1, 1, 1, 1, 1))) == []
+    # in pair order; pair sums s12 = s34 = 0, s13 = 4, s14 = -2, s15 = 6, s23 = 2, s24 = -4,
+    # s25 = 4, s35 = 8, s45 = 2: gcd(0, 0) == 0 and gcd(0, s) == |s|
+    assert freeness_failures(BazParams((1, -1, 3, -3, 5))) == [
+        ((1, 2), (3, 4), 0), ((1, 2), (3, 5), 8), ((1, 3), (2, 4), 4), ((1, 3), (2, 5), 4),
+        ((1, 5), (3, 4), 6), ((2, 4), (3, 5), 4), ((2, 5), (3, 4), 4),
+    ]
+    assert not is_free_baz(BazParams((1, -1, 3, -3, 5)))
+    # an even entry makes every sum with it odd: gcd 1 for the 12 pairs that hold index 1
+    fails = freeness_failures(BazParams((2, 1, 1, 1, 1)))
+    assert [g for *_, g in fails] == [1] * 12 and all(1 in p1 for p1, _, _ in fails)
 
 
 def test_all_odd_matches_its_definition():
@@ -123,7 +139,8 @@ def test_permutation_invariance_all_120():
 def _assert_matches_oracles(q):
     assert is_pc_baz(q) == is_pc_baz_oracle(q), q
     assert h6_order(q) == h6_order_oracle(q), q
-    assert is_free_baz(q) == (q.all_odd() and not freeness_failures(q)), q
+    assert freeness_failures(q) == freeness_failures_oracle(q), q
+    assert is_free_baz(q) == is_free_baz_oracle(q), q
 
 
 def test_predicates_match_oracles_on_small_tuples():
@@ -138,7 +155,8 @@ def test_predicates_match_oracles_on_small_tuples():
     for _ in range(2000):
         q = BazParams(tuple(rng.randint(-49, 49) for _ in range(5)))
         assert is_pc_baz(q) == is_pc_baz_oracle(q), q
-        assert is_free_baz(q) == (q.all_odd() and not freeness_failures(q)), q
+        assert freeness_failures(q) == freeness_failures_oracle(q), q
+        assert is_free_baz(q) == is_free_baz_oracle(q), q
 
 
 def test_predicates_match_oracles_at_certified_shifts():

@@ -4,9 +4,14 @@ A fixed list of invocations runs through ``cli.run`` in one process, so the
 shared parser is reused as it is in real use.  Each invocation's exit code,
 stdout and stderr are hashed together and compared with the digest stored
 for it in ``data/cli_golden.json``, so a failure names the invocation whose
-output moved.  After an intended output change, rewrite the file with
+output moved.  A label whose output differs on one Python minor version (argparse
+wraps usage lines differently on 3.13) has that version's digest in
+``data/cli_golden_versions.json``, keyed "3.13", which replaces the shared
+digest on that version only.  After an intended output change, rewrite the
+shared file on Python 3.10-3.12, then each version's entries on that version:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python3.11 tests/test_cli_golden.py
+    PYTHONPATH=src python3.13 tests/test_cli_golden.py --versioned
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,8 @@ from eschbaz.arith import to_decimal
 from eschbaz.cli import run
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
+VERSIONED = GOLDEN.with_name("cli_golden_versions.json")
+VERSION = "%d.%d" % sys.version_info[:2]
 FORMATS = ("text", "json", "csv")
 RUNNING = ("--a=2,0,0", "--b=15,-2,-11")
 HUGE = 10**70
@@ -125,8 +133,15 @@ def observed():
         return digests()
 
 
-def test_corpus_matches_the_stored_digests(observed):
+def stored_digests() -> dict[str, str]:
+    """The shared digests, with this Python minor version's own digests in their place."""
     stored = json.loads(GOLDEN.read_text())
+    own = json.loads(VERSIONED.read_text()).get(VERSION, {})
+    return {**stored, **own}
+
+
+def test_corpus_matches_the_stored_digests(observed):
+    stored = stored_digests()
     assert sorted(observed) == sorted(stored)
     moved = [label for label in stored if observed[label] != stored[label]]
     assert moved == []
@@ -134,5 +149,10 @@ def test_corpus_matches_the_stored_digests(observed):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests(), indent=1) + "\n")
+    if sys.argv[1:] == ["--versioned"]:
+        shared = json.loads(GOLDEN.read_text())
+        versions = json.loads(VERSIONED.read_text())
+        versions[VERSION] = {label: d for label, d in digests().items() if d != shared[label]}
+        VERSIONED.write_text(json.dumps(dict(sorted(versions.items())), indent=1) + "\n")
+    else:
+        GOLDEN.write_text(json.dumps(digests(), indent=1) + "\n")

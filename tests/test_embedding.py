@@ -10,6 +10,8 @@ from oracles import (
     decimal_by_digits,
     elementary_symmetric,
     enumerate_normal_forms,
+    freeness_failures_oracle,
+    is_free_baz_oracle,
     nonsingular_shift_oracle,
     shift_prime_product_oracle,
     sigma3_shift_closed_form,
@@ -407,7 +409,8 @@ def test_window_scan_certificates_recompute():
         report = window_scan(random_pc_esch(rng, -20, 20))
         for cert in report.certificates:
             assert cert.baz == candidate_q(cert.esch, cert.shift)
-            assert cert.baz_free == is_free_baz(cert.baz)
+            assert cert.baz_free == is_free_baz_oracle(cert.baz)
+            assert cert.offending_pairs == tuple(freeness_failures_oracle(cert.baz))
             assert cert.baz_pc == is_pc_baz(cert.baz)
             assert cert.h6 == (h6_order(cert.baz) if cert.baz_free else 0)
             assert_is_make_certificate(cert)
@@ -537,6 +540,22 @@ def test_make_certificate_offending_pairs():
     assert ((1, 2), (4, 5), 6) in cert.offending_pairs
     assert cert.h6 == 0
     assert cert.esch_pc
+
+
+@pytest.mark.parametrize("digits, samples", [(2, 300), (12, 300), (4400, 40)])
+def test_make_certificate_freeness_matches_oracles(digits, samples):
+    # any space and any shift, curved or not, at three magnitudes (the last past the digit limit)
+    rng = random.Random(digits)
+    bound = 10**digits
+    free_seen = 0
+    for _ in range(samples):
+        e, c = random_esch(rng, -bound, bound), rng.randint(-bound, bound)
+        cert = make_certificate(e, c)
+        assert cert.baz_free == is_free_baz_oracle(cert.baz), (e, c)
+        assert cert.offending_pairs == tuple(freeness_failures_oracle(cert.baz)), (e, c)
+        assert cert.h6 == (h6_order(cert.baz) if cert.baz_free else 0), (e, c)
+        free_seen += cert.baz_free
+    assert 0 < free_seen < samples
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Code tokens are the ``tokenize`` tokens of a file without comments,
 docstrings and layout (NL, NEWLINE, INDENT, DEDENT, ENCODING, ENDMARKER),
-so reformatting and comment edits do not move the count.  Python 3.12
-tokenizes f-strings into several tokens, so counts are comparable only
-between runs on the same minor version (the figures in CHANGES.md are
-Python 3.11's).  With no arguments it counts ``src/eschbaz/*.py``:
+so reformatting and comment edits do not move the count.  An f-string is
+one token, as Python 3.11 tokenizes it: from 3.12 (PEP 701) everything from
+an FSTRING_START to its matching FSTRING_END counts once, so every version
+from 3.10 on prints the same counts.  With no arguments it counts
+``src/eschbaz/*.py``:
 
     python tools/code_size.py [FILE ...]
 """
@@ -19,6 +20,9 @@ from pathlib import Path
 
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
+# None before Python 3.12: earlier tokenizers yield each f-string as one STRING
+FSTRING_START = getattr(tokenize, "FSTRING_START", None)
+FSTRING_END = getattr(tokenize, "FSTRING_END", None)
 
 
 def docstring_starts(source: str) -> set[tuple[int, int]]:
@@ -36,10 +40,16 @@ def docstring_starts(source: str) -> set[tuple[int, int]]:
 def code_tokens(source: str) -> int:
     docstrings = docstring_starts(source)
     lines = iter(source.splitlines(keepends=True))
-    return sum(
-        1 for tok in tokenize.generate_tokens(lambda: next(lines, ""))
-        if tok.type not in LAYOUT and not (tok.type == tokenize.STRING and tok.start in docstrings)
-    )
+    count = depth = 0  # depth: f-strings open at this token
+    for tok in tokenize.generate_tokens(lambda: next(lines, "")):
+        if tok.type == FSTRING_START:
+            depth += 1
+            count += depth == 1
+        elif tok.type == FSTRING_END:
+            depth -= 1
+        elif not depth and tok.type not in LAYOUT:
+            count += not (tok.type == tokenize.STRING and tok.start in docstrings)
+    return count
 
 
 def main(argv: list[str]) -> None:
