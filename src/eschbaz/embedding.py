@@ -24,12 +24,13 @@ parameters.  So the certified shifts of one space and its distinct hosts
 share one check and one P, and its nine differences are factored once.
 Errors are never cached: an invalid space raises on every call.
 
-The window bounds live in ``pc_shift_window``, and the moduli and the
-three-gcd walk over shifts each in one private helper on plain ints
-(``_moduli``, ``_first_nonsingular``); ``nonsingular_shift`` is that walk
-over the one shift c.  The walk is the one place the three-gcd shift test
-is written: the box scan (``survey._scan_shard``) calls it for every free
-form, with the window and the six moduli it writes inline for a3 = 0.
+The window bounds, the moduli and the three-gcd walk over shifts each live
+in one private helper on plain ints (``_window``, ``_moduli``,
+``_first_nonsingular``); ``pc_shift_window`` is ``_window`` on a form that
+it checks is in the chain, and ``nonsingular_shift`` is the walk over the
+one shift c.  The box scan (``survey._scan_shard``) calls all three: the
+window once per (b3, b2, a2), and the moduli and the walk for every free
+form.
 """
 
 from __future__ import annotations
@@ -186,19 +187,27 @@ def pc_shift_window(e: EschParams) -> range:
     """All integer shifts whose candidate is positively curved.
 
     e must be in normal form; the window is the c with
-    -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1), solved in integer arithmetic (no
-    halving, no floats).  Nonempty for every input in normal form: the open
-    interval has half-length >= 1 and its endpoints cannot both be even
-    integers at the minimal length.
+    -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1), solved in integer arithmetic by
+    ``_window`` (no halving, no floats).  Nonempty for every input in normal
+    form: the open interval has half-length >= 1 and its endpoints cannot
+    both be even integers at the minimal length.
     """
     if not _in_chain(*e.a, *e.b):
         raise NormalFormError(f"{e} is not in positive-curvature normal form")
-    lo = -(e.a[1] + e.a[2] + 1)  # 2c must exceed this
-    hi = -(e.b[1] + e.b[2] + 1)  # 2c must stay below this
-    window = range(lo // 2 + 1, (hi - 1) // 2 + 1)
+    window = _window(*e.a[1:], *e.b[1:])
     if not window:
         raise InternalError(f"{e} is in normal form but has an empty shift window")
     return window
+
+
+def _window(a2: int, a3: int, b2: int, b3: int) -> range:
+    """The c with -(a2 + a3 + 1) < 2c < -(b2 + b3 + 1), on plain ints.
+
+    The least such c is (-(a2 + a3 + 1))//2 + 1 = (1 - a2 - a3)//2 and the
+    greatest is (-(b2 + b3 + 1) - 1)//2 = -(b2 + b3)//2 - 1: a floor
+    quotient moves by one when its numerator moves by two.
+    """
+    return range((1 - a2 - a3) // 2, -(b2 + b3) // 2)
 
 
 def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:

@@ -72,20 +72,11 @@ def is_free(e: EschParams) -> bool:
     (gcd(n, k*m) == 1 iff gcd(n, k) == gcd(n, m) == 1):
 
         gcd(b2 - a3, x3*y3) == gcd(a2 - b2, x3*v) == gcd(a1 - b2, y3*v) == 1.
-
-    The moduli depend on (a1, a2, a3, b3) only; ``_freeness_moduli``
-    computes them.
     """
     a1, a2, a3 = e.a
     _, b2, b3 = e.b
-    m1, m2, m3 = _freeness_moduli(a1, a2, a3, b3)
-    return gcd(b2 - a3, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1
-
-
-def _freeness_moduli(a1: int, a2: int, a3: int, b3: int) -> tuple[int, int, int]:
-    """The moduli x3*y3, x3*v, y3*v of the three ``is_free`` gcds, taken against b2 - a3, a2 - b2, a1 - b2."""
     x3, y3, v = a1 - b3, a2 - b3, b3 - a3
-    return x3 * y3, x3 * v, y3 * v
+    return gcd(b2 - a3, x3 * y3) == 1 and gcd(a2 - b2, x3 * v) == 1 and gcd(a1 - b2, y3 * v) == 1
 
 
 def kernel_order(e: EschParams) -> int:

@@ -12,22 +12,23 @@ space is in the box when its normal form or its mirrored canonical form
 fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
 b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
 bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
-``_scan_shard``, enumerates the forms and decides each as it meets it, on
-plain ints: the freeness test, the curvature window (in shifts) and the
-moduli of ``nonsingular_shift`` are written inline, and each free form
-walks its window once with ``embedding._first_nonsingular``, up to its
-first non-singular shift.  It builds no ``EschParams`` for a form that
-embeds, and no certificates.  The two counterexample jobs decide their
-spaces by the same walk over the window they report, in one helper, and
-build no certificates either: a space that embeds after all fails, naming
-its non-singular shifts.  Every row the three jobs build is a
-counterexample.  The cohomogeneity-one job and the ``window`` command keep
-the full-certificate path, which is also the test oracle for the fast one.
-``scan_box`` can shard its (a1, a2) pairs over worker processes, at most
-one per CPU this process may use; rows are merged by deterministic sort, so
-output is identical for any worker count.  The pool's modules
-(``concurrent.futures``, ``multiprocessing``) load only when a pool starts,
-so no other caller of the package pays for them.
+``_scan_shard``, enumerates the forms tail-major, over (b3, b2) tails, then
+a2, with a1 innermost, and decides each as it meets it, on plain ints: the
+window (``embedding._window``) and the chain (``eschenburg._in_chain``) are
+taken once per (b3, b2, a2), freeness is the one fact written inline, and
+each free form walks its window once with ``embedding._first_nonsingular``
+over its ``embedding._moduli``, up to its first non-singular shift.  It
+builds no ``EschParams`` for a form that embeds, and no certificates.  The
+two counterexample jobs decide their spaces by the same walk over the
+window they report, in one helper, and build no certificates either: a
+space that embeds after all fails, naming its non-singular shifts.  Every
+row the three jobs build is a counterexample.  The cohomogeneity-one job
+and the ``window`` command keep the full-certificate path, which is also
+the test oracle for the fast one.  ``scan_box`` can shard its tails over
+worker processes, at most one per CPU this process may use; rows are
+merged by deterministic sort, so output is identical for any worker count.
+The pool's modules (``concurrent.futures``, ``multiprocessing``) load only
+when a pool starts, so no other caller of the package pays for them.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ from .embedding import (
     EmbeddingCertificate,
     _first_nonsingular,
     _moduli,
+    _window,
     make_certificate,
     nonsingular_shift,
     pc_shift_window,
 )
 from .eschenburg import (
     EschParams,
+    _in_chain,
     family_cohomogeneity_one,
     family_cohomogeneity_two,
     h4_order,
@@ -173,46 +176,38 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     """The number of normal forms of a shard, and those whose whole window is singular.
 
     One loop enumerates the normal forms a=(a1, a2, 0), b=(b1, b2, b3),
-    b3 <= b2 <= -1, b1 = a1 + a2 - b2 - b3, of the shard's (a1, a2) pairs in
-    the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, and decides each on plain
-    ints.  With a3 = 0 the embedding helpers it writes inline reduce as
-    follows:
-
-    - ``pc_shift_window`` is range(-(a2 + 1)//2 + 1, (-(b2 + b3 + 1) - 1)//2 + 1)
-      = range(c0, -(b2 + b3)//2) with c0 = (1 - a2)//2 (a floor quotient
-      moves by one when its numerator moves by two);
-    - ``_moduli(a1, a2, 0, b1, b2, b3)`` pairs s_k = a2 + 1, a1 + 1,
-      a1 + a2 + 1 with D_1 = (a1 - b1)(a1 - b2)u, D_2 = (a2 - b1)(a2 - b2)w
-      and D_3 = -v*b3, for u = a1 - b3, w = a2 - b3 and v = b1*b2; as
-      b1 + b2 = a1 + a2 - b3, D_1 = (v - a1*w)u and D_2 = (v - a2*u)w (the
-      sign of D_3 leaves its gcds alone);
-    - ``_freeness_moduli(a1, a2, 0, b3)`` is (u*w, u*b3, w*b3), against b2, a2 - b2, a1 - b2.
-
-    So c0 and the s_k are fixed per pair, u, w and the freeness moduli per
-    b3, and each free form walks its window with ``_first_nonsingular``,
-    given the s_k and its D_k as six plain ints, up to its first
-    non-singular shift.  The chain and a nonempty window, both checked by
-    ``pc_shift_window``, are checked on every form, as invariants.
+    b1 = a1 + a2 - b2 - b3, of the shard's tails (b3, b2), b3 <= b2 <= -1,
+    in the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, that is
+    a2 <= max_abs + b2 + b3 and a2 <= a1 <= max_abs + b3, with a1
+    innermost, and decides each on plain ints.  The window
+    (``embedding._window``) and the chain (``eschenburg._in_chain``) are
+    fixed per (b3, b2, a2), since b1 grows with a1, so both are checked
+    once, as invariants, on its first form (a1 = a2).  With a3 = 0,
+    u = a1 - b3 and w = a2 - b3 the three gcds of ``is_free`` read
+    gcd(b2, u*w) == gcd(a2 - b2, u*b3) == gcd(a1 - b2, w*b3) == 1, and
+    gcd(n, k*m) == 1 iff gcd(n, k) == gcd(n, m) == 1 splits them into
+    gcd(b2, w) == gcd(a2 - b2, b3) == 1, fixed per (b3, b2, a2), and
+    gcd(b2*(a2 - b2), u) == gcd(a1 - b2, w*b3) == 1 per form.  Each free
+    form walks the window with ``_first_nonsingular`` over its ``_moduli``,
+    up to its first non-singular shift.
     """
-    apairs, max_abs = args
+    tails, max_abs = args
     count, singular = 0, []
-    for a1, a2 in apairs:
-        c0 = (1 - a2) // 2
-        s1, s2 = a2 + 1, a1 + 1
-        s3 = s2 + a2
-        for b3 in range(a1 - max_abs, 0):
-            u, w = a1 - b3, a2 - b3
-            m1, m2, m3 = u * w, u * b3, w * b3
-            for b2 in range(max(b3, a2 - max_abs - b3), 0):
-                if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
+    for b3, b2 in tails:
+        for a2 in range(max_abs + b2 + b3 + 1):
+            window = _window(a2, 0, b2, b3)
+            if not window or not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
+                raise InternalError(f"tail (b3, b2, a2) = {(b3, b2, a2)} breaks the normal-form chain "
+                                    "or has an empty shift window")
+            w = a2 - b3
+            if gcd(b2, w) != 1 or gcd(a2 - b2, b3) != 1:
+                continue
+            m, n = b2 * (a2 - b2), w * b3
+            for a1 in range(a2, max_abs + b3 + 1):
+                if gcd(m, a1 - b3) == 1 and gcd(a1 - b2, n) == 1:
                     count += 1
                     b1 = a1 + a2 - b2 - b3
-                    window = range(c0, -(b2 + b3) // 2)
-                    if not window or not b3 <= b2 < 0 <= a2 <= a1 < b1:
-                        raise InternalError(f"enumerated form {EschParams((a1, a2, 0), (b1, b2, b3))} breaks "
-                                            "the normal-form chain or has an empty shift window")
-                    v = b1 * b2
-                    if _first_nonsingular(window, s1, (v - a1 * w) * u, s2, (v - a2 * u) * w, s3, v * b3) is None:
+                    if _first_nonsingular(window, *_moduli(a1, a2, 0, b1, b2, b3)) is None:
                         singular.append(((a1, a2, 0), (b1, b2, b3)))
     return count, singular
 
@@ -230,13 +225,14 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     whose entries are bounded by max_abs in absolute value, each once as
     its normal form: the box is exactly the bounds of the mirrored canonical
     form, b3 >= a1 - max_abs and b1 <= a1 + max_abs.  Each form is decided
-    as it is enumerated, on plain ints, in one loop (see ``_scan_shard``);
-    the walk stops at the first non-singular shift of the curvature window,
-    and only a singular form becomes an ``EschParams``.  Returns counts plus
-    up to ``limit`` counterexample rows sorted by |H^4| (ties broken
-    lexicographically).  ``workers`` is capped at the CPUs this process may
-    use (and at the number of (a1, a2) pairs); a value of 1, or a cap of 1,
-    scans in this process, and only a pooled scan loads the pool's modules.
+    as it is enumerated, on plain ints, in one loop over the tails (b3, b2)
+    of the box (see ``_scan_shard``); the walk stops at the first
+    non-singular shift of the curvature window, and only a singular form
+    becomes an ``EschParams``.  Returns counts plus up to ``limit``
+    counterexample rows sorted by |H^4| (ties broken lexicographically).
+    ``workers`` is capped at the CPUs this process may use (and at the
+    number of tails); a value of 1, or a cap of 1, scans in this process,
+    and only a pooled scan loads the pool's modules.
     """
     if max_abs < 1:
         raise ValueError(f"max_abs must be >= 1, got {to_decimal(max_abs)}")
@@ -244,17 +240,17 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
         raise ValueError(f"limit must be >= 1, got {to_decimal(limit)}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {to_decimal(workers)}")
-    apairs = [(a1, a2) for a1 in range(max_abs + 1) for a2 in range(a1 + 1)]
-    processes = _pool_size(workers, len(apairs))
+    tails = [(b3, b2) for b3 in range(-max_abs, 0) for b2 in range(max(b3, -max_abs - b3), 0)]
+    processes = _pool_size(workers, len(tails))
 
     if processes == 1:
-        shards = [_scan_shard((apairs, max_abs))]
+        shards = [_scan_shard((tails, max_abs))]
     else:
-        # strided shards mix cheap (large a1) and costly (small a1) pairs
-        n = min(4 * processes, len(apairs))
+        # strided shards mix cheap (b3 near -max_abs) and costly (b3 near -1) tails
+        n = min(4 * processes, len(tails))
         from concurrent.futures import ProcessPoolExecutor  # only a pooled scan needs these modules
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            shards = list(pool.map(_scan_shard, [(apairs[i::n], max_abs) for i in range(n)]))
+            shards = list(pool.map(_scan_shard, [(tails[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
     rows = sorted((SurveyRow(f, pc_shift_window(f), h4_order(f)) for _, keys in shards

@@ -21,7 +21,6 @@ from eschbaz import (
 )
 from eschbaz.arith import to_decimal
 from eschbaz.embedding import _first_nonsingular, _moduli, pc_shift_window
-from eschbaz.eschenburg import _freeness_moduli
 
 _PERMS3 = tuple(permutations(range(3)))
 _PERMS5 = tuple(permutations(range(5)))
@@ -306,19 +305,20 @@ def enumerate_normal_forms(max_abs: int) -> set[tuple]:
     return found
 
 
-def normal_forms(apairs: list[tuple[int, int]], max_abs: int) -> Iterator[tuple]:
-    """Yield the free, positively curved normal forms (a, b) of a set of (a1, a2) pairs.
+def normal_forms(tails: list[tuple[int, int]], max_abs: int) -> Iterator[tuple]:
+    """Yield the free, positively curved normal forms (a, b) of a set of (b3, b2) tails.
 
-    The enumeration that ``survey._scan_shard`` writes into its loop, as a
-    generator: the normal forms a=(a1, a2, 0), b=(b1, b2, b3) with
-    b3 <= b2 <= -1 and b1 = a1 + a2 - b2 - b3 over the box
-    b3 >= a1 - max_abs, b1 <= a1 + max_abs, free by the three gcds of
-    ``is_free``.  Checked against ``enumerate_normal_forms`` on small boxes;
-    unlike it, it reaches the pair of a stored counterexample in one shard.
+    The enumeration of ``survey._scan_shard``, in its order, as a generator:
+    the normal forms a=(a1, a2, 0), b=(b1, b2, b3) with
+    b1 = a1 + a2 - b2 - b3 over the box b3 >= a1 - max_abs,
+    b1 <= a1 + max_abs, a2 outside and a1 inside, free by ``is_free`` on
+    each form (not the kernel's split of its three gcds).  Checked against
+    ``enumerate_normal_forms`` on small boxes; unlike it, it reaches the
+    tail of a stored counterexample in one shard.
     """
-    for a1, a2 in apairs:
-        for b3 in range(a1 - max_abs, 0):
-            m1, m2, m3 = _freeness_moduli(a1, a2, 0, b3)
-            for b2 in range(max(b3, a2 - max_abs - b3), 0):
-                if gcd(b2, m1) == 1 and gcd(a2 - b2, m2) == 1 and gcd(a1 - b2, m3) == 1:
-                    yield (a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3)
+    for b3, b2 in tails:
+        for a2 in range(max_abs + b2 + b3 + 1):
+            for a1 in range(a2, max_abs + b3 + 1):
+                e = EschParams((a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3))
+                if is_free(e):
+                    yield e.a, e.b

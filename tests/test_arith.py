@@ -310,8 +310,9 @@ def test_from_decimal_has_one_syntax_at_every_length(digits):
 
 
 def test_is_probable_prime_small():
+    # 0, 1 and negative numbers are not prime
     primes = [p for p in range(2, 200) if trial_division_prime(p)]
-    for n in range(2, 200):
+    for n in range(-5, 200):
         assert is_probable_prime(n) == (n in primes)
 
 

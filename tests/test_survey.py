@@ -262,21 +262,25 @@ def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
 
 @functools.cache
 def _box_keys(max_abs):
-    """The oracle's normal forms in the box, as sets of keys (a, b) per (a1, a2) pair."""
-    keys = {(a1, a2): set() for a1 in range(max_abs + 1) for a2 in range(a1 + 1)}
+    """The oracle's normal forms in the box, as sets of keys (a, b) per tail (b3, b2).
+
+    Every tail -max_abs <= b3 <= b2 <= -1 has a set, also those whose b2 + b3
+    leaves the box no form.
+    """
+    keys = {(b3, b2): set() for b3 in range(-max_abs, 0) for b2 in range(b3, 0)}
     for a, b in enumerate_normal_forms(max_abs):
-        keys[a[:2]].add((a, b))
+        keys[b[2], b[1]].add((a, b))
     return keys
 
 
 def test_enumerator_matches_normal_form_oracle():
-    # the one-chain enumerator that the scan kernel writes inline, kept as
-    # the oracle for shards beyond the two-chain oracle's reach
+    # the one-chain, tail-major enumerator of the scan kernel, kept as the
+    # oracle for shards beyond the two-chain oracle's reach
     for max_abs in range(1, 31):
-        for pair, want in _box_keys(max_abs).items():
-            keys = list(normal_forms([pair], max_abs))
-            assert len(keys) == len(set(keys)), (max_abs, pair)
-            assert set(keys) == want, (max_abs, pair)
+        for tail, want in _box_keys(max_abs).items():
+            keys = list(normal_forms([tail], max_abs))
+            assert len(keys) == len(set(keys)), (max_abs, tail)
+            assert set(keys) == want, (max_abs, tail)
 
 
 def test_every_normal_form_that_fits_the_box_has_its_mirror_in_it():
@@ -294,10 +298,11 @@ def test_every_normal_form_that_fits_the_box_has_its_mirror_in_it():
         assert fitting > 0 or max_abs == 1
 
 
-def test_scan_box_with_fewer_pairs_than_shards():
-    # boxes 1 and 2 have 3 and 6 (a1, a2) pairs, fewer than the 8 shards
-    # of a 2-process pool, so there is one shard per pair; boxes 3 and 5
-    # (10 and 21 pairs) cut shards of one to three pairs; box 1 holds no space
+def test_scan_box_with_fewer_tails_than_shards():
+    # boxes 1, 2, 3 and 5 have 0, 1, 2 and 6 tails (b3, b2): boxes 1 and 2
+    # scan in this process at any worker count, and boxes 3 and 5 have fewer
+    # tails than the 8 shards of a 2-process pool, so each shard is one
+    # tail; box 1 holds no space
     assert scan_box(1, 10) == (ScanStats(total=0, embeddable=0, counterexamples=0), [])
     for max_abs in (1, 2, 3, 5):
         assert scan_box(max_abs, 10, workers=2) == scan_box(max_abs, 10), max_abs
@@ -337,52 +342,48 @@ def _check_shard(shard, keys):
 
 
 def test_scan_box_matches_the_per_form_path_in_every_box_to_30():
-    # each (a1, a2) pair as its own shard, then the whole box
+    # each tail as its own shard, then the whole box
     for max_abs in range(1, 31):
-        pairs, singular = _box_keys(max_abs), set()
-        for pair, keys in pairs.items():
-            singular.update(_check_shard(([pair], max_abs), keys))
+        tails, singular = _box_keys(max_abs), set()
+        for tail, keys in tails.items():
+            singular.update(_check_shard(([tail], max_abs), keys))
         stats, rows = scan_box(max_abs, 10**6)
-        assert stats.total == sum(map(len, pairs.values())), max_abs
+        assert stats.total == sum(map(len, tails.values())), max_abs
         assert {(row.esch.a, row.esch.b) for row in rows} == singular, max_abs
         assert stats.counterexamples == len(rows), max_abs
     # those boxes hold no counterexample, so also compare shards that do:
-    # the (a1, a2) pair of each stored one, in the box that b1 bounds
-    for a, b, _window in KNOWN_COUNTEREXAMPLES:
-        shard = ([a[:2]], b[0])
+    # the tail of each of the first eight stored ones, in the smallest box
+    # that holds it (row 9's tail holds 83 million forms, and
+    # verify_known_counterexamples walks its window)
+    for a, b, _window in KNOWN_COUNTEREXAMPLES[:8]:
+        shard = ([(b[2], b[1])], a[0] - b[2])
         assert (a, b) in _check_shard(shard, list(normal_forms(*shard)))
-
-
-def _walk_args(window, s1, d1, s2, d2, s3, d3):
-    """The arguments of one ``_first_nonsingular`` walk, with D_3 up to sign (the kernel flips it)."""
-    return window, (s1, d1, s2, d2, s3, abs(d3))
 
 
 def test_scan_shard_walks_each_free_form_once(monkeypatch):
     # one walk per free form of box 30, in enumeration order, over the
     # form's curvature window with its moduli
-    pairs, calls = list(_box_keys(30)), []
+    tails, calls = list(_box_keys(30)), []
 
     def record(*args):
-        calls.append(_walk_args(*args))
+        calls.append(args)
         return _first_nonsingular(*args)
 
     monkeypatch.setattr(survey_mod, "_first_nonsingular", record)
-    count, singular = survey_mod._scan_shard((pairs, 30))
-    forms = list(normal_forms(pairs, 30))
+    count, singular = survey_mod._scan_shard((tails, 30))
+    forms = list(normal_forms(tails, 30))
     assert count == len(forms)
-    assert calls == [_walk_args(pc_shift_window(EschParams(a, b)), *_moduli(*a, *b)) for a, b in forms]
+    assert calls == [(pc_shift_window(EschParams(a, b)), *_moduli(*a, *b)) for a, b in forms]
     assert singular == [(a, b) for a, b in forms if first_nonsingular_shift(EschParams(a, b)) is None]
 
 
 def test_scan_shard_checks_each_enumerated_form():
-    shard = ([(2, 0)], 15)  # holds the running example a=(2, 0, 0), b=(15, -2, -11)
+    shard = ([(-11, -2)], 15)  # holds the running example a=(2, 0, 0), b=(15, -2, -11)
     assert survey_mod._scan_shard(shard)[0] > 0
-    # out-of-domain pairs: (0, 3) has a2 > a1; (0, -10) has a2 < 0, and its
+    # out-of-domain tails: (-1, -3) has b2 < b3; (-1, 0) has b2 = 0, and its
     # first form an empty window too (a form in the chain never has one)
-    for shard, form in ((([(0, 3)], 5), "a=(0, 3, 0) b=(5, -1, -1)"),
-                        (([(0, -10)], 5), "a=(0, -10, 0) b=(-1, -4, -5)")):
-        message = f"enumerated form {form} breaks the normal-form chain or has an empty shift window"
+    for shard, tail in ((([(-1, -3)], 5), "(-1, -3, 0)"), (([(-1, 0)], 5), "(-1, 0, 0)")):
+        message = f"tail (b3, b2, a2) = {tail} breaks the normal-form chain or has an empty shift window"
         with pytest.raises(InternalError, match=re.escape(message)):
             survey_mod._scan_shard(shard)
 
