@@ -4,8 +4,11 @@ A Bazaikin biquotient is parameterized by five integers q1..q5.  Oddness is
 a predicate input rather than a structural invariant so that singular
 candidates can still be represented and reported.  Freeness demands all q_i
 odd and gcd(q_i + q_j, q_k + q_l) == 2 for every pair of disjoint index
-pairs, 15 gcds evaluated once, in ``freeness_failures``; positive curvature
-demands all ten pairwise sums share a strict sign.
+pairs; the 15 gcds, taken once in ``freeness_failures``, force the oddness.
+One to four even q_i give an odd pair sum (even plus odd), so odd gcds.
+With five, the halves split by parity 5+0, 4+1 or 3+2, so two disjoint
+pairs each lie inside a class: both pair sums, hence their gcd, are 0 mod 4.
+Positive curvature demands all ten pairwise sums share a strict sign.
 
 |H^6| is |sigma_3| / 8 of the six-tuple (q1, ..., q6) = (q1, ..., q5,
 -qsum).  That tuple sums to zero, so sigma_3 = p_3 / 3 (Newton's
@@ -73,16 +76,15 @@ class BazParams:
 
 
 def is_free_baz(b: BazParams) -> bool:
-    """Freeness: all q_i odd and no ``freeness_failures`` (every disjoint pair-sum gcd equals 2)."""
-    return b.all_odd() and not freeness_failures(b)
+    """Freeness: no ``freeness_failures``, which also forces every q_i odd (see the module docstring)."""
+    return not freeness_failures(b)
 
 
 def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
     """The disjoint index pairs violating the gcd-equals-2 condition, in ``_DISJOINT_PAIRS`` order.
 
-    Entries are ((i, j), (k, l), g) with 1-based indices and
-    g = gcd(q_i + q_j, q_k + q_l) != 2, from the ten pair sums formed once.
-    Empty for free parameters; oddness violations are not listed here.
+    Entries ((i, j), (k, l), g) have 1-based indices and g = gcd(q_i + q_j,
+    q_k + q_l) != 2, from ten pair sums formed once; empty iff b is free.
     """
     q1, q2, q3, q4, q5 = b.q
     s12, s13, s14, s15 = q1 + q2, q1 + q3, q1 + q4, q1 + q5

@@ -278,7 +278,7 @@ def _cmd_verify_esch(e: EschParams, args) -> dict:
 def _cmd_verify_baz(q: BazParams, args) -> dict:
     all_odd = q.all_odd()
     offenses = bazaikin.freeness_failures(q)
-    free, pc = all_odd and not offenses, bazaikin.is_pc_baz(q)
+    free, pc = not offenses, bazaikin.is_pc_baz(q)
     h6 = bazaikin.h6_order(q) if all_odd else None
 
     def text() -> list[str]:

@@ -12,8 +12,8 @@ shifts can share the same |H^6| (``collision_locus``).  ``make_certificate``
 is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
 ``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
 the CLI's ``embed`` build every certificate through it, and each call
-evaluates the straight-line ``is_pc_metric`` and, once, the candidate's
-``bazaikin.freeness_failures``.  ``certified_shift``
+evaluates the straight-line ``is_pc_metric`` and the candidate's one
+``bazaikin.freeness_failures`` list, free iff empty.  ``certified_shift``
 is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
@@ -167,10 +167,10 @@ def _first_nonsingular(window: Iterable[int], s1: int, d1: int, s2: int, d2: int
 
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
-    """Evaluate every certificate field for the shift-c candidate of e."""
+    """Every certificate field for the shift-c candidate of e; free iff no ``freeness_failures``."""
     q = candidate_q(e, c)
     offending = bazaikin.freeness_failures(q)
-    free = q.all_odd() and not offending
+    free = not offending
     return EmbeddingCertificate(
         esch=e,
         shift=c,
@@ -242,25 +242,25 @@ def shift_prime_product(e: EschParams) -> int:
     Raises ValueError unless e is free with all nine differences a_k - b_l
     nonzero.  For each of the nine (k, l) pairs, take the distinct prime
     divisors of a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j}
-    the complement of k, s_k as in ``_moduli``); each such prime
-    contributes one factor of P per pair in which it qualifies.  An empty
-    product is 1.  Memoized (see the module docstring);
-    ``shift_prime_product.__wrapped__`` is the uncached function.
+    the complement of k); each such prime contributes one factor of P per
+    pair in which it qualifies.  ``_moduli`` gives s_k and D_k, and a_k ==
+    b_l for some l iff D_k == 0.  An empty product is 1.  Memoized (see the
+    module docstring); ``shift_prime_product.__wrapped__`` is uncached.
     """
     if not is_free(e):
         raise ValueError(f"certified shifts exist only for free parameters, got {e}")
     # a_k == b_l pins one candidate pair sum at 0 for every shift, so the
     # gcd-equals-2 condition degenerates to |other pair sum| == 2 and at most
     # two shifts can ever work; the certified-shift construction is void.
-    a1, a2, a3 = e.a
-    if a1 in e.b or a2 in e.b or a3 in e.b:
+    s1, d1, s2, d2, s3, d3 = _moduli(*e.a, *e.b)
+    if 0 in (d1, d2, d3):
         raise ValueError(
             "certified shifts need all nine differences a_k - b_l nonzero; "
             f"{e} has a vanishing difference (free parameters with a vanishing "
             "difference admit at most two non-singular shifts)"
         )
     product = 1
-    for ak, pair_sum in zip(e.a, (a2 + a3 + 1, a1 + a3 + 1, a1 + a2 + 1)):
+    for ak, pair_sum in zip(e.a, (s1, s2, s3)):
         for bl in e.b:
             for p, _ in factorize(ak - bl):
                 if gcd(p, pair_sum) == 1:

@@ -18,11 +18,11 @@ window (``embedding._window``) and the chain (``eschenburg._in_chain``) are
 taken once per (b3, b2, a2), freeness is the one fact written inline, and
 each free form walks its window once with ``embedding._first_nonsingular``
 over its ``embedding._moduli``, up to its first non-singular shift.  It
-builds no ``EschParams`` for a form that embeds, and no certificates.  The
-two counterexample jobs decide their spaces by the same walk over the
-window they report, in one helper, and build no certificates either: a
-space that embeds after all fails, naming its non-singular shifts.  Every
-row the three jobs build is a counterexample.  The cohomogeneity-one job
+builds no ``EschParams`` for a form that embeds, and no certificates.  All
+three counterexample jobs, the scan included, build every row in one
+helper, ``_counterexample_row``, which re-decides its space by the same
+walk over the window it carries: a space that embeds after all fails,
+naming its non-singular shifts.  The cohomogeneity-one job
 and the ``window`` command keep the full-certificate path, which is also
 the test oracle for the fast one.  ``scan_box`` can shard its tails over
 worker processes, at most one per CPU this process may use; rows are
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import starmap
 from math import gcd
 
 from .arith import InternalError, to_decimal
@@ -69,8 +68,8 @@ class VerificationFailure(Exception):
 class SurveyRow:
     """One counterexample: a free space ``esch`` in positive-curvature normal form.
 
-    Every shift of its curvature ``window`` (never empty, see
-    ``pc_shift_window``) gives a singular candidate; ``h4`` is |H^4|.
+    Every shift of its curvature ``window`` (never empty) gives a singular
+    candidate; ``h4`` is |H^4|.  ``_counterexample_row`` builds every row.
     """
 
     esch: EschParams
@@ -104,9 +103,9 @@ KNOWN_COUNTEREXAMPLES: tuple[tuple[tuple[int, int, int], tuple[int, int, int], r
 def _counterexample_row(e: EschParams, where: str) -> SurveyRow:
     """The row of e, which must be a free, positively curved counterexample.
 
-    A ``VerificationFailure`` headed by ``where`` says when e is not free,
-    not positively curved, or embeds after all (naming the non-singular
-    shifts of its normal form).
+    The one ``SurveyRow`` constructor.  A ``VerificationFailure`` headed by
+    ``where`` says when e is not free, not positively curved, or embeds
+    after all (naming the non-singular shifts of its normal form).
     """
     if not is_free(e):
         raise VerificationFailure(f"{where}: {e} is not free")
@@ -223,13 +222,11 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
 
     Enumerates the free, positively curved spaces with a canonical form
     whose entries are bounded by max_abs in absolute value, each once as
-    its normal form: the box is exactly the bounds of the mirrored canonical
-    form, b3 >= a1 - max_abs and b1 <= a1 + max_abs.  Each form is decided
-    as it is enumerated, on plain ints, in one loop over the tails (b3, b2)
-    of the box (see ``_scan_shard``); the walk stops at the first
-    non-singular shift of the curvature window, and only a singular form
-    becomes an ``EschParams``.  Returns counts plus up to ``limit``
-    counterexample rows sorted by |H^4| (ties broken lexicographically).
+    its normal form, and decides each on plain ints in ``_scan_shard`` (see
+    the module docstring).  Each singular form's row comes from
+    ``_counterexample_row``, so a form that embeds after all raises
+    ``VerificationFailure`` headed ``scan_box(max_abs)``.  Returns counts
+    plus up to ``limit`` rows sorted by |H^4| (ties broken lexicographically).
     ``workers`` is capped at the CPUs this process may use (and at the
     number of tails); a value of 1, or a cap of 1, scans in this process,
     and only a pooled scan loads the pool's modules.
@@ -253,6 +250,6 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
             shards = list(pool.map(_scan_shard, [(tails[i::n], max_abs) for i in range(n)]))
 
     total = sum(count for count, _ in shards)
-    rows = sorted((SurveyRow(f, pc_shift_window(f), h4_order(f)) for _, keys in shards
-                   for f in starmap(EschParams, keys)), key=lambda row: (row.h4, row.esch.a, row.esch.b))
+    rows = sorted((_counterexample_row(EschParams(a, b), f"scan_box({max_abs})") for _, keys in shards
+                   for a, b in keys), key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return ScanStats(total, total - len(rows), len(rows)), rows[:limit]

@@ -59,6 +59,14 @@ def test_all_odd_matches_its_definition():
 def test_even_entries_block_freeness():
     assert not is_free_baz(BazParams((2, 1, 1, 1, 1)))
     assert not is_free_baz_oracle(BazParams((2, 1, 1, 1, 1)))
+    # is_free_baz has no oddness test of its own: the 15 gcds reject every tuple with an even entry
+    free = 0
+    for q in product(range(-5, 6), repeat=5):
+        b = BazParams(q)
+        if not freeness_failures(b):
+            assert b.all_odd(), q
+            free += 1
+    assert free
 
 
 def test_oracle_examples():

@@ -14,6 +14,7 @@ import json
 import os
 import random
 import re
+from importlib import resources
 from math import gcd
 from pathlib import Path
 
@@ -46,7 +47,8 @@ from eschbaz import (
     verify_known_counterexamples,
     window_scan,
 )
-from eschbaz.embedding import _first_nonsingular, _moduli
+from eschbaz import cli
+from eschbaz.embedding import _first_nonsingular, _moduli, _window
 import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
@@ -104,25 +106,29 @@ def test_verification_jobs_match_the_certificate_path():
 def _planted_failure(monkeypatch, job, e):
     """The failure of a counterexample job with e planted in its input, and its message prefix.
 
-    The table gets e as stored row 10, the families as member A, k=1.
+    The table gets e as stored row 10, the families as member A, k=1, and
+    the scan as the one singular form its kernel reports.
     """
     if job == "table":
         # the stored window is E_RUNNING's; the other planted spaces fail before it is compared
         rows = KNOWN_COUNTEREXAMPLES + ((e.a, e.b, range(0, 6)),)
         monkeypatch.setattr(survey_mod, "KNOWN_COUNTEREXAMPLES", rows)
-        where = "row 10"
-    else:
+        where, call = "row 10", verify_known_counterexamples
+    elif job == "families":
         def family(variant, k):
             return e if (variant, k) == ("A", 1) else family_cohomogeneity_two(variant, k)
 
         monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
-        where = "family A, k=1"
+        where, call = "family A, k=1", lambda: verify_infinite_families(2)
+    else:
+        monkeypatch.setattr(survey_mod, "_scan_shard", lambda args: (1, [(e.a, e.b)]))
+        where, call = "scan_box(10)", lambda: scan_box(10, 3)
     with pytest.raises(VerificationFailure) as info:
-        verify_known_counterexamples() if job == "table" else verify_infinite_families(2)
+        call()
     return info.value, where
 
 
-COUNTEREXAMPLE_JOBS = ("table", "families")
+COUNTEREXAMPLE_JOBS = ("table", "families", "scan")
 
 
 @pytest.mark.parametrize("job", COUNTEREXAMPLE_JOBS)
@@ -147,6 +153,45 @@ def test_counterexample_that_embeds_names_its_nonsingular_shifts(monkeypatch, jo
     assert good == [2, 5]
     failure, where = _planted_failure(monkeypatch, job, E_RUNNING)
     assert str(failure) == f"{where}: {E_RUNNING} embeds after all (non-singular at c in [2, 5])"
+
+
+def test_scan_row_that_embeds_stops_the_scan(monkeypatch, capsys):
+    import jsonschema  # here, so the rest of this file runs where jsonschema does not import
+
+    # a kernel that walks only the first shift of each window takes forms that embed for counterexamples
+    monkeypatch.setattr(survey_mod, "_window", lambda *entries: _window(*entries)[:1])
+    e = EschParams((4, 0, 0), (13, -4, -5))
+    with pytest.raises(VerificationFailure) as info:
+        scan_box(10, 3)
+    assert str(info.value) == f"scan_box(10): {e} embeds after all (non-singular at c in [2, 3])"
+    assert [cert.shift for cert in window_scan(e).certificates if cert.baz_free] == [2, 3]
+
+    schema = json.loads(resources.files("eschbaz").joinpath("report_schema.json").read_text())
+    assert cli.run(["scan", "--max-abs", "10", "--limit", "1", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, schema)
+    assert report["error"] == {"kind": "verification-failed", "reason": str(info.value)}
+
+
+def test_every_row_is_built_by_counterexample_row(monkeypatch):
+    original = survey_mod._counterexample_row
+    built = []
+
+    def recorded(e, where):
+        row = original(e, where)
+        built.append(row)
+        return row
+
+    monkeypatch.setattr(survey_mod, "_counterexample_row", recorded)
+    for call in (verify_known_counterexamples,
+                 lambda: verify_infinite_families(2),
+                 lambda: scan_box(60, 10**6)[1],
+                 lambda: scan_box(60, 10**6, workers=2)[1]):
+        built.clear()
+        rows = call()
+        # the scan sorts its rows, so compare as sets of the very objects built
+        assert rows and len(rows) == len(built)
+        assert {id(row) for row in rows} == {id(row) for row in built}
 
 
 def test_cohomogeneity_one_candidate_mismatch_fails(monkeypatch):
