@@ -47,7 +47,7 @@ if len(_DISJOINT_PAIRS) != 15:
     raise InternalError(f"expected 15 pairs of disjoint index pairs, got {len(_DISJOINT_PAIRS)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BazParams:
     """An integer 5-tuple q; qsum is the derived total.
 

@@ -19,8 +19,10 @@ The argument parser is built once per process, on the first ``run``, and
 reused by every later call; each parse starts from a fresh namespace, and
 help and usage text are written to the ``sys.stdout``/``sys.stderr`` of the
 moment.  ``_parser`` declares each parameter once; ``_read_input``, run
-between parsing and the handler, checks the ``_bounds`` caps, parses the
-space and echoes it with every declared integer flag as the JSON ``input``.
+between parsing and the handler, checks every lower bound and cap of
+``_bounds`` (so a bound error names the flag, as ``--k-max must be >= 0``),
+parses the space and echoes it with every declared integer flag as the JSON
+``input``.
 
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
@@ -98,24 +100,31 @@ def _ints(text: str, count: int, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {text!r}") from None
 
 
-def _bounds() -> dict[str, tuple[int | None, int]]:
-    """(least or None, cap) of each bounded integer flag, read at call time."""
-    return {"mu_max": (1, MU_MAX_LIMIT), "n": (None, N_LIMIT), "k_max": (None, K_MAX_LIMIT),
-            "p_max": (None, P_MAX_LIMIT), "max_abs": (None, MAX_ABS_LIMIT)}
+def _bounds() -> dict[str, tuple[int, int | None]]:
+    """(least, cap or None) of each bounded integer flag, read at call time.
+
+    Every bounded flag has a least value, so the CLI checks each lower bound
+    itself and its error names the flag, never a library parameter.
+    """
+    return {"mu_max": (1, MU_MAX_LIMIT), "n": (1, N_LIMIT), "k_max": (0, K_MAX_LIMIT),
+            "p_max": (1, P_MAX_LIMIT), "max_abs": (1, MAX_ABS_LIMIT), "limit": (1, None),
+            "workers": (1, None)}
 
 
 def _read_input(args: argparse.Namespace) -> tuple[EschParams | BazParams | None, dict]:
-    """(space or None, JSON ``input``), checking each bound before parsing the space.
+    """(space or None, JSON ``input``), checking every bound before parsing the space.
 
-    The echo holds the space, then each declared integer flag, with ``--c`` as "shift".
+    A value below its flag's least value or above its cap is refused as
+    ``--flag must be >= least`` or ``--flag must be <= cap``.  The echo holds
+    the space, then each declared integer flag, with ``--c`` as "shift".
     """
     given = vars(args)
     for key, (least, cap) in _bounds().items():
         if key in given:
             flag = "--" + key.replace("_", "-")
-            if least is not None and given[key] < least:
+            if given[key] < least:
                 raise ValueError(f"{flag} must be >= {least}")
-            if given[key] > cap:
+            if cap is not None and given[key] > cap:
                 raise ValueError(f"{flag} must be <= {cap}")
     space, echo = None, {}
     if "a" in given:

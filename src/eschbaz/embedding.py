@@ -80,7 +80,7 @@ COHOM1_WINDOW_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddingCertificate:
     """One (Eschenburg parameters, shift, Bazaikin candidate) triple.
 
@@ -100,7 +100,7 @@ class EmbeddingCertificate:
     offending_pairs: tuple[tuple[tuple[int, int], tuple[int, int], int], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowReport:
     """All certificates across the positive-curvature shift window.
 

@@ -27,7 +27,7 @@ class NotPositivelyCurvedError(ValueError):
     """The parameters do not satisfy the fixed-metric positive-curvature test."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EschParams:
     """Integer triples (a, b) with sum(a) == sum(b).
 

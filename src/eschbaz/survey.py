@@ -64,7 +64,7 @@ class VerificationFailure(Exception):
     """A batch check found a mismatch; the message names what and where."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyRow:
     """One counterexample: a free space ``esch`` in positive-curvature normal form.
 
@@ -77,7 +77,7 @@ class SurveyRow:
     h4: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanStats:
     total: int
     embeddable: int

@@ -7,11 +7,13 @@ scan's output, rewrite the file with
     PYTHONPATH=src python tests/test_survey.py
 """
 
+import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import os
+import pickle
 import random
 import re
 from importlib import resources
@@ -22,6 +24,7 @@ import pytest
 
 from conftest import random_pc_esch
 from oracles import (
+    decimal_by_digits,
     enumerate_normal_forms,
     first_nonsingular_shift,
     is_free_six_gcds,
@@ -289,6 +292,48 @@ def test_scan_box_validates_arguments():
         scan_box(10, 0)
     with pytest.raises(ValueError):
         scan_box(10, 10, workers=0)
+
+
+def test_range_errors_write_values_past_the_int_to_str_limit():
+    big = 10**5000
+    got = f"got -{decimal_by_digits(big)}$"
+    with pytest.raises(ValueError, match=f"^k_max must be >= 0, {got}"):
+        verify_infinite_families(-big)
+    with pytest.raises(ValueError, match=f"^p_max must be >= 1, {got}"):
+        verify_cohomogeneity_one(-big)
+    with pytest.raises(ValueError, match=f"^max_abs must be >= 1, {got}"):
+        scan_box(-big, 10)
+    with pytest.raises(ValueError, match=f"^limit must be >= 1, {got}"):
+        scan_box(10, -big)
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, {got}"):
+        scan_box(10, 10, workers=-big)
+
+
+# one instance of each value type the package returns
+_VALUES = {
+    "EschParams": lambda: E_RUNNING,
+    "BazParams": lambda: BazParams((5, 1, 1, 3, 21)),
+    "EmbeddingCertificate": lambda: make_certificate(E_RUNNING, 0),
+    "WindowReport": lambda: window_scan(E_RUNNING),
+    "SurveyRow": lambda: verify_known_counterexamples()[0],
+    "ScanStats": lambda: ScanStats(3, 2, 1),
+}
+
+
+@pytest.mark.parametrize(("name", "make"), _VALUES.items(), ids=_VALUES)
+def test_value_types_are_slotted_frozen_dataclasses(name, make):
+    value = make()
+    assert type(value).__name__ == name
+    names = tuple(f.name for f in dataclasses.fields(value))
+    assert not hasattr(value, "__dict__")
+    assert tuple(type(value).__slots__) == names
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], getattr(value, names[0]))
+    with pytest.raises((AttributeError, TypeError)):
+        value.undeclared = 1
+    for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+        assert other == value
+        assert hash(other) == hash(value)
 
 
 def test_pool_size_is_bounded():
