@@ -22,7 +22,6 @@ from .embedding import (
     WindowReport,
     candidate_q,
     certified_shift,
-    collision_locus,
     dual_embedding,
     homotopy_distinct_embeddings,
     make_certificate,

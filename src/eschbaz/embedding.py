@@ -7,8 +7,7 @@ c is an isometry, but it changes the associated Bazaikin candidate
 
 This module decides, in exact integer arithmetic, for which shifts the
 candidate is non-singular (``nonsingular_shift``) and positively curved
-(``pc_shift_window``), builds embedding certificates, and tracks when two
-shifts can share the same |H^6| (``collision_locus``).  ``make_certificate``
+(``pc_shift_window``), and builds embedding certificates.  ``make_certificate``
 is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
 ``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
 the CLI's ``embed`` build every certificate through it, and each call
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -47,7 +45,6 @@ from .bazaikin import BazParams
 from .eschenburg import (
     EschParams,
     _in_chain,
-    _sigma2_difference,
     canonicalize,
     family_cohomogeneity_one,
     is_free,
@@ -97,7 +94,7 @@ class EmbeddingCertificate:
     baz_pc: bool
     esch_pc: bool
     h6: int
-    offending_pairs: tuple[tuple[tuple[int, int], tuple[int, int], int], ...] = ()
+    offending_pairs: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +110,7 @@ class WindowReport:
     window: range
     certificates: tuple[EmbeddingCertificate, ...]
     any_nonsingular: bool
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 def candidate_q(e: EschParams, c: int) -> BazParams:
@@ -281,22 +278,6 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {to_decimal(sign)}")
     return sign * 2 ** (mu - 1) * shift_prime_product(e) ** mu
-
-
-def collision_locus(e: EschParams) -> Fraction | None:
-    """Where two different shifts can share the same |sigma_3|.
-
-    Two shifts c != d give candidates with equal |H^6| exactly when c + d
-    equals the returned rational: sigma_3 of the shift-c six-tuple is
-    8*(sigma_3(a) - sigma_3(b)) - 8*(sigma_1(a) + 2c + 1)*(sigma_2(a) - sigma_2(b)),
-    affine in c.  Returns None when sigma_2(a) == sigma_2(b), in which case
-    |sigma_3| is constant and every shift pair collides ("everywhere").
-    """
-    d2 = _sigma2_difference(e)
-    if d2 == 0:
-        return None
-    (a1, a2, a3), (b1, b2, b3) = e.a, e.b
-    return Fraction(a1 * a2 * a3 - b1 * b2 * b3, d2) - a1 - a2 - a3 - 1
 
 
 def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertificate]:

@@ -150,14 +150,9 @@ def _in_chain(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> bool:
 
 def h4_order(e: EschParams) -> int:
     """|H^4| = |sigma_2(a) - sigma_2(b)|; 0 only for degenerate inputs."""
-    return abs(_sigma2_difference(e))
-
-
-def _sigma2_difference(e: EschParams) -> int:
-    """sigma_2(a) - sigma_2(b), written out."""
     a1, a2, a3 = e.a
     b1, b2, b3 = e.b
-    return a1 * a2 + a1 * a3 + a2 * a3 - b1 * b2 - b1 * b3 - b2 * b3
+    return abs(a1 * a2 + a1 * a3 + a2 * a3 - b1 * b2 - b1 * b3 - b2 * b3)
 
 
 def family_cohomogeneity_one(p: int) -> EschParams:

@@ -1,10 +1,11 @@
 """Slow reference implementations that fast paths in the package are tested against.
 
-Also holds ``effectivize``, which only the tests use.
+Also holds ``effectivize`` and ``collision_locus``, which only the tests use.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 from typing import Iterable, Iterator
@@ -68,6 +69,22 @@ def effectivize(e: EschParams) -> EschParams:
         tuple((x - t) // g for x in e.a),
         tuple((x - t) // g for x in e.b),
     )
+
+
+def collision_locus(e: EschParams) -> Fraction | None:
+    """Where two different shifts can share the same |sigma_3|.
+
+    Two shifts c != d give candidates with equal |H^6| exactly when c + d
+    equals the returned rational: sigma_3 of the shift-c six-tuple is
+    8*(sigma_3(a) - sigma_3(b)) - 8*(sigma_1(a) + 2c + 1)*(sigma_2(a) - sigma_2(b)),
+    affine in c.  Returns None when sigma_2(a) == sigma_2(b), in which case
+    |sigma_3| is constant and every shift pair collides ("everywhere").
+    """
+    (a1, a2, a3), (b1, b2, b3) = e.a, e.b
+    d2 = a1 * a2 + a1 * a3 + a2 * a3 - b1 * b2 - b1 * b3 - b2 * b3
+    if d2 == 0:
+        return None
+    return Fraction(a1 * a2 * a3 - b1 * b2 * b3, d2) - a1 - a2 - a3 - 1
 
 
 def is_free_oracle(e: EschParams) -> bool:

@@ -7,7 +7,13 @@ import time
 from fractions import Fraction
 
 from conftest import random_esch, random_free_esch, random_odd_baz
-from oracles import elementary_symmetric, is_free_baz_oracle, is_free_oracle, sigma3_shift_closed_form
+from oracles import (
+    collision_locus,
+    elementary_symmetric,
+    is_free_baz_oracle,
+    is_free_oracle,
+    sigma3_shift_closed_form,
+)
 from eschbaz import (
     BazParams,
     EschParams,
@@ -31,7 +37,6 @@ from eschbaz import (
     verify_known_counterexamples,
     window_scan,
 )
-from eschbaz.embedding import collision_locus
 from eschbaz.survey import KNOWN_COUNTEREXAMPLES
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))

@@ -17,7 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import decimal_by_digits, to_jsonable_oracle
-from eschbaz import EschParams, InternalError, certified_shift, nonsingular_shift
+from eschbaz import (
+    EschParams,
+    InternalError,
+    certified_shift,
+    homotopy_distinct_embeddings,
+    nonsingular_shift,
+    scan_box,
+    verify_cohomogeneity_one,
+    verify_infinite_families,
+)
 from eschbaz import cli
 from eschbaz.cli import run
 from eschbaz.embedding import _moduli
@@ -321,6 +330,27 @@ def test_range_error_past_int_to_str_limit_gives_its_own_reason(capsys, schema, 
     assert report["error"] == {"kind": "invalid-input", "reason": reason}
 
 
+# the library call each bounded flag feeds, with that flag's value as its one argument
+_LIBRARY_CALLS = {
+    "mu_max": lambda v: certified_shift(E_RUNNING, v, 1),
+    "n": lambda v: homotopy_distinct_embeddings(E_RUNNING, v),
+    "k_max": verify_infinite_families,
+    "p_max": verify_cohomogeneity_one,
+    "max_abs": lambda v: scan_box(v, 1),
+    "limit": lambda v: scan_box(1, v),
+    "workers": lambda v: scan_box(1, 1, workers=v),
+}
+
+
+@pytest.mark.parametrize("key", list(cli._bounds()))
+def test_flag_least_values_are_the_library_least_values(key):
+    # the CLI writes each least value a second time, to name the flag in its error
+    least, _ = cli._bounds()[key]
+    with pytest.raises(ValueError, match=f"must be >= {least}"):
+        _LIBRARY_CALLS[key](least - 1)
+    _LIBRARY_CALLS[key](least)
+
+
 def test_exit_one_on_verification_failure(capsys, monkeypatch):
     import eschbaz.survey as survey_mod
 
@@ -344,20 +374,23 @@ def _console_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
+# the console with site-packages off sys.path: only the standard library and src/ import
+CONSOLE = (sys.executable, "-S", "-m", "eschbaz.cli")
+
+
 def test_console_entry_point(capsys):
     env = _console_env()
     argv = ["counterexamples", "--format", "csv"]
-    proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", *argv], env=env, capture_output=True)
+    proc = subprocess.run([*CONSOLE, *argv], env=env, capture_output=True)
     assert proc.returncode == 0
     assert run(argv) == 0
     assert proc.stdout == capsys.readouterr().out.encode()
-    proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", "verify-baz", "--q", "1,2,3"],
-                          env=env, capture_output=True)
+    proc = subprocess.run([*CONSOLE, "verify-baz", "--q", "1,2,3"], env=env, capture_output=True)
     assert proc.returncode == 2
 
 
 def test_console_exits_141_when_the_reader_closes_stdout():
-    with subprocess.Popen([sys.executable, "-m", "eschbaz.cli", "families", "--k-max", "10000"],
+    with subprocess.Popen([*CONSOLE, "families", "--k-max", "10000"],
                           env=_console_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline().startswith(b"A k=0 ")
         proc.stdout.close()
@@ -369,10 +402,45 @@ def test_console_exits_141_when_the_reader_closes_stdout():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 def test_console_exits_74_when_stdout_cannot_be_written():
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "eschbaz.cli", "families", "--k-max", "3"],
+        proc = subprocess.run([*CONSOLE, "families", "--k-max", "3"],
                               env=_console_env(), stdout=full, stderr=subprocess.PIPE, timeout=60)
     assert proc.returncode == cli.EXIT_OUTPUT_FAILED == 74
     assert proc.stderr.decode().splitlines() == ["error (output-failed): No space left on device"]
+
+
+# boxes 8 and 12 hold no counterexample; box 60 holds one, so a scan row is
+# rendered, serially and from a pooled shard
+_ROW_60 = "a=(39, 0, 0) b=(55, -3, -13)  window 0 <= c <= 7  [xxxxxxxx]  |H4|=841  counterexample"
+# (argv, exit code, second stdout line or None, stderr)
+_CONSOLE_RUNS = [
+    *((argv, 0, None, "") for argv in (
+        "verify-esch --a 2,0,0 --b 15,-2,-11 --format json",
+        "verify-baz --q 5,1,1,3,21",
+        "window --a 39,0,0 --b 55,-3,-13 --format json",
+        "certified-shifts --a 2,0,0 --b 15,-2,-11 --mu-max 2 --format csv",
+        "embed --a 2,0,0 --b 15,-2,-11 --c 2 --format csv",
+        "distinct --a 2,0,0 --b 15,-2,-11 --n 3",
+        "submanifolds --q 3,-1,-1,5,23",
+        "dual --a 2,0,0 --b 15,-2,-11 --c -1 --format json",
+        "counterexamples --format csv",
+        "families --k-max 3 --format json",
+        "cohom1 --p-max 3 --format csv",
+        "scan --max-abs 8 --limit 5 --format csv",
+        "scan --max-abs 12 --limit 5 --workers 2 --format json",
+    )),
+    *((f"scan --max-abs 60 --limit 1 --workers {workers}", 0, _ROW_60, "") for workers in (1, 2)),
+    # a value below a flag's least value exits 2 with one error line that names the flag
+    ("families --k-max -1", 2, None, "error (invalid-input): --k-max must be >= 0\n"),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "row", "err"), _CONSOLE_RUNS, ids=[case[0] for case in _CONSOLE_RUNS])
+def test_console_runs_on_the_standard_library_alone(argv, code, row, err):
+    proc = subprocess.run([*CONSOLE, *argv.split()], env=_console_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if row is not None:
+        assert proc.stdout.splitlines()[1] == row
 
 
 def _refused_pool(*args, **kwargs):
@@ -396,17 +464,22 @@ def test_scan_exits_71_when_its_worker_pool_cannot_start(capsys, schema, monkeyp
 
 def test_no_pool_modules_load_without_a_pool():
     # only a pooled scan_box may load concurrent.futures and multiprocessing:
-    # every other process would pay their memory and import time for nothing
+    # every other process would pay their memory and import time for nothing.
+    # Every module loaded is the standard library's or eschbaz's, and none is
+    # fractions or decimal, which only the tests need.
     script = (
         "import sys, eschbaz, eschbaz.cli\n"
         "eschbaz.scan_box(12, 5, workers=1)\n"
         "assert eschbaz.cli.run(['verify-esch', '--a=2,0,0', '--b=15,-2,-11']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "top = {m.split('.')[0] for m in sys.modules} - {'__main__'}\n"
+        "print(sorted(top & {'concurrent', 'multiprocessing'}))\n"
+        "print(sorted(top - set(sys.stdlib_module_names) - {'eschbaz'}))\n"
+        "print(sorted(top & {'fractions', 'decimal'}))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=_console_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
 # ---------------------------------------------------------------------------

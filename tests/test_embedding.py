@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_esch, random_free_esch, random_pc_esch
 from oracles import (
+    collision_locus,
     decimal_by_digits,
     elementary_symmetric,
     enumerate_normal_forms,
@@ -25,7 +26,6 @@ from eschbaz import (
     SingularCandidateError,
     candidate_q,
     certified_shift,
-    collision_locus,
     dual_embedding,
     family_cohomogeneity_one,
     h6_order,
