@@ -17,8 +17,6 @@ from .bazaikin import (
 )
 from .embedding import (
     EmbeddingCertificate,
-    NormalFormError,
-    SingularCandidateError,
     WindowReport,
     candidate_q,
     certified_shift,
@@ -31,7 +29,6 @@ from .embedding import (
 )
 from .eschenburg import (
     EschParams,
-    NotPositivelyCurvedError,
     admits_positive_curvature,
     canonicalize,
     family_cohomogeneity_one,

@@ -431,9 +431,7 @@ def _cmd_counterexamples(_, args) -> dict:
 
 
 def _cmd_families(_, args) -> dict:
-    rows = survey.verify_infinite_families(args.k_max)
-    per_variant = args.k_max + 1
-    labelled = [("A" if i < per_variant else "B", i % per_variant, row) for i, row in enumerate(rows)]
+    labelled = survey.verify_infinite_families(args.k_max)
     return {
         "json": lambda: {"results": [_row_dict(row, variant=v, k=k) for v, k, row in labelled]},
         "text": lambda: [f"{v} k={k:<4} {_row_line(row)}" for v, k, row in labelled]

@@ -57,14 +57,6 @@ from .eschenburg import (
 SHIFT_PRODUCT_CACHE_SIZE = 1024
 
 
-class NormalFormError(ValueError):
-    """Input was required to be in positive-curvature normal form but is not."""
-
-
-class SingularCandidateError(ValueError):
-    """The requested shift yields a singular Bazaikin candidate."""
-
-
 # The normal form of the cohomogeneity-one family a=(p,1,1), b=(p+2,0,0) is
 # a=(t,0,0), b=(t+2,-1,-1) with t = p-1.  Its curvature window is one point,
 # although a closed range of two shifts is sometimes quoted for it; reports
@@ -190,7 +182,7 @@ def pc_shift_window(e: EschParams) -> range:
     both be even integers at the minimal length.
     """
     if not _in_chain(*e.a, *e.b):
-        raise NormalFormError(f"{e} is not in positive-curvature normal form")
+        raise ValueError(f"{e} is not in positive-curvature normal form")
     window = _window(*e.a[1:], *e.b[1:])
     if not window:
         raise InternalError(f"{e} is in normal form but has an empty shift window")
@@ -319,7 +311,7 @@ def dual_embedding(e: EschParams, c: int) -> tuple[EschParams, BazParams]:
     |H^6| is unchanged (the new 6-tuple is a signed permutation of the old).
     """
     if not nonsingular_shift(e, c):
-        raise SingularCandidateError(f"shift {to_decimal(c)} of {e} yields a singular candidate")
+        raise ValueError(f"shift {to_decimal(c)} of {e} yields a singular candidate")
     q = candidate_q(e, c).q
     qs = sum(q)
     swapped = shift(EschParams(e.b, e.a), c)

@@ -23,10 +23,6 @@ from operator import index
 from .arith import InternalError, to_decimal, tuple_to_decimal
 
 
-class NotPositivelyCurvedError(ValueError):
-    """The parameters do not satisfy the fixed-metric positive-curvature test."""
-
-
 @dataclass(frozen=True, slots=True)
 class EschParams:
     """Integer triples (a, b) with sum(a) == sum(b).
@@ -134,7 +130,7 @@ def pc_normal_form(e: EschParams) -> EschParams:
     parameterization, an isometric model -- and canonicalizes again.
     """
     if not is_pc_metric(e):
-        raise NotPositivelyCurvedError(f"{e} fails the fixed-metric positive-curvature test")
+        raise ValueError(f"{e} fails the fixed-metric positive-curvature test")
     f = canonicalize(e)
     if f.b[1] > max(f.a):
         f = canonicalize(EschParams(tuple(-x for x in f.a), tuple(-x for x in f.b)))
@@ -162,22 +158,22 @@ def family_cohomogeneity_one(p: int) -> EschParams:
     return EschParams((p, 1, 1), (p + 2, 0, 0))
 
 
+# The two infinite cohomogeneity-two families: variant -> (a1, b1) at k = 0.
+_FAMILIES = {"A": (39, 55), "B": (12909, 12925)}
+
+
 def family_cohomogeneity_two(variant: str, k: int) -> EschParams:
-    """Members of the two infinite cohomogeneity-two families.
+    """Member k of variant ``variant`` of the two infinite cohomogeneity-two families.
 
-    Variant "A": a = (15015k + 39, 0, 0),    b = (15015k + 55, -3, -13).
-    Variant "B": a = (15015k + 12909, 0, 0), b = (15015k + 12925, -3, -13).
-
+    With (a1, b1) the variant's entry in ``_FAMILIES``, the member is
+    a = (15015k + a1, 0, 0), b = (15015k + b1, -3, -13).
     15015 = 3*5*7*11*13, which is what keeps every shift in the curvature
     window singular for every k.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {to_decimal(k)}")
-    if variant == "A":
-        base_a, base_b = 39, 55
-    elif variant == "B":
-        base_a, base_b = 12909, 12925
-    else:
+    if variant not in _FAMILIES:
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
+    a1, b1 = _FAMILIES[variant]
     n = 15015 * k
-    return EschParams((n + base_a, 0, 0), (n + base_b, -3, -13))
+    return EschParams((n + a1, 0, 0), (n + b1, -3, -13))

@@ -49,6 +49,7 @@ from .embedding import (
     pc_shift_window,
 )
 from .eschenburg import (
+    _FAMILIES,
     EschParams,
     _in_chain,
     family_cohomogeneity_one,
@@ -139,13 +140,13 @@ def verify_known_counterexamples() -> list[SurveyRow]:
     return rows
 
 
-def verify_infinite_families(k_max: int) -> list[SurveyRow]:
-    """Check members 0..k_max of both infinite families are counterexamples."""
+def verify_infinite_families(k_max: int) -> list[tuple[str, int, SurveyRow]]:
+    """Check members 0..k_max of both infinite families are counterexamples; (variant, k, row) each."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {to_decimal(k_max)}")
     return [
-        _counterexample_row(family_cohomogeneity_two(variant, k), f"family {variant}, k={k}")
-        for variant in ("A", "B")
+        (variant, k, _counterexample_row(family_cohomogeneity_two(variant, k), f"family {variant}, k={k}"))
+        for variant in _FAMILIES
         for k in range(k_max + 1)
     ]
 

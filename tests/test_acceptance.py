@@ -169,11 +169,11 @@ def test_criterion_07_cohomogeneity_one_family():
 
 def test_criterion_08_infinite_families():
     def body():
-        rows = verify_infinite_families(100)
-        assert len(rows) == 202
+        labelled = verify_infinite_families(100)
+        assert len(labelled) == 202
         table = verify_known_counterexamples()
-        assert rows[0] == table[0]
-        assert rows[101] == table[8]
+        assert labelled[0] == ("A", 0, table[0])
+        assert labelled[101] == ("B", 0, table[8])
 
     _report(8, "families A and B counterexamples for k<=100; k=0 matches stored rows 1 and 9", body)
 

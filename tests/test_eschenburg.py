@@ -17,7 +17,6 @@ from oracles import (
 )
 from eschbaz import (
     EschParams,
-    NotPositivelyCurvedError,
     admits_positive_curvature,
     canonicalize,
     family_cohomogeneity_one,
@@ -291,7 +290,8 @@ def test_pc_normal_form_idempotent_and_requires_pc():
         assert min(f.a) == 0
         assert h4_order(f) == h4_order(e)
         assert is_free(f) == is_free(e)
-    with pytest.raises(NotPositivelyCurvedError):
+    not_pc = r"^a=\(1, 1, 0\) b=\(2, 1, -1\) fails the fixed-metric positive-curvature test$"
+    with pytest.raises(ValueError, match=not_pc):
         pc_normal_form(EschParams((1, 1, 0), (2, 1, -1)))
 
 

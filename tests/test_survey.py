@@ -81,17 +81,15 @@ def test_verify_known_counterexamples():
 
 
 def test_verify_infinite_families_matches_stored_rows_at_k0():
-    rows = verify_infinite_families(0)
-    assert len(rows) == 2
     table = verify_known_counterexamples()
-    assert rows[0] == table[0]  # variant A, k=0 is the first stored row
-    assert rows[1] == table[8]  # variant B, k=0 is the last stored row
+    # variant A, k=0 is the first stored row and variant B, k=0 the last
+    assert verify_infinite_families(0) == [("A", 0, table[0]), ("B", 0, table[8])]
 
 
 def test_verify_infinite_families_small():
-    rows = verify_infinite_families(3)
-    assert len(rows) == 8
-    assert all(is_free(r.esch) and is_pc_metric(r.esch) for r in rows)
+    labelled = verify_infinite_families(3)
+    assert len(labelled) == 8
+    assert all(is_free(r.esch) and is_pc_metric(r.esch) for _, _, r in labelled)
     with pytest.raises(ValueError):
         verify_infinite_families(-1)
 
@@ -100,9 +98,10 @@ def test_verification_jobs_match_the_certificate_path():
     assert verify_known_counterexamples() == [
         row_from_report(window_scan(EschParams(a, b))) for a, b, _ in KNOWN_COUNTEREXAMPLES
     ]
-    assert verify_infinite_families(30) == [
-        row_from_report(window_scan(family_cohomogeneity_two(variant, k)))
-        for variant in ("A", "B") for k in range(31)
+    labelled = verify_infinite_families(30)
+    assert [(v, k) for v, k, _ in labelled] == [(v, k) for v in ("A", "B") for k in range(31)]
+    assert [row for _, _, row in labelled] == [
+        row_from_report(window_scan(family_cohomogeneity_two(v, k))) for v, k, _ in labelled
     ]
 
 
@@ -187,7 +186,7 @@ def test_every_row_is_built_by_counterexample_row(monkeypatch):
 
     monkeypatch.setattr(survey_mod, "_counterexample_row", recorded)
     for call in (verify_known_counterexamples,
-                 lambda: verify_infinite_families(2),
+                 lambda: [row for _, _, row in verify_infinite_families(2)],
                  lambda: scan_box(60, 10**6)[1],
                  lambda: scan_box(60, 10**6, workers=2)[1]):
         built.clear()
