@@ -73,8 +73,8 @@ N_LIMIT = 1000
 # cohom1 0.37 MB.
 K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
-# The largest box ever scanned: 7.77M spaces, 24 s serial (one run) on a 2-core
-# Xeon VM with Python 3.11.7.
+# The largest box ever scanned: 7.77M spaces, 17 s serial (one run, 2026-10-20)
+# on a 2-core Xeon VM with Python 3.11.7.
 MAX_ABS_LIMIT = 200
 # Shifts in the curvature window that ``window`` builds certificates for; the
 # window of a=(1,0,0), b=(100001,-1,-99999) has 50,000 and writes 43.6 MB of
@@ -442,7 +442,7 @@ def _cmd_families(_, args) -> dict:
 
 
 def _cmd_cohom1(_, args) -> dict:
-    members = list(enumerate(survey.verify_cohomogeneity_one(args.p_max), start=1))
+    members = survey.verify_cohomogeneity_one(args.p_max)
     note = embedding.COHOM1_WINDOW_NOTE
     return {
         "json": lambda: {

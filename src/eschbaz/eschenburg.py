@@ -173,7 +173,7 @@ def family_cohomogeneity_two(variant: str, k: int) -> EschParams:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {to_decimal(k)}")
     if variant not in _FAMILIES:
-        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
+        raise ValueError(f"variant must be {' or '.join(map(repr, _FAMILIES))}, got {variant!r}")
     a1, b1 = _FAMILIES[variant]
     n = 15015 * k
     return EschParams((n + a1, 0, 0), (n + b1, -3, -13))

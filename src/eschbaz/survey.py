@@ -151,16 +151,16 @@ def verify_infinite_families(k_max: int) -> list[tuple[str, int, SurveyRow]]:
     ]
 
 
-def verify_cohomogeneity_one(p_max: int) -> tuple[EmbeddingCertificate, ...]:
-    """Check the shift -1 candidate for a=(p,1,1), b=(p+2,0,0), 1 <= p <= p_max.
+def verify_cohomogeneity_one(p_max: int) -> list[tuple[int, EmbeddingCertificate]]:
+    """Check the shift -1 candidate for a=(p,1,1), b=(p+2,0,0), 1 <= p <= p_max; (p, certificate) each.
 
     The candidate must be (2p-1, 1, 1, 1, 1), non-singular, and positively
-    curved.  Returns the certificates in order of p; the family's window
-    note is ``embedding.COHOM1_WINDOW_NOTE``.
+    curved.  The pairs come in order of p; the family's window note is
+    ``embedding.COHOM1_WINDOW_NOTE``.
     """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {to_decimal(p_max)}")
-    certificates = []
+    labelled = []
     for p in range(1, p_max + 1):
         cert = make_certificate(family_cohomogeneity_one(p), -1)
         expected = BazParams((2 * p - 1, 1, 1, 1, 1))
@@ -168,8 +168,8 @@ def verify_cohomogeneity_one(p_max: int) -> tuple[EmbeddingCertificate, ...]:
             raise VerificationFailure(f"p={p}: candidate {cert.baz} != {expected}")
         if not (cert.baz_free and cert.baz_pc):
             raise VerificationFailure(f"p={p}: candidate {cert.baz} free={cert.baz_free} pc={cert.baz_pc}")
-        certificates.append(cert)
-    return tuple(certificates)
+        labelled.append((p, cert))
+    return labelled
 
 
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:

@@ -155,9 +155,9 @@ def test_criterion_06_nonsingularity_equals_submanifold_freeness():
 
 def test_criterion_07_cohomogeneity_one_family():
     def body():
-        certificates = verify_cohomogeneity_one(100)
-        assert len(certificates) == 100
-        for p, cert in enumerate(certificates, start=1):
+        labelled = verify_cohomogeneity_one(100)
+        assert [p for p, _ in labelled] == list(range(1, 101))
+        for p, cert in labelled:
             assert cert.baz == BazParams((2 * p - 1, 1, 1, 1, 1))
             assert cert.baz_free and cert.baz_pc
         # the note reaches window reports for the family

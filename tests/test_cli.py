@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from oracles import decimal_by_digits, to_jsonable_oracle
 from eschbaz import (
     EschParams,
+    FactorizationIncomplete,
     InternalError,
+    VerificationFailure,
     certified_shift,
     homotopy_distinct_embeddings,
     nonsingular_shift,
@@ -30,6 +32,7 @@ from eschbaz import (
 from eschbaz import cli
 from eschbaz.cli import run
 from eschbaz.embedding import _moduli
+from eschbaz.eschenburg import _FAMILIES
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 
@@ -641,6 +644,35 @@ def test_json_error_reports_are_machine_readable(capsys, schema):
     jsonschema.validate(report, schema)
     assert report["error"]["kind"] == "invalid-input"
     assert "sum(a)" in report["error"]["reason"]
+
+
+def test_json_error_kinds_are_the_ones_run_writes(capsys, schema, monkeypatch):
+    # each exception type run maps to an exit code, raised by the library call
+    # behind counterexamples: a kind that run stops writing, or that the schema
+    # drops or keeps after run has dropped it, fails here
+    raised = [
+        (VerificationFailure("v"), cli.EXIT_VERIFICATION_FAILED),
+        (FactorizationIncomplete("f"), cli.EXIT_EFFORT_EXCEEDED),
+        (ValueError("x"), cli.EXIT_INVALID_INPUT),
+        (InternalError("i"), cli.EXIT_INTERNAL_ERROR),
+        (OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)), cli.EXIT_OS_ERROR),
+    ]
+    written = set()
+    for exc, expected in raised:
+        def fail(exc=exc):
+            raise exc
+
+        monkeypatch.setattr("eschbaz.survey.verify_known_counterexamples", fail)
+        code, report = invoke_json(capsys, schema, "counterexamples")
+        assert code == expected, exc
+        written.add(report["error"]["kind"])
+    (_, error_report) = schema["oneOf"]
+    assert written == set(error_report["properties"]["error"]["properties"]["kind"]["enum"])
+
+
+def test_json_variants_are_the_family_table(schema):
+    # _FAMILIES is the one list of variants in the package; the schema's enum must follow it
+    assert schema["definitions"]["survey_row"]["properties"]["variant"]["enum"] == list(_FAMILIES)
 
 
 @pytest.mark.parametrize(("argv", "command", "reason"), [

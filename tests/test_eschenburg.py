@@ -350,7 +350,7 @@ def test_family_cohomogeneity_two():
     assert family_cohomogeneity_two("A", 1) == EschParams((15054, 0, 0), (15070, -3, -13))
     with pytest.raises(ValueError):
         family_cohomogeneity_two("A", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^variant must be 'A' or 'B', got 'C'$"):
         family_cohomogeneity_two("C", 0)
 
 

@@ -39,13 +39,29 @@ def f(x):
 '''
 
 
-def test_code_tokens_count_code_only():
+def _load_code_size():
     spec = importlib.util.spec_from_file_location("code_size", ROOT / "tools" / "code_size.py")
     code_size = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(code_size)
+    return code_size
+
+
+def test_code_tokens_count_code_only():
+    code_size = _load_code_size()
     # def f ( x ) : return and the nested f-string, which counts once
     assert code_size.code_tokens(CODE_SIZE_SNIPPET) == 8
     commented = CODE_SIZE_SNIPPET.replace("def f", "# another comment\ndef f")
     longer_doc = CODE_SIZE_SNIPPET.replace('"""Doc."""', '"""Doc.\n\n    More.\n    """')
     assert commented != CODE_SIZE_SNIPPET and longer_doc != CODE_SIZE_SNIPPET
     assert code_size.code_tokens(commented) == code_size.code_tokens(longer_doc) == 8
+
+
+def test_code_size_prints_lines_tokens_and_bytes(tmp_path, capsys):
+    code_size = _load_code_size()
+    path = tmp_path / "snippet.py"
+    path.write_bytes(CODE_SIZE_SNIPPET.encode())  # 100 ASCII characters, newlines untranslated
+    code_size.main([str(path)])
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["5", "8", "100", str(path)],
+        ["5", "8", "100", "total", "(lines,", "code", "tokens,", "bytes)"],
+    ]

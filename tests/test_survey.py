@@ -217,9 +217,9 @@ def test_cohomogeneity_one_singular_certificate_fails(monkeypatch):
 
 
 def test_verify_cohomogeneity_one():
-    certificates = verify_cohomogeneity_one(10)
-    assert isinstance(certificates, tuple) and len(certificates) == 10
-    for p, cert in enumerate(certificates, start=1):
+    labelled = verify_cohomogeneity_one(10)
+    assert [p for p, _ in labelled] == list(range(1, 11))
+    for p, cert in labelled:
         assert isinstance(cert, EmbeddingCertificate)
         assert cert.esch == family_cohomogeneity_one(p)
         assert cert.baz == BazParams((2 * p - 1, 1, 1, 1, 1))

@@ -1,12 +1,13 @@
-"""Print the size of Python source files: lines and code tokens.
+"""Print the size of Python source files: lines, code tokens and bytes.
 
 Code tokens are the ``tokenize`` tokens of a file without comments,
 docstrings and layout (NL, NEWLINE, INDENT, DEDENT, ENCODING, ENDMARKER),
 so reformatting and comment edits do not move the count.  An f-string is
 one token, as Python 3.11 tokenizes it: from 3.12 (PEP 701) everything from
 an FSTRING_START to its matching FSTRING_END counts once, so every version
-from 3.10 on prints the same counts.  With no arguments it counts
-``src/eschbaz/*.py``:
+from 3.10 on prints the same counts.  Bytes are the file's size on disk,
+all of which a process compiles when it has no bytecode cache.  With no
+arguments it counts ``src/eschbaz/*.py``:
 
     python tools/code_size.py [FILE ...]
 """
@@ -55,14 +56,17 @@ def code_tokens(source: str) -> int:
 def main(argv: list[str]) -> None:
     root = Path(__file__).resolve().parents[1]
     paths = [Path(a) for a in argv] or sorted(root.glob("src/eschbaz/*.py"))
-    total_lines = total_tokens = 0
+    total_lines = total_tokens = total_bytes = 0
     for path in paths:
-        source = path.read_text()
+        data = path.read_bytes()
+        source = data.decode()
         lines, tokens = len(source.splitlines()), code_tokens(source)
         total_lines += lines
         total_tokens += tokens
-        print(f"{lines:>7} {tokens:>7}  {path.relative_to(root) if path.is_relative_to(root) else path}")
-    print(f"{total_lines:>7} {total_tokens:>7}  total (lines, code tokens)")
+        total_bytes += len(data)
+        print(f"{lines:>7} {tokens:>7} {len(data):>7}  "
+              f"{path.relative_to(root) if path.is_relative_to(root) else path}")
+    print(f"{total_lines:>7} {total_tokens:>7} {total_bytes:>7}  total (lines, code tokens, bytes)")
 
 
 if __name__ == "__main__":
