@@ -73,7 +73,7 @@ N_LIMIT = 1000
 # cohom1 0.37 MB.
 K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
-# The largest box ever scanned: 7.77M spaces, 17 s serial (one run, 2026-10-20)
+# The largest box ever scanned: 7.77M spaces, 5.2 s serial (one run, 2026-10-20)
 # on a 2-core Xeon VM with Python 3.11.7.
 MAX_ABS_LIMIT = 200
 # Shifts in the curvature window that ``window`` builds certificates for; the

@@ -13,15 +13,21 @@ fits, and the mirror fits whenever the normal form does (b1 <= max_abs and
 b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
 bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
 ``_scan_shard``, enumerates the forms tail-major, over (b3, b2) tails, then
-a2, with a1 innermost, and decides each as it meets it, on plain ints: the
-window (``embedding._window``) and the chain (``eschenburg._in_chain``) are
-taken once per (b3, b2, a2), freeness is the one fact written inline, and
-each free form walks its window once with ``embedding._first_nonsingular``
-over its ``embedding._moduli``, up to its first non-singular shift.  It
-builds no ``EschParams`` for a form that embeds, and no certificates.  All
+a2, and decides the whole row of a1 of each (b3, b2, a2) at once, on plain
+ints: the window (``embedding._window``) and the chain
+(``eschenburg._in_chain``) are taken once per row.  Once the tail is fixed,
+each freeness gcd and each of the nine singularity tests is either a tail
+constant alone or a residue class a1 = r (mod p), p a prime of a tail
+constant (the derivation is in ``_scan_shard``'s docstring), so the row is
+one int used as a bitset: the free forms are the row minus the freeness
+classes, and a form whose whole window is singular lies in every shift's
+union of classes.  Families A and B are the covering congruences
+a1 = 39 and 12909 (mod 15015) of this kind.  The scan builds no
+``EschParams`` for a form that embeds, and no certificates.  All
 three counterexample jobs, the scan included, build every row in one
-helper, ``_counterexample_row``, which re-decides its space by the same
-walk over the window it carries: a space that embeds after all fails,
+helper, ``_counterexample_row``, which re-decides its space by the
+three-gcd walk (``embedding._first_nonsingular``) over the window it
+carries, not by residue classes: a space that embeds after all fails,
 naming its non-singular shifts.  The cohomogeneity-one job
 and the ``window`` command keep the full-certificate path, which is also
 the test oracle for the fast one.  ``scan_box`` can shard its tails over
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import InternalError, to_decimal
 from .bazaikin import BazParams
@@ -172,26 +178,75 @@ def verify_cohomogeneity_one(p_max: int) -> list[tuple[int, EmbeddingCertificate
     return labelled
 
 
+def _residue_tables(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The distinct primes of each of 0..n, and ``masks[p][r]``, the bits i = r (mod p) of 0..n.
+
+    The primes come from a smallest-prime-factor sieve (0 and 1 have none).
+    ``masks`` holds one bitset per prime p <= n and residue r < p (set bits
+    r, r + p, ..., r + p*(n // p), a few of them past n), and an empty list
+    at every other index.  With n = max_abs + 1 the masks take about 7 KB
+    at box 35, 280 KB at box 200 and 14 MB at box 1000 (``sys.getsizeof``
+    on 64-bit CPython 3.11).
+    """
+    spf = list(range(n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            for k in range(p * p, n + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    primes: list[tuple[int, ...]] = [()] * (n + 1)
+    masks: list[list[int]] = [[]] * (n + 1)
+    for k in range(2, n + 1):
+        p = spf[k]
+        primes[k] = primes[k // p] if k // p % p == 0 else (p, *primes[k // p])
+        if p == k:
+            pattern = ((1 << p * (n // p + 1)) - 1) // ((1 << p) - 1)  # bits 0, p, ..., p * (n // p)
+            masks[p] = [pattern << r for r in range(p)]
+    return primes, masks
+
+
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
     """The number of normal forms of a shard, and those whose whole window is singular.
 
     One loop enumerates the normal forms a=(a1, a2, 0), b=(b1, b2, b3),
     b1 = a1 + a2 - b2 - b3, of the shard's tails (b3, b2), b3 <= b2 <= -1,
     in the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, that is
-    a2 <= max_abs + b2 + b3 and a2 <= a1 <= max_abs + b3, with a1
-    innermost, and decides each on plain ints.  The window
-    (``embedding._window``) and the chain (``eschenburg._in_chain``) are
-    fixed per (b3, b2, a2), since b1 grows with a1, so both are checked
-    once, as invariants, on its first form (a1 = a2).  With a3 = 0,
-    u = a1 - b3 and w = a2 - b3 the three gcds of ``is_free`` read
-    gcd(b2, u*w) == gcd(a2 - b2, u*b3) == gcd(a1 - b2, w*b3) == 1, and
-    gcd(n, k*m) == 1 iff gcd(n, k) == gcd(n, m) == 1 splits them into
-    gcd(b2, w) == gcd(a2 - b2, b3) == 1, fixed per (b3, b2, a2), and
-    gcd(b2*(a2 - b2), u) == gcd(a1 - b2, w*b3) == 1 per form.  Each free
-    form walks the window with ``_first_nonsingular`` over its ``_moduli``,
-    up to its first non-singular shift.
+    a2 <= max_abs + b2 + b3 and a2 <= a1 <= max_abs + b3, and decides each
+    row of a1 at once.  The window (``embedding._window``) and the chain
+    (``eschenburg._in_chain``) are fixed per (b3, b2, a2), since b1 grows
+    with a1, so both are checked once, as invariants, on its first form
+    (a1 = a2).  The row is one int, bit i standing for a1 = a2 + i, and
+    every fact below is a union of residue classes a1 = r (mod p), p a
+    prime of a constant of the tail, each one mask of ``_residue_tables``.
+
+    Freeness.  With a3 = 0, u = a1 - b3 and w = a2 - b3 the three gcds of
+    ``is_free`` read gcd(b2, u*w) == gcd(a2 - b2, u*b3) ==
+    gcd(a1 - b2, w*b3) == 1, and gcd(n, k*m) == 1 iff gcd(n, k) ==
+    gcd(n, m) == 1 splits them into gcd(b2, w) == gcd(a2 - b2, b3) == 1,
+    fixed per (b3, b2, a2), and gcd(b2*(a2 - b2), u) ==
+    gcd(a1 - b2, w*b3) == 1: a1 avoids b3 mod each prime of b2*(a2 - b2)
+    and b2 mod each prime of w*b3.  The count is the free row's bits.
+
+    Singularity.  Shift c is singular iff one of the nine gcds
+    gcd(s_k + 2c, a_k - b_l) of ``embedding._moduli`` exceeds 1.  Put
+    X = a2 + 1 + 2c and Z = 1 + 2c + b2 + b3; in the window X > 0 > Z, and
+    a2 - b2, a2 - b3, b2 and b3 are nonzero, so no constant is 0, and each
+    is at most max_abs in absolute value.  Using a1 - b1 = b2 + b3 - a2 and
+    reducing s_k + 2c modulo the difference:
+    (1,1) gcd(X, a2 - b2 - b3) holds no a1, so c is singular for every a1;
+    (1,2), (1,3) gcd(X, a1 - b2), gcd(X, a1 - b3): p | X, r = b2, b3;
+    (2,1) gcd(a1 + 1 + 2c, b2 + b3 - a1) = gcd(a1 + 1 + 2c, Z):
+    p | Z, r = -1 - 2c;
+    (2,2), (2,3) p | a2 - b2 or a2 - b3, r = -1 - 2c;
+    (3,1) gcd(a1 + a2 + 1 + 2c, b1) = gcd(a1 + a2 + 1 + 2c, Z):
+    p | Z, r = -a2 - 1 - 2c;
+    (3,2), (3,3) p | b2 or b3, r = -a2 - 1 - 2c.
+    The free row is ANDed with each shift's union of classes, up to the
+    first shift that leaves no candidate, and the bits left over are the
+    forms whose whole window is singular, emitted in increasing a1.
     """
     tails, max_abs = args
+    primes, masks = _residue_tables(max_abs + 1)
     count, singular = 0, []
     for b3, b2 in tails:
         for a2 in range(max_abs + b2 + b3 + 1):
@@ -202,13 +257,39 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
             w = a2 - b3
             if gcd(b2, w) != 1 or gcd(a2 - b2, b3) != 1:
                 continue
-            m, n = b2 * (a2 - b2), w * b3
-            for a1 in range(a2, max_abs + b3 + 1):
-                if gcd(m, a1 - b3) == 1 and gcd(a1 - b2, n) == 1:
-                    count += 1
-                    b1 = a1 + a2 - b2 - b3
-                    if _first_nonsingular(window, *_moduli(a1, a2, 0, b1, b2, b3)) is None:
-                        singular.append(((a1, a2, 0), (b1, b2, b3)))
+            e2, e3 = b2 - a2, b3 - a2  # the bits of a1 = b2 and a1 = b3
+            row = (1 << max_abs + b3 - a2 + 1) - 1
+            for p in primes[-b2] + primes[a2 - b2]:
+                row &= ~masks[p][e3 % p]
+            for p in primes[w] + primes[-b3]:
+                row &= ~masks[p][e2 % p]
+            count += row.bit_count()
+            d1, pd, pb = a2 - b2 - b3, primes[a2 - b2] + primes[w], primes[-b2] + primes[-b3]
+            for c in window:
+                if not row:
+                    break
+                x = a2 + 1 + 2 * c
+                if gcd(x, d1) != 1:
+                    continue
+                u = -1 - 2 * c - a2  # the bit of a1 = -1 - 2c, and v of a1 = -a2 - 1 - 2c
+                v = u - a2
+                hit = 0
+                for p in primes[x]:
+                    m = masks[p]
+                    hit |= m[e2 % p] | m[e3 % p]
+                for p in primes[-1 - 2 * c - b2 - b3]:
+                    m = masks[p]
+                    hit |= m[u % p] | m[v % p]
+                for p in pd:
+                    hit |= masks[p][u % p]
+                for p in pb:
+                    hit |= masks[p][v % p]
+                row &= hit
+            while row:
+                low = row & -row
+                a1 = a2 + low.bit_length() - 1
+                singular.append(((a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3)))
+                row ^= low
     return count, singular
 
 

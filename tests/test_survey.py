@@ -51,7 +51,7 @@ from eschbaz import (
     window_scan,
 )
 from eschbaz import cli
-from eschbaz.embedding import _first_nonsingular, _moduli, _window
+from eschbaz.embedding import _moduli, _window
 import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
@@ -61,7 +61,7 @@ from eschbaz.survey import (
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
 SCAN_GOLDEN = Path(__file__).with_name("data") / "scan_golden.json"
-SCAN_BOXES = (10, 24, 40, 60, 100)
+SCAN_BOXES = (10, 24, 40, 60, 100, 200)
 
 
 def test_stored_rows_shape():
@@ -422,10 +422,13 @@ def _per_form_singular(keys):
 
 
 def _check_shard(shard, keys):
-    """``_scan_shard`` counts the forms of a shard's keys and reports their singular ones, once each."""
+    """``_scan_shard`` counts the forms of a one-tail shard's keys and reports their singular ones.
+
+    Each once, in enumeration order: by a2, then a1.
+    """
     count, singular = survey_mod._scan_shard(shard)
     assert count == len(keys), shard
-    assert len(singular) == len(set(singular)), shard
+    assert singular == sorted(set(singular), key=lambda key: (key[0][1], key[0][0])), shard
     assert set(singular) == _per_form_singular(keys), shard
     return singular
 
@@ -449,21 +452,50 @@ def test_scan_box_matches_the_per_form_path_in_every_box_to_30():
         assert (a, b) in _check_shard(shard, list(normal_forms(*shard)))
 
 
-def test_scan_shard_walks_each_free_form_once(monkeypatch):
-    # one walk per free form of box 30, in enumeration order, over the
-    # form's curvature window with its moduli
-    tails, calls = list(_box_keys(30)), []
+def test_scan_shard_decides_rows_without_the_per_form_walk(monkeypatch):
+    # the kernel decides each a1 row of box 30 by residue classes, in
+    # enumeration order, and never walks one form's window
+    tails = list(_box_keys(30))
 
-    def record(*args):
-        calls.append(args)
-        return _first_nonsingular(*args)
+    def walk(*args):
+        raise AssertionError(f"_scan_shard walked a form's window: {args}")
 
-    monkeypatch.setattr(survey_mod, "_first_nonsingular", record)
+    monkeypatch.setattr(survey_mod, "_first_nonsingular", walk)
     count, singular = survey_mod._scan_shard((tails, 30))
     forms = list(normal_forms(tails, 30))
     assert count == len(forms)
-    assert calls == [(pc_shift_window(EschParams(a, b)), *_moduli(*a, *b)) for a, b in forms]
     assert singular == [(a, b) for a, b in forms if first_nonsingular_shift(EschParams(a, b)) is None]
+
+
+def test_scan_shard_matches_the_per_form_path_on_long_rows():
+    # seeded tails of boxes 120-200 whose a1 rows start over 60 bits long
+    # (max_abs + b3 + 1 > 60 at a2 = 0), so rows and masks span several
+    # machine words, and the tail of box 200's counterexample
+    # a=(103,2,0), b=(119,-7,-7), whose row at a2 = 2 holds it at bit 101
+    rng = random.Random(2035)
+    shards = [([(-7, -7)], 200)]
+    while len(shards) < 21:
+        max_abs = rng.randrange(120, 201)
+        b3 = rng.randrange(60 - max_abs, 0)
+        shards.append(([(b3, rng.randrange(max(b3, -max_abs - b3), 0))], max_abs))
+    found = []
+    for shard in shards:
+        found += _check_shard(shard, list(normal_forms(*shard)))
+    assert found == [((103, 2, 0), (119, -7, -7))]
+
+
+def test_residue_tables_hold_the_primes_and_classes_of_0_to_n():
+    for n in range(1, 61):
+        primes, masks = survey_mod._residue_tables(n)
+        assert len(primes) == len(masks) == n + 1
+        for k in range(n + 1):
+            want = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
+            assert sorted(primes[k]) == want, (n, k)
+            assert len(masks[k]) == (k if want == [k] else 0), (n, k)
+            for r, mask in enumerate(masks[k]):
+                bits = {i for i in range(mask.bit_length()) if mask >> i & 1}
+                assert {i for i in range(n + 1) if i % k == r} <= bits, (n, k, r)
+                assert all(i % k == r for i in bits), (n, k, r)
 
 
 def test_scan_shard_checks_each_enumerated_form():
