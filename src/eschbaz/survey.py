@@ -304,8 +304,8 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
 
     Enumerates the free, positively curved spaces with a canonical form
     whose entries are bounded by max_abs in absolute value, each once as
-    its normal form, and decides each on plain ints in ``_scan_shard`` (see
-    the module docstring).  Each singular form's row comes from
+    its normal form, and decides each row of a1 at once in ``_scan_shard``
+    (see the module docstring).  Each singular form's row comes from
     ``_counterexample_row``, so a form that embeds after all raises
     ``VerificationFailure`` headed ``scan_box(max_abs)``.  Returns counts
     plus up to ``limit`` rows sorted by |H^4| (ties broken lexicographically).
