@@ -73,8 +73,8 @@ N_LIMIT = 1000
 # cohom1 0.37 MB.
 K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
-# The largest box ever scanned: 7.77M spaces, 5.2 s serial (one run, 2026-10-20)
-# on a 2-core Xeon VM with Python 3.11.7.
+# The largest box ever scanned: 7.77M spaces, 0.86-1.6 s serial (2026-10-20, each
+# call in its own process) on a 2-core Xeon VM with Python 3.11.7.
 MAX_ABS_LIMIT = 200
 # Shifts in the curvature window that ``window`` builds certificates for; the
 # window of a=(1,0,0), b=(100001,-1,-99999) has 50,000 and writes 43.6 MB of

@@ -27,12 +27,13 @@ The window bounds, the moduli and the three-gcd walk over shifts each live
 in one private helper on plain ints (``_window``, ``_moduli``,
 ``_first_nonsingular``); ``pc_shift_window`` is ``_window`` on a form that
 it checks is in the chain, and ``nonsingular_shift`` is the walk over the
-one shift c.  The box scan (``survey._scan_shard``) takes ``_window`` once
-per (b3, b2, a2) and decides each row of a1 by residue classes, calling
-neither ``_moduli`` nor ``_first_nonsingular``: those two serve the
-per-space path (``nonsingular_shift``, ``shift_prime_product`` and
-``survey._counterexample_row``, which re-walks every row the scan prints)
-and the tests' per-form oracle.
+one shift c.  The box scan (``survey._scan_shard``) reads ``_window`` only
+at the first and last a2 of each tail (b3, b2), whose rows share the
+window's end and start it at (1 - a2)//2, and decides each row of a1 by
+residue classes, calling neither ``_moduli`` nor ``_first_nonsingular``:
+those two serve the per-space path (``nonsingular_shift``,
+``shift_prime_product`` and ``survey._counterexample_row``, which re-walks
+every row the scan prints) and the tests' per-form oracle.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ b2 <= -1 give b3 > a1 - max_abs), so the box is exactly the mirror's
 bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
 ``_scan_shard``, enumerates the forms tail-major, over (b3, b2) tails, then
 a2, and decides the whole row of a1 of each (b3, b2, a2) at once, on plain
-ints: the window (``embedding._window``) and the chain
-(``eschenburg._in_chain``) are taken once per row.  Once the tail is fixed,
+ints, and does what the tail fixes once per tail.  Once the tail is fixed,
 each freeness gcd and each of the nine singularity tests is either a tail
 constant alone or a residue class a1 = r (mod p), p a prime of a tail
 constant (the derivation is in ``_scan_shard``'s docstring), so the row is
@@ -178,31 +177,30 @@ def verify_cohomogeneity_one(p_max: int) -> list[tuple[int, EmbeddingCertificate
     return labelled
 
 
-def _residue_tables(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The distinct primes of each of 0..n, and ``masks[p][r]``, the bits i = r (mod p) of 0..n.
+def _gcd_patterns(max_abs: int) -> list[int]:
+    """``g[k]`` for k in 1..max_abs: bit j is set iff gcd(j - max_abs, k) > 1, for j in 0..3*max_abs.
 
-    The primes come from a smallest-prime-factor sieve (0 and 1 have none).
-    ``masks`` holds one bitset per prime p <= n and residue r < p (set bits
-    r, r + p, ..., r + p*(n // p), a few of them past n), and an empty list
-    at every other index.  With n = max_abs + 1 the masks take about 7 KB
-    at box 35, 280 KB at box 200 and 14 MB at box 1000 (``sys.getsizeof``
-    on 64-bit CPython 3.11).
+    So ``g[k] >> (max_abs + t)`` has bit a1 set iff gcd(a1 + t, k) > 1,
+    that is a1 = -t (mod p) for some prime p of k, whenever
+    -max_abs <= a1 + t <= 2*max_abs.  g[k] is the union of one pattern per
+    prime p of k (the bits j = max_abs (mod p), a few of them past
+    3*max_abs), the primes coming from a smallest-prime-factor sieve; g[0]
+    and g[1] are 0.  The patterns take about 1.4 KB at box 35, 21 KB at
+    box 200 and 0.43 MB at box 1000 (``sys.getsizeof`` on 64-bit CPython
+    3.11).
     """
-    spf = list(range(n + 1))
-    for p in range(2, isqrt(n) + 1):
+    n = 3 * max_abs
+    spf = list(range(max_abs + 1))
+    for p in range(2, isqrt(max_abs) + 1):
         if spf[p] == p:
-            for k in range(p * p, n + 1, p):
+            for k in range(p * p, max_abs + 1, p):
                 if spf[k] == k:
                     spf[k] = p
-    primes: list[tuple[int, ...]] = [()] * (n + 1)
-    masks: list[list[int]] = [[]] * (n + 1)
-    for k in range(2, n + 1):
-        p = spf[k]
-        primes[k] = primes[k // p] if k // p % p == 0 else (p, *primes[k // p])
-        if p == k:
-            pattern = ((1 << p * (n // p + 1)) - 1) // ((1 << p) - 1)  # bits 0, p, ..., p * (n // p)
-            masks[p] = [pattern << r for r in range(p)]
-    return primes, masks
+    g = [0] * (max_abs + 1)
+    for k in range(2, max_abs + 1):
+        p = spf[k]  # p's pattern: bits 0, p, ..., p * (n // p), moved up by max_abs % p
+        g[k] = g[k // p] | ((1 << p * (n // p + 1)) - 1) // ((1 << p) - 1) << max_abs % p
+    return g
 
 
 def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
@@ -212,82 +210,84 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     b1 = a1 + a2 - b2 - b3, of the shard's tails (b3, b2), b3 <= b2 <= -1,
     in the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, that is
     a2 <= max_abs + b2 + b3 and a2 <= a1 <= max_abs + b3, and decides each
-    row of a1 at once.  The window (``embedding._window``) and the chain
-    (``eschenburg._in_chain``) are fixed per (b3, b2, a2), since b1 grows
-    with a1, so both are checked once, as invariants, on its first form
-    (a1 = a2).  The row is one int, bit i standing for a1 = a2 + i, and
-    every fact below is a union of residue classes a1 = r (mod p), p a
-    prime of a constant of the tail, each one mask of ``_residue_tables``.
+    row of a1 at once.  The row of (b3, b2, a2) is one int, bit i standing
+    for a1 = i, and every fact below is a union of sets
+    gcd(a1 + t, k) > 1, k a nonzero constant of the tail, each one shifted
+    pattern ``g[|k|] >> (max_abs + t)`` of ``_gcd_patterns``.
+
+    Invariants.  A row's window (``embedding._window``) and chain
+    (``eschenburg._in_chain``) are its first form's, a1 = a2, and are
+    checked at a tail's first and last a2 only: as a2 grows the window's
+    start falls and its end is fixed, and the chain's one moving part,
+    b1 - a1 = a2 - b2 - b3 > 0, grows, so the two ends cover every row.  A
+    tail with no rows is skipped.
 
     Freeness.  With a3 = 0, u = a1 - b3 and w = a2 - b3 the three gcds of
     ``is_free`` read gcd(b2, u*w) == gcd(a2 - b2, u*b3) ==
     gcd(a1 - b2, w*b3) == 1, and gcd(n, k*m) == 1 iff gcd(n, k) ==
     gcd(n, m) == 1 splits them into gcd(b2, w) == gcd(a2 - b2, b3) == 1,
     fixed per (b3, b2, a2), and gcd(b2*(a2 - b2), u) ==
-    gcd(a1 - b2, w*b3) == 1: a1 avoids b3 mod each prime of b2*(a2 - b2)
-    and b2 mod each prime of w*b3.  The count is the free row's bits.
+    gcd(a1 - b2, w*b3) == 1: a1 avoids gcd(a1 - b3, k) > 1 for k = b2 and
+    a2 - b2, and gcd(a1 - b2, k) > 1 for k = w and b3, cleared once per
+    tail for b2 and b3 and per row for a2 - b2 and w.  The count is the
+    free row's bits.
 
     Singularity.  Shift c is singular iff one of the nine gcds
     gcd(s_k + 2c, a_k - b_l) of ``embedding._moduli`` exceeds 1.  Put
-    X = a2 + 1 + 2c and Z = 1 + 2c + b2 + b3; in the window X > 0 > Z, and
-    a2 - b2, a2 - b3, b2 and b3 are nonzero, so no constant is 0, and each
-    is at most max_abs in absolute value.  Using a1 - b1 = b2 + b3 - a2 and
-    reducing s_k + 2c modulo the difference:
+    X = a2 + 1 + 2c and Z = 1 + 2c + b2 + b3 = X - (a2 - b2 - b3); in the
+    window X > 0 > Z, and a2 - b2, a2 - b3, b2 and b3 are nonzero, so no
+    constant is 0, and each is at most max_abs in absolute value.  Using
+    a1 - b1 = b2 + b3 - a2 and reducing s_k + 2c modulo the difference:
     (1,1) gcd(X, a2 - b2 - b3) holds no a1, so c is singular for every a1;
-    (1,2), (1,3) gcd(X, a1 - b2), gcd(X, a1 - b3): p | X, r = b2, b3;
+    (1,2), (1,3) gcd(a1 - b2, X), gcd(a1 - b3, X): k = X, t = -b2, -b3;
     (2,1) gcd(a1 + 1 + 2c, b2 + b3 - a1) = gcd(a1 + 1 + 2c, Z):
-    p | Z, r = -1 - 2c;
-    (2,2), (2,3) p | a2 - b2 or a2 - b3, r = -1 - 2c;
-    (3,1) gcd(a1 + a2 + 1 + 2c, b1) = gcd(a1 + a2 + 1 + 2c, Z):
-    p | Z, r = -a2 - 1 - 2c;
-    (3,2), (3,3) p | b2 or b3, r = -a2 - 1 - 2c.
-    The free row is ANDed with each shift's union of classes, up to the
-    first shift that leaves no candidate, and the bits left over are the
-    forms whose whole window is singular, emitted in increasing a1.
+    k = |Z|, t = 1 + 2c = X - a2;
+    (2,2), (2,3) k = a2 - b2 or a2 - b3, t = X - a2;
+    (3,1) gcd(a1 + a2 + 1 + 2c, b1) = gcd(a1 + X, Z): k = |Z|, t = X;
+    (3,2), (3,3) k = b2 or b3, t = X.
+    Every a1 + t lies in [-max_abs, 2*max_abs], where the patterns hold.
+    The union of (1,2), (1,3), (3,2) and (3,3) depends on the tail and X
+    alone, so it is built once per tail and X, on first use.  The free row
+    is ANDed with each shift's union, up to the first shift that leaves no
+    candidate, and the bits left over are the forms whose whole window is
+    singular, emitted in increasing a1.
     """
     tails, max_abs = args
-    primes, masks = _residue_tables(max_abs + 1)
+    g = _gcd_patterns(max_abs)
     count, singular = 0, []
     for b3, b2 in tails:
-        for a2 in range(max_abs + b2 + b3 + 1):
-            window = _window(a2, 0, b2, b3)
-            if not window or not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
+        last = max_abs + b2 + b3
+        if last < 0:
+            continue
+        stop = _window(0, 0, b2, b3).stop
+        for a2 in (0, last):
+            if not _window(a2, 0, b2, b3) or not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
                 raise InternalError(f"tail (b3, b2, a2) = {(b3, b2, a2)} breaks the normal-form chain "
                                     "or has an empty shift window")
+        at_b2, at_b3 = max_abs - b2, max_abs - b3  # the shifts for t = -b2 and t = -b3
+        free = (1 << max_abs + b3 + 1) - 1 & ~(g[-b2] >> at_b3) & ~(g[-b3] >> at_b2)
+        gb = g[-b2] | g[-b3]
+        by_x: list[int | None] = [None] * (last + 2 * stop)  # X <= last - 1 + 2 * stop
+        for a2 in range(last + 1):
             w = a2 - b3
             if gcd(b2, w) != 1 or gcd(a2 - b2, b3) != 1:
                 continue
-            e2, e3 = b2 - a2, b3 - a2  # the bits of a1 = b2 and a1 = b3
-            row = (1 << max_abs + b3 - a2 + 1) - 1
-            for p in primes[-b2] + primes[a2 - b2]:
-                row &= ~masks[p][e3 % p]
-            for p in primes[w] + primes[-b3]:
-                row &= ~masks[p][e2 % p]
+            row = free >> a2 << a2 & ~(g[a2 - b2] >> at_b3) & ~(g[w] >> at_b2)
             count += row.bit_count()
-            d1, pd, pb = a2 - b2 - b3, primes[a2 - b2] + primes[w], primes[-b2] + primes[-b3]
-            for c in window:
+            d1, gd = a2 - b2 - b3, g[a2 - b2] | g[w]
+            for x in range(a2 + 1 + 2 * ((1 - a2) // 2), a2 + 1 + 2 * stop, 2):  # X over the window
                 if not row:
                     break
-                x = a2 + 1 + 2 * c
                 if gcd(x, d1) != 1:
                     continue
-                u = -1 - 2 * c - a2  # the bit of a1 = -1 - 2c, and v of a1 = -a2 - 1 - 2c
-                v = u - a2
-                hit = 0
-                for p in primes[x]:
-                    m = masks[p]
-                    hit |= m[e2 % p] | m[e3 % p]
-                for p in primes[-1 - 2 * c - b2 - b3]:
-                    m = masks[p]
-                    hit |= m[u % p] | m[v % p]
-                for p in pd:
-                    hit |= masks[p][u % p]
-                for p in pb:
-                    hit |= masks[p][v % p]
-                row &= hit
+                hit = by_x[x]
+                if hit is None:
+                    hit = by_x[x] = g[x] >> at_b2 | g[x] >> at_b3 | gb >> max_abs + x
+                gz = g[d1 - x]
+                row &= hit | (gd | gz) >> max_abs + x - a2 | gz >> max_abs + x
             while row:
                 low = row & -row
-                a1 = a2 + low.bit_length() - 1
+                a1 = low.bit_length() - 1
                 singular.append(((a1, a2, 0), (a1 + a2 - b2 - b3, b2, b3)))
                 row ^= low
     return count, singular

@@ -52,6 +52,7 @@ from eschbaz import (
 )
 from eschbaz import cli
 from eschbaz.embedding import _moduli, _window
+from eschbaz.eschenburg import _in_chain
 import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
@@ -469,9 +470,9 @@ def test_scan_shard_decides_rows_without_the_per_form_walk(monkeypatch):
 
 def test_scan_shard_matches_the_per_form_path_on_long_rows():
     # seeded tails of boxes 120-200 whose a1 rows start over 60 bits long
-    # (max_abs + b3 + 1 > 60 at a2 = 0), so rows and masks span several
+    # (max_abs + b3 + 1 > 60 at a2 = 0), so rows and patterns span several
     # machine words, and the tail of box 200's counterexample
-    # a=(103,2,0), b=(119,-7,-7), whose row at a2 = 2 holds it at bit 101
+    # a=(103,2,0), b=(119,-7,-7), whose row at a2 = 2 holds it at bit 103
     rng = random.Random(2035)
     shards = [([(-7, -7)], 200)]
     while len(shards) < 21:
@@ -484,18 +485,16 @@ def test_scan_shard_matches_the_per_form_path_on_long_rows():
     assert found == [((103, 2, 0), (119, -7, -7))]
 
 
-def test_residue_tables_hold_the_primes_and_classes_of_0_to_n():
-    for n in range(1, 61):
-        primes, masks = survey_mod._residue_tables(n)
-        assert len(primes) == len(masks) == n + 1
-        for k in range(n + 1):
-            want = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
-            assert sorted(primes[k]) == want, (n, k)
-            assert len(masks[k]) == (k if want == [k] else 0), (n, k)
-            for r, mask in enumerate(masks[k]):
-                bits = {i for i in range(mask.bit_length()) if mask >> i & 1}
-                assert {i for i in range(n + 1) if i % k == r} <= bits, (n, k, r)
-                assert all(i % k == r for i in bits), (n, k, r)
+def test_gcd_patterns_hold_the_shared_factors_of_each_k():
+    for max_abs in range(1, 61):
+        g = survey_mod._gcd_patterns(max_abs)
+        assert len(g) == max_abs + 1 and g[0] == g[1] == 0, max_abs
+        for k in range(2, max_abs + 1):
+            bits = {j for j in range(g[k].bit_length()) if g[k] >> j & 1}
+            want = {j for j in range(3 * max_abs + 1) if gcd(j - max_abs, k) > 1}
+            # every bit up to 3*max_abs is right, and the few past it are too
+            assert want <= bits, (max_abs, k)
+            assert all(gcd(j - max_abs, k) > 1 for j in bits), (max_abs, k)
 
 
 def test_scan_shard_checks_each_enumerated_form():
@@ -507,6 +506,41 @@ def test_scan_shard_checks_each_enumerated_form():
         message = f"tail (b3, b2, a2) = {tail} breaks the normal-form chain or has an empty shift window"
         with pytest.raises(InternalError, match=re.escape(message)):
             survey_mod._scan_shard(shard)
+
+
+def test_checking_each_tails_first_and_last_a2_covers_its_rows(monkeypatch):
+    # the kernel checks the window and the chain at a tail's first and last
+    # a2 only; every row between them must pass too, on every tail of boxes 1-60
+    for max_abs in range(1, 61):
+        for b3 in range(-max_abs, 0):
+            for b2 in range(max(b3, -max_abs - b3), 0):
+                for a2 in range(max_abs + b2 + b3 + 1):
+                    assert _window(a2, 0, b2, b3), (max_abs, b3, b2, a2)
+                    assert _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3), (max_abs, b3, b2, a2)
+    # and it does check both ends of every tail that has rows, and skips the others
+    checked = []
+
+    def recorded(*entries):
+        checked.append(entries)
+        return _in_chain(*entries)
+
+    monkeypatch.setattr(survey_mod, "_in_chain", recorded)
+    tails = list(_box_keys(30))
+    survey_mod._scan_shard((tails, 30))
+    ends = [(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3) for b3, b2 in tails if 30 + b2 + b3 >= 0
+            for a2 in (0, 30 + b2 + b3)]
+    assert checked == ends
+
+
+def test_scan_shard_matches_the_per_form_path_at_the_ends_of_x_in_box200():
+    # the windows of tail (-1, -1), whose 199 rows have the longest windows
+    # (12,232 forms), and of tail (-101, -99), whose one row (a2 = 0) holds
+    # 60 forms, run X = a2 + 1 + 2c up to 199, the last entry of the tail's
+    # list by X; no row of either is left past X = 21, so that entry is read
+    # only in small boxes, whose windows can be one shift long (box 2: X = 1)
+    for tail in ((-1, -1), (-101, -99)):
+        shard = ([tail], 200)
+        _check_shard(shard, list(normal_forms(*shard)))
 
 
 def test_kernel_matches_certificates_off_the_window():
