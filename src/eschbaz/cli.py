@@ -92,7 +92,7 @@ def integer(text: str) -> int:
 
 
 def _ints(text: str, count: int, what: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != count:
         raise ValueError(f"{what} must be {count} comma-separated integers, got {text!r}")
     try:
@@ -189,10 +189,12 @@ def _row_dict(row: SurveyRow, **extras) -> dict:
 
 
 def _q_formula(e: EschParams) -> str:
-    """Symbolic candidate 5-tuple, e.g. '(79+2c, 1+2c, 1+2c, 5-2c, 25-2c)'."""
-    heads = embedding.candidate_q(e, 0).q
-    terms = [f"{to_decimal(h)}+2c" for h in heads[:3]] + [f"{to_decimal(h)}-2c" for h in heads[3:]]
-    return "(" + ", ".join(terms) + ")"
+    """Symbolic candidate 5-tuple, e.g. '(79+2c, 1+2c, 1+2c, 5-2c, 25-2c)'.
+
+    Each entry's slope is read from ``candidate_q`` at shifts 0 and 1.
+    """
+    heads, nexts = embedding.candidate_q(e, 0).q, embedding.candidate_q(e, 1).q
+    return "(" + ", ".join(f"{to_decimal(h)}{n - h:+}c" for h, n in zip(heads, nexts)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +540,8 @@ def _json_write(x, newline: str, parts: list[str]) -> None:
 
 
 def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return to_decimal(v)
-    return v
+    """An int in decimal at any size; ``csv`` writes the rest (None as "", bools as True/False)."""
+    return to_decimal(v) if type(v) is int else v
 
 
 def _emit(fmt: str, command: str, echo: dict, builders: dict) -> None:
@@ -679,13 +678,13 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_BROKEN_PIPE
     except OSError as exc:
-        print(f"error (output-failed): {exc.strerror or exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_BROKEN_PIPE
+        else:
+            print(f"error (output-failed): {exc.strerror or exc}", file=sys.stderr)
+            code = EXIT_OUTPUT_FAILED
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_OUTPUT_FAILED
     sys.exit(code)
 
 

@@ -17,10 +17,11 @@ is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
 ``shift_prime_product`` checks a space (freeness, nine nonzero differences)
-and computes its P in one function, memoized by ``functools.lru_cache``
-with a fixed ``SHIFT_PRODUCT_CACHE_SIZE`` (1024) entries, keyed on the
-parameters.  So the certified shifts of one space and its distinct hosts
-share one check and one P, and its nine differences are factored once.
+and computes its P in one function, memoized for the space being walked
+(``functools.lru_cache(maxsize=1)``, keyed on the parameters): every
+caller asks for one space's P in consecutive calls, so the certified
+shifts of one space and its distinct hosts share one check and one P.
+Factors are reused across spaces by ``arith.factorize``'s own memo.
 Errors are never cached: an invalid space raises on every call.
 
 The window bounds, the moduli and the three-gcd walk over shifts each live
@@ -56,9 +57,6 @@ from .eschenburg import (
     pc_normal_form,
     shift,
 )
-
-
-SHIFT_PRODUCT_CACHE_SIZE = 1024
 
 
 # The normal form of the cohomogeneity-one family a=(p,1,1), b=(p+2,0,0) is
@@ -228,7 +226,7 @@ def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:
     )
 
 
-@lru_cache(maxsize=SHIFT_PRODUCT_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def shift_prime_product(e: EschParams) -> int:
     """Product P underlying the certified shifts.
 

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -22,16 +23,18 @@ from eschbaz import (
     FactorizationIncomplete,
     InternalError,
     VerificationFailure,
+    candidate_q,
     certified_shift,
     homotopy_distinct_embeddings,
     nonsingular_shift,
     scan_box,
     verify_cohomogeneity_one,
     verify_infinite_families,
+    verify_known_counterexamples,
 )
 from eschbaz import cli
 from eschbaz.cli import run
-from eschbaz.embedding import _moduli
+from eschbaz.embedding import _moduli, shift_prime_product
 from eschbaz.eschenburg import _FAMILIES
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
@@ -563,6 +566,15 @@ def test_certified_shifts_past_int_to_str_limit(capsys, schema):
     assert out.splitlines()[-1] == f"  mu=623 sign=-  c = {decimal_by_digits(last)}  non-singular: yes"
 
 
+@pytest.mark.parametrize("argv", [("certified-shifts", "--mu-max", "4"), ("distinct", "--n", "3")])
+def test_shift_product_is_computed_once_per_command(capsys, argv):
+    shift_prime_product.cache_clear()
+    code, out, _ = invoke(capsys, *argv, "--a", "2,0,0", "--b", "15,-2,-11")
+    assert code == 0 and out
+    info = shift_prime_product.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2, info  # each command takes P at least 3 times
+
+
 def test_parameters_past_int_to_str_limit(capsys, schema):
     big = 10**5000
     a, b = f"{decimal_by_digits(big)},0,0", f"{decimal_by_digits(big + 1)},-1,0"
@@ -853,6 +865,16 @@ def test_csv_counterexamples_mirrors_table(capsys):
                        "(79+2c, 1+2c, 1+2c, 5-2c, 25-2c)", "0 <= c <= 7"]
     assert rows[9] == ["(12909, 0, 0)", "(12925, -3, -13)",
                        "(25819+2c, 1+2c, 1+2c, 5-2c, 25-2c)", "0 <= c <= 7"]
+
+
+def test_q_formula_gives_the_candidate_at_every_window_shift():
+    rows = verify_known_counterexamples() + [row for _, _, row in verify_infinite_families(3)]
+    assert len(rows) == 9 + 2 * 4
+    for row in rows:
+        terms = cli._q_formula(row.esch)[1:-1].split(", ")
+        assert all(re.fullmatch(r"-?\d+[+-]2c", t) for t in terms), terms
+        for c in row.window:  # "79+2c" is 79 + 2*c, "5-2c" is 5 - 2*c
+            assert tuple(int(t[:-3]) + int(t[-3:-1]) * c for t in terms) == candidate_q(row.esch, c).q, (row.esch, c)
 
 
 def test_csv_has_header_everywhere(capsys):

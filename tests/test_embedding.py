@@ -40,7 +40,6 @@ from eschbaz import (
 )
 from eschbaz.embedding import (
     COHOM1_WINDOW_NOTE,
-    SHIFT_PRODUCT_CACHE_SIZE,
     make_certificate,
     shift_prime_product,
 )
@@ -197,9 +196,25 @@ def test_cached_checked_prime_product_matches_uncached():
         assert shift_prime_product(e) == expected, e  # miss
         assert shift_prime_product(e) == expected, e  # hit
     info = shift_prime_product.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (len(spaces), len(spaces), len(spaces))
-    assert info.maxsize == SHIFT_PRODUCT_CACHE_SIZE
-    assert isinstance(info.maxsize, int) and 0 < info.maxsize < 10**6
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (len(spaces), len(spaces), 1, 1)
+
+
+def test_prime_product_memo_misses_once_per_space_walked():
+    # the calls a certify run makes per space: certified shifts for mu <= 3
+    # and both signs, then three hosts with distinct |H^6|
+    shift_prime_product.cache_clear()
+    rng = random.Random(4203)
+    spaces = {}
+    while len(spaces) < 50:
+        spaces[random_free_esch(rng, -50, 50, nonzero_diffs=True)] = None
+    for e in spaces:
+        for mu in range(1, 4):
+            for sign in (1, -1):
+                certified_shift(e, mu, sign)
+        homotopy_distinct_embeddings(e, 3)
+    info = shift_prime_product.cache_info()
+    assert (info.misses, info.currsize) == (50, 1), info
+    assert info.hits >= 50 * (6 + 3 - 1), info  # the distinct hosts take at least three shifts
 
 
 @pytest.mark.parametrize(("e", "reason"), [
