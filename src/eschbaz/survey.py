@@ -15,32 +15,31 @@ bounds: b3 >= a1 - max_abs and b1 <= a1 + max_abs.  One loop,
 ``_scan_shard``, enumerates the forms tail-major, over (b3, b2) tails, then
 a2, and decides the whole row of a1 of each (b3, b2, a2) at once, on plain
 ints, and does what the tail fixes once per tail.  Once the tail is fixed,
-each freeness gcd and each of the nine singularity tests is either a tail
-constant alone or a residue class a1 = r (mod p), p a prime of a tail
-constant (the derivation is in ``_scan_shard``'s docstring), so the row is
-one int used as a bitset: the free forms are the row minus the freeness
-classes, and a form whose whole window is singular lies in every shift's
-union of classes.  Families A and B are the covering congruences
-a1 = 39 and 12909 (mod 15015) of this kind.  The scan builds no
-``EschParams`` for a form that embeds, and no certificates.  All
-three counterexample jobs, the scan included, build every row in one
-helper, ``_counterexample_row``, which re-decides its space by the
-three-gcd walk (``embedding._first_nonsingular``) over the window it
-carries, not by residue classes: a space that embeds after all fails,
-naming its non-singular shifts.  The cohomogeneity-one job
-and the ``window`` command keep the full-certificate path, which is also
-the test oracle for the fast one.  ``scan_box`` can shard its tails over
-worker processes, at most one per CPU this process may use; rows are
-merged by deterministic sort, so output is identical for any worker count.
-The pool's modules (``concurrent.futures``, ``multiprocessing``) load only
-when a pool starts, so no other caller of the package pays for them.
+each freeness gcd and each of the nine singularity tests reads one shifted
+pattern of a tail constant's primes: one bit where the test is free of a1,
+else residue classes a1 = r (mod p) (derived in ``_scan_shard``'s
+docstring), so the row is one int used as a bitset: the free forms are the
+row minus the freeness classes, and a form whose whole window is singular
+lies in every shift's union of classes.  Families A and B are the covering
+congruences a1 = 39 and 12909 (mod 15015) of this kind.  The scan builds
+no ``EschParams`` for a form that embeds, and no certificates.  All three
+counterexample jobs, the scan included, build every row in one helper,
+``_counterexample_row``, which re-decides its space by the three-gcd walk
+(``embedding._first_nonsingular``) over the window it carries, not by
+residue classes: a space that embeds after all fails, naming its
+non-singular shifts.  The cohomogeneity-one job and the ``window`` command
+keep the full-certificate path, which is also the test oracle for the fast
+one.  ``scan_box`` can shard its tails over worker processes, at most one
+per CPU this process may use; rows are merged by deterministic sort, so
+output is identical for any worker count.  The pool's modules
+(``concurrent.futures``, ``multiprocessing``) load only when a pool starts,
+so no other caller of the package pays for them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
 
 from .arith import InternalError, to_decimal
 from .bazaikin import BazParams
@@ -217,17 +216,17 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     checked at a tail's first and last a2 only: as a2 grows the window's
     start falls and its end is fixed, and the chain's one moving part,
     b1 - a1 = a2 - b2 - b3 > 0, grows, so the two ends cover every row.  A
-    tail with no rows is skipped.
+    tail outside the box (``scan_box`` makes none) raises at its last a2 < 0.
 
     Freeness.  With a3 = 0, u = a1 - b3 and w = a2 - b3 the three gcds of
     ``is_free`` read gcd(b2, u*w) == gcd(a2 - b2, u*b3) ==
     gcd(a1 - b2, w*b3) == 1, and gcd(n, k*m) == 1 iff gcd(n, k) ==
-    gcd(n, m) == 1 splits them into gcd(b2, w) == gcd(a2 - b2, b3) == 1,
-    fixed per (b3, b2, a2), and gcd(b2*(a2 - b2), u) ==
-    gcd(a1 - b2, w*b3) == 1: a1 avoids gcd(a1 - b3, k) > 1 for k = b2 and
-    a2 - b2, and gcd(a1 - b2, k) > 1 for k = w and b3, cleared once per
-    tail for b2 and b3 and per row for a2 - b2 and w.  The count is the
-    free row's bits.
+    gcd(n, m) == 1 splits them into gcd(b2, w) == gcd(a2 - b2, b3) == 1
+    and gcd(b2*(a2 - b2), u) == gcd(a1 - b2, w*b3) == 1: a1 avoids
+    gcd(a1 - b3, k) > 1 for k = b2 and a2 - b2, and gcd(a1 - b2, k) > 1
+    for k = w and b3.  The tail's row clears the sets of b2 and b3, and its
+    bit a2 is the first pair, so a row with that bit clear holds no free
+    form; each row clears those of a2 - b2 and w, and the count is its bits.
 
     Singularity.  Shift c is singular iff one of the nine gcds
     gcd(s_k + 2c, a_k - b_l) of ``embedding._moduli`` exceeds 1.  Put
@@ -235,7 +234,8 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     window X > 0 > Z, and a2 - b2, a2 - b3, b2 and b3 are nonzero, so no
     constant is 0, and each is at most max_abs in absolute value.  Using
     a1 - b1 = b2 + b3 - a2 and reducing s_k + 2c modulo the difference:
-    (1,1) gcd(X, a2 - b2 - b3) holds no a1, so c is singular for every a1;
+    (1,1) gcd(X, a2 - b2 - b3) holds no a1, so c is singular for every a1
+    iff bit X of ``g[a2 - b2 - b3] >> max_abs`` is set (0 < X < a2 - b2 - b3);
     (1,2), (1,3) gcd(a1 - b2, X), gcd(a1 - b3, X): k = X, t = -b2, -b3;
     (2,1) gcd(a1 + 1 + 2c, b2 + b3 - a1) = gcd(a1 + 1 + 2c, Z):
     k = |Z|, t = 1 + 2c = X - a2;
@@ -254,28 +254,27 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     count, singular = 0, []
     for b3, b2 in tails:
         last = max_abs + b2 + b3
-        if last < 0:
-            continue
-        stop = _window(0, 0, b2, b3).stop
-        for a2 in (0, last):
-            if not _window(a2, 0, b2, b3) or not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
+        head = _window(0, 0, b2, b3)
+        for a2, window in ((0, head), (last, _window(last, 0, b2, b3))):
+            if not window or not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
                 raise InternalError(f"tail (b3, b2, a2) = {(b3, b2, a2)} breaks the normal-form chain "
                                     "or has an empty shift window")
         at_b2, at_b3 = max_abs - b2, max_abs - b3  # the shifts for t = -b2 and t = -b3
         free = (1 << max_abs + b3 + 1) - 1 & ~(g[-b2] >> at_b3) & ~(g[-b3] >> at_b2)
         gb = g[-b2] | g[-b3]
-        by_x: list[int | None] = [None] * (last + 2 * stop)  # X <= last - 1 + 2 * stop
+        by_x: list[int | None] = [None] * (last + 2 * head.stop)  # X <= last - 1 + 2 * head.stop
         for a2 in range(last + 1):
-            w = a2 - b3
-            if gcd(b2, w) != 1 or gcd(a2 - b2, b3) != 1:
+            if not free >> a2 & 1:  # gcd(b2, a2 - b3) > 1 or gcd(a2 - b2, b3) > 1: no a1 is free
                 continue
-            row = free >> a2 << a2 & ~(g[a2 - b2] >> at_b3) & ~(g[w] >> at_b2)
+            ga, gw = g[a2 - b2], g[a2 - b3]
+            row = free >> a2 << a2 & ~(ga >> at_b3) & ~(gw >> at_b2)
             count += row.bit_count()
-            d1, gd = a2 - b2 - b3, g[a2 - b2] | g[w]
-            for x in range(a2 + 1 + 2 * ((1 - a2) // 2), a2 + 1 + 2 * stop, 2):  # X over the window
+            d1, gd = a2 - b2 - b3, ga | gw
+            whole = g[d1] >> max_abs  # bit X set iff gcd(X, a2 - b2 - b3) > 1
+            for x in range(a2 + 1 + 2 * ((1 - a2) // 2), a2 + 1 + 2 * head.stop, 2):  # X over the window
                 if not row:
                     break
-                if gcd(x, d1) != 1:
+                if whole >> x & 1:
                     continue
                 hit = by_x[x]
                 if hit is None:

@@ -354,10 +354,11 @@ def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
 def _box_keys(max_abs):
     """The oracle's normal forms in the box, as sets of keys (a, b) per tail (b3, b2).
 
-    Every tail -max_abs <= b3 <= b2 <= -1 has a set, also those whose b2 + b3
-    leaves the box no form.
+    The tails are those ``scan_box`` builds, -max_abs <= b3 <= b2 <= -1 with
+    b2 + b3 >= -max_abs; a tail's set is empty when the box holds no free form
+    of it.
     """
-    keys = {(b3, b2): set() for b3 in range(-max_abs, 0) for b2 in range(b3, 0)}
+    keys = {(b3, b2): set() for b3 in range(-max_abs, 0) for b2 in range(max(b3, -max_abs - b3), 0)}
     for a, b in enumerate_normal_forms(max_abs):
         keys[b[2], b[1]].add((a, b))
     return keys
@@ -501,8 +502,10 @@ def test_scan_shard_checks_each_enumerated_form():
     shard = ([(-11, -2)], 15)  # holds the running example a=(2, 0, 0), b=(15, -2, -11)
     assert survey_mod._scan_shard(shard)[0] > 0
     # out-of-domain tails: (-1, -3) has b2 < b3; (-1, 0) has b2 = 0, and its
-    # first form an empty window too (a form in the chain never has one)
-    for shard, tail in ((([(-1, -3)], 5), "(-1, -3, 0)"), (([(-1, 0)], 5), "(-1, 0, 0)")):
+    # first form an empty window too (a form in the chain never has one);
+    # (-3, -3) lies outside box 5 (b2 + b3 < -5), so its last a2 is -1
+    for shard, tail in ((([(-1, -3)], 5), "(-1, -3, 0)"), (([(-1, 0)], 5), "(-1, 0, 0)"),
+                        (([(-3, -3)], 5), "(-3, -3, -1)")):
         message = f"tail (b3, b2, a2) = {tail} breaks the normal-form chain or has an empty shift window"
         with pytest.raises(InternalError, match=re.escape(message)):
             survey_mod._scan_shard(shard)
@@ -517,7 +520,7 @@ def test_checking_each_tails_first_and_last_a2_covers_its_rows(monkeypatch):
                 for a2 in range(max_abs + b2 + b3 + 1):
                     assert _window(a2, 0, b2, b3), (max_abs, b3, b2, a2)
                     assert _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3), (max_abs, b3, b2, a2)
-    # and it does check both ends of every tail that has rows, and skips the others
+    # and it does check both ends of every tail of the box
     checked = []
 
     def recorded(*entries):
@@ -527,8 +530,7 @@ def test_checking_each_tails_first_and_last_a2_covers_its_rows(monkeypatch):
     monkeypatch.setattr(survey_mod, "_in_chain", recorded)
     tails = list(_box_keys(30))
     survey_mod._scan_shard((tails, 30))
-    ends = [(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3) for b3, b2 in tails if 30 + b2 + b3 >= 0
-            for a2 in (0, 30 + b2 + b3)]
+    ends = [(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3) for b3, b2 in tails for a2 in (0, 30 + b2 + b3)]
     assert checked == ends
 
 
