@@ -12,36 +12,44 @@ is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
 ``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
 the CLI's ``embed`` build every certificate through it, and each call
 evaluates the straight-line ``is_pc_metric`` and the candidate's one
-``bazaikin.freeness_failures`` list, free iff empty.  ``certified_shift``
+freeness failure list, free iff empty.  ``certified_shift``
 is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
-``shift_prime_product`` checks a space (freeness, nine nonzero differences)
-and computes its P in one function, memoized for the space being walked
-(``functools.lru_cache(maxsize=1)``, keyed on the parameters): every
-caller asks for one space's P in consecutive calls, so the certified
-shifts of one space and its distinct hosts share one check and one P.
-Factors are reused across spaces by ``arith.factorize``'s own memo.
-Errors are never cached: an invalid space raises on every call.
+``nonsingular_shift`` and ``shift_prime_product`` read one record of the
+space being walked, ``_walked``: the tuple (space, its six ``_moduli``
+values or None when it is not free, its P or None until asked).  Every
+caller asks about one space in consecutive calls, so the certified shifts
+of one space, their ``nonsingular_shift`` checks and its distinct hosts
+share one freeness test, one set of moduli and one P.  The record is found
+by identity (``is``), so no call hashes the space (an equal space that
+is another object is worked out again, to the same facts), and the
+record keeps its space alive, so no other object can take its identity.  Each call
+reads the record once and replaces it by one assignment of a new tuple,
+so a thread never sees one space's facts under another's.  Errors are
+never stored: an invalid space raises on every call.  Factors are reused
+across spaces by ``arith.factorize``'s own memo.
 
-The window bounds, the moduli and the three-gcd walk over shifts each live
-in one private helper on plain ints (``_window``, ``_moduli``,
-``_first_nonsingular``); ``pc_shift_window`` is ``_window`` on a form that
-it checks is in the chain, and ``nonsingular_shift`` is the walk over the
-one shift c.  The box scan (``survey._scan_shard``) reads ``_window`` only
-at the first and last a2 of each tail (b3, b2), whose rows share the
-window's end and start it at (1 - a2)//2, and decides each row of a1 by
-residue classes, calling neither ``_moduli`` nor ``_first_nonsingular``:
-those two serve the per-space path (``nonsingular_shift``,
-``shift_prime_product`` and ``survey._counterexample_row``, which re-walks
-every row the scan prints) and the tests' per-form oracle.
+The window bounds, the moduli and the three-gcd shift test each live in
+one private helper on plain ints (``_window``, ``_moduli``,
+``_nonsingular``); ``pc_shift_window`` is ``_window`` on a form that it
+checks is in the chain, ``_first_nonsingular`` walks ``_nonsingular`` over
+a window, and ``nonsingular_shift`` is ``_nonsingular`` on the recorded
+moduli.  The box scan (``survey._scan_shard``) reads ``_window`` only once
+per tail (b3, b2), whose rows share the window's end and start it at
+(1 - a2)//2, and decides each row of a1 by residue classes, calling
+neither ``_moduli`` nor the shift test: those serve the per-space path
+(``nonsingular_shift``, ``shift_prime_product`` and
+``survey._counterexample_row``, which re-walks every row the scan prints)
+and the tests' per-form oracle.  ``make_certificate`` decides its
+candidate with the plain-int ``bazaikin`` functions on the candidate's
+5-tuple (``_freeness_failures``, ``_is_pc``, ``_h6_order``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from . import bazaikin
@@ -137,39 +145,65 @@ def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[int, 
     )
 
 
+# The space being walked: (space, its _moduli values or None when it is not
+# free, its P or None until asked); see the module docstring.
+_walked: tuple[EschParams | None, tuple[int, ...] | None, int | None] = (None, None, None)
+
+
+def _walk(e: EschParams) -> tuple[EschParams, tuple[int, ...] | None, None]:
+    """Record e as the space being walked, with its moduli when it is free, and return the record."""
+    global _walked
+    _walked = record = (e, _moduli(*e.a, *e.b) if is_free(e) else None, None)
+    return record
+
+
 def nonsingular_shift(e: EschParams, c: int) -> bool:
     """True iff the shift-c candidate is a genuine (non-singular) Bazaikin space.
 
     Equivalent to e being free plus the nine conditions
     gcd(a_i + a_j + 1 + 2c, a_k - b_l) == 1, where {i, j} is the complement
-    of k; checked as three gcds, by ``_first_nonsingular`` over the one
-    shift c.
+    of k; checked as three gcds by ``_nonsingular`` on the moduli of the
+    recorded space (see the module docstring).
     """
-    return is_free(e) and _first_nonsingular((c,), *_moduli(*e.a, *e.b)) is not None
+    space, moduli, _ = _walked
+    if space is not e:
+        _, moduli, _ = _walk(e)
+    return moduli is not None and _nonsingular(c, *moduli)
+
+
+def _nonsingular(c: int, s1: int, d1: int, s2: int, d2: int, s3: int, d3: int) -> bool:
+    """gcd(s_k + 2c, D_k) == 1 for k = 1, 2, 3 (the ``_moduli`` values): shift c is non-singular."""
+    t = 2 * c
+    return gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1
 
 
 def _first_nonsingular(window: Iterable[int], s1: int, d1: int, s2: int, d2: int, s3: int, d3: int) -> int | None:
-    """The first c in window with gcd(s_k + 2c, D_k) == 1 for k = 1, 2, 3 (the ``_moduli`` values)."""
+    """The first c in window that ``_nonsingular`` accepts on the ``_moduli`` values."""
     for c in window:
-        t = 2 * c
-        if gcd(s1 + t, d1) == 1 and gcd(s2 + t, d2) == 1 and gcd(s3 + t, d3) == 1:
+        if _nonsingular(c, s1, d1, s2, d2, s3, d3):
             return c
     return None
 
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
-    """Every certificate field for the shift-c candidate of e; free iff no ``freeness_failures``."""
-    q = candidate_q(e, c)
-    offending = bazaikin.freeness_failures(q)
+    """Every certificate field for the shift-c candidate of e; free iff no freeness failures.
+
+    The candidate is decided on its 5-tuple by ``bazaikin``'s plain-int
+    functions; |H^6| is taken only when the failure list is empty, which
+    proves every entry odd.
+    """
+    baz = candidate_q(e, c)
+    q = baz.q
+    offending = bazaikin._freeness_failures(q)
     free = not offending
     return EmbeddingCertificate(
         esch=e,
         shift=c,
-        baz=q,
+        baz=baz,
         baz_free=free,
-        baz_pc=bazaikin.is_pc_baz(q),
+        baz_pc=bazaikin._is_pc(q),
         esch_pc=is_pc_metric(e),
-        h6=bazaikin.h6_order(q) if free else 0,
+        h6=bazaikin._h6_order(q) if free else 0,
         offending_pairs=tuple(offending),
     )
 
@@ -226,7 +260,6 @@ def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:
     )
 
 
-@lru_cache(maxsize=1)
 def shift_prime_product(e: EschParams) -> int:
     """Product P underlying the certified shifts.
 
@@ -235,23 +268,37 @@ def shift_prime_product(e: EschParams) -> int:
     divisors of a_k - b_l that are coprime to s_k = a_i + a_j + 1 ({i, j}
     the complement of k); each such prime contributes one factor of P per
     pair in which it qualifies.  ``_moduli`` gives s_k and D_k, and a_k ==
-    b_l for some l iff D_k == 0.  An empty product is 1.  Memoized (see the
-    module docstring); ``shift_prime_product.__wrapped__`` is uncached.
+    b_l for some l iff D_k == 0.  An empty product is 1.  P is kept in the
+    record of the space being walked (see the module docstring), and
+    ``_prime_product`` computes it uncached.
     """
-    if not is_free(e):
+    global _walked
+    space, moduli, product = _walked
+    if space is not e:
+        _, moduli, product = _walk(e)
+    if product is not None:
+        return product
+    if moduli is None:
         raise ValueError(f"certified shifts exist only for free parameters, got {e}")
     # a_k == b_l pins one candidate pair sum at 0 for every shift, so the
     # gcd-equals-2 condition degenerates to |other pair sum| == 2 and at most
     # two shifts can ever work; the certified-shift construction is void.
-    s1, d1, s2, d2, s3, d3 = _moduli(*e.a, *e.b)
+    s1, d1, s2, d2, s3, d3 = moduli
     if 0 in (d1, d2, d3):
         raise ValueError(
             "certified shifts need all nine differences a_k - b_l nonzero; "
             f"{e} has a vanishing difference (free parameters with a vanishing "
             "difference admit at most two non-singular shifts)"
         )
+    product = _prime_product(e, (s1, s2, s3))
+    _walked = (e, moduli, product)
+    return product
+
+
+def _prime_product(e: EschParams, pair_sums: tuple[int, int, int]) -> int:
+    """P of e from its pair sums s_k, uncached and unchecked (``shift_prime_product`` checks e)."""
     product = 1
-    for ak, pair_sum in zip(e.a, (s1, s2, s3)):
+    for ak, pair_sum in zip(e.a, pair_sums):
         for bl in e.b:
             for p, _ in factorize(ak - bl):
                 if gcd(p, pair_sum) == 1:
@@ -264,8 +311,8 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
 
     Returns sign * 2**(mu-1) * P**mu with P from ``shift_prime_product``.
     Requires mu >= 1, sign in (1, -1), and e free with all nine differences
-    a_k - b_l nonzero; e is checked and P computed once per space (see
-    ``shift_prime_product``); ``FactorizationIncomplete`` propagates.
+    a_k - b_l nonzero; e is checked and P computed once per space walked
+    (see ``shift_prime_product``); ``FactorizationIncomplete`` propagates.
     """
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {to_decimal(mu)}")

@@ -211,12 +211,16 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     gcd(a1 + t, k) > 1, k a nonzero constant of the tail, each one shifted
     pattern ``g[|k|] >> (max_abs + t)`` of ``_gcd_patterns``.
 
-    Invariants.  A row's window (``embedding._window``) and chain
-    (``eschenburg._in_chain``) are its first form's, a1 = a2, and are
-    checked at a tail's first and last a2 only: as a2 grows the window's
-    start falls and its end is fixed, and the chain's one moving part,
-    b1 - a1 = a2 - b2 - b3 > 0, grows, so the two ends cover every row.  A
-    tail outside the box (``scan_box`` makes none) raises at its last a2 < 0.
+    Invariants.  A row's chain (``eschenburg._in_chain``) is its first
+    form's, a1 = a2, and is checked at a tail's first and last a2 only: the
+    chain's one moving part, b1 - a1 = a2 - b2 - b3 > 0, grows with a2, so
+    the two ends cover every row.  The chain implies a non-empty window
+    (``embedding._window``): b3 <= b2 <= -1 and a2 >= 0 put the shift 0 in
+    the window [(1 - a2)//2, -(b2 + b3)//2), so the window is not checked
+    apart, and the error names both faults.  As a2 grows the window's
+    start falls and its end is fixed, and the a2 = 0 window gives that
+    end.  A tail outside the box (``scan_box`` makes none) raises at its
+    last a2 < 0.
 
     Freeness.  With a3 = 0, u = a1 - b3 and w = a2 - b3 the three gcds of
     ``is_free`` read gcd(b2, u*w) == gcd(a2 - b2, u*b3) ==
@@ -254,11 +258,11 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     count, singular = 0, []
     for b3, b2 in tails:
         last = max_abs + b2 + b3
-        head = _window(0, 0, b2, b3)
-        for a2, window in ((0, head), (last, _window(last, 0, b2, b3))):
-            if not window or not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
+        for a2 in (0, last):
+            if not _in_chain(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3):
                 raise InternalError(f"tail (b3, b2, a2) = {(b3, b2, a2)} breaks the normal-form chain "
                                     "or has an empty shift window")
+        head = _window(0, 0, b2, b3)  # every row's window ends where the a2 = 0 row's does
         at_b2, at_b3 = max_abs - b2, max_abs - b3  # the shifts for t = -b2 and t = -b3
         free = (1 << max_abs + b3 + 1) - 1 & ~(g[-b2] >> at_b3) & ~(g[-b3] >> at_b2)
         gb = g[-b2] | g[-b3]

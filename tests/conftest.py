@@ -1,4 +1,4 @@
-"""Shared random samplers for the test suite.
+"""Shared random samplers for the test suite, and a counter of P computations.
 
 Everything takes an explicit random.Random so sample sets are reproducible;
 seeds are fixed in the tests themselves.
@@ -8,7 +8,24 @@ from __future__ import annotations
 
 import random
 
-from eschbaz import BazParams, EschParams, is_free, is_pc_metric
+import pytest
+
+from eschbaz import BazParams, EschParams, embedding, is_free, is_pc_metric
+
+
+@pytest.fixture
+def prime_product_calls(monkeypatch) -> list[EschParams]:
+    """The spaces whose P ``embedding._prime_product`` computes, in call order, from a clean record."""
+    calls = []
+    uncached = embedding._prime_product
+
+    def counted(e, pair_sums):
+        calls.append(e)
+        return uncached(e, pair_sums)
+
+    monkeypatch.setattr(embedding, "_prime_product", counted)
+    monkeypatch.setattr(embedding, "_walked", (None, None, None))
+    return calls
 
 
 def random_esch(rng: random.Random, lo: int = -60, hi: int = 60) -> EschParams:

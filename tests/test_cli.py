@@ -182,13 +182,22 @@ def test_exit_four_on_factorization_mismatch(capsys, monkeypatch):
     m = 1000003 * 1000033
     brent_rho = arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho", lambda n: 1000183 if n == m else brent_rho(n))
-    # bypass both caches, so factorize runs its reconstruction check
+    # bypass factorize's memo, so it runs its reconstruction check; each
+    # command builds its own space, which no earlier record can match
     monkeypatch.setattr(embedding, "factorize", arith.factorize.__wrapped__)
-    monkeypatch.setattr(embedding, "shift_prime_product", embedding.shift_prime_product.__wrapped__)
     x = m - 3
-    code, out, err = invoke(capsys, "certified-shifts", "--a", f"{x},0,0", "--b", f"{x + 16},-3,-13", "--mu-max", "1")
-    assert (code, out) == (4, "")
-    assert err == "error (internal-error): the factorization of 1000036000099 multiplies back to 1000035973099\n"
+    argv = ("certified-shifts", "--a", f"{x},0,0", "--b", f"{x + 16},-3,-13", "--mu-max", "1")
+    for _ in range(2):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == "error (internal-error): the factorization of 1000036000099 multiplies back to 1000035973099\n"
+    # the failure was not stored: the same space, walked on, gets its P once rho is mended
+    e = EschParams((x, 0, 0), (x + 16, -3, -13))
+    with pytest.raises(arith.InternalError, match="multiplies back"):
+        shift_prime_product(e)
+    monkeypatch.setattr(arith, "_brent_rho", brent_rho)
+    p = shift_prime_product(e)
+    assert p > 1 and embedding._walked == (e, _moduli(*e.a, *e.b), p)
 
 
 # each capped command: its cap, and the rest of a valid invocation
@@ -567,12 +576,16 @@ def test_certified_shifts_past_int_to_str_limit(capsys, schema):
 
 
 @pytest.mark.parametrize("argv", [("certified-shifts", "--mu-max", "4"), ("distinct", "--n", "3")])
-def test_shift_product_is_computed_once_per_command(capsys, argv):
-    shift_prime_product.cache_clear()
+def test_shift_product_is_computed_once_per_command(capsys, monkeypatch, prime_product_calls, argv):
+    from eschbaz import embedding
+
+    asked = []
+    recorded = embedding.shift_prime_product
+    monkeypatch.setattr(embedding, "shift_prime_product", lambda e: asked.append(e) or recorded(e))
     code, out, _ = invoke(capsys, *argv, "--a", "2,0,0", "--b", "15,-2,-11")
     assert code == 0 and out
-    info = shift_prime_product.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2, info  # each command takes P at least 3 times
+    assert len(prime_product_calls) == 1 and prime_product_calls[0] == E_RUNNING
+    assert len(asked) >= 3 and all(e is prime_product_calls[0] for e in asked)  # each command takes P at least 3 times
 
 
 def test_parameters_past_int_to_str_limit(capsys, schema):

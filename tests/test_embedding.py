@@ -1,6 +1,10 @@
+import collections
 import dataclasses
 import random
 import re
+import sys
+import threading
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +17,7 @@ from oracles import (
     elementary_symmetric,
     enumerate_normal_forms,
     freeness_failures_oracle,
+    h6_order_oracle,
     is_free_baz_oracle,
     nonsingular_shift_oracle,
     shift_prime_product_oracle,
@@ -38,8 +43,10 @@ from eschbaz import (
     shift,
     window_scan,
 )
+from eschbaz import embedding
 from eschbaz.embedding import (
     COHOM1_WINDOW_NOTE,
+    _moduli,
     make_certificate,
     shift_prime_product,
 )
@@ -187,22 +194,31 @@ def test_certified_shift_rejects_vanishing_differences():
     assert not is_pc_metric(e)
 
 
-def test_cached_checked_prime_product_matches_uncached():
-    shift_prime_product.cache_clear()
+def test_cached_checked_prime_product_matches_uncached(prime_product_calls):
     rng = random.Random(4202)
     spaces = list(dict.fromkeys(random_free_esch(rng, -60, 60, nonzero_diffs=True) for _ in range(100)))
     for e in spaces:
-        expected = shift_prime_product.__wrapped__(e)
-        assert shift_prime_product(e) == expected, e  # miss
-        assert shift_prime_product(e) == expected, e  # hit
-    info = shift_prime_product.cache_info()
-    assert (info.hits, info.misses, info.currsize, info.maxsize) == (len(spaces), len(spaces), 1, 1)
+        expected = shift_prime_product_oracle(e)
+        assert shift_prime_product(e) == expected, e  # computed
+        assert shift_prime_product(e) == expected, e  # read off the record
+        assert embedding._walked[0] is e and embedding._walked[2] == expected
+    assert prime_product_calls == spaces
 
 
-def test_prime_product_memo_misses_once_per_space_walked():
+def test_prime_product_memo_misses_once_per_space_walked(prime_product_calls, monkeypatch):
     # the calls a certify run makes per space: certified shifts for mu <= 3
-    # and both signs, then three hosts with distinct |H^6|
-    shift_prime_product.cache_clear()
+    # and both signs, each checked by nonsingular_shift, then three hosts
+    # with distinct |H^6|; freeness, the moduli and P are each worked out once
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("is_free", "_moduli", "shift_prime_product"):
+        monkeypatch.setattr(embedding, name, counted(name, getattr(embedding, name)))
     rng = random.Random(4203)
     spaces = {}
     while len(spaces) < 50:
@@ -210,27 +226,118 @@ def test_prime_product_memo_misses_once_per_space_walked():
     for e in spaces:
         for mu in range(1, 4):
             for sign in (1, -1):
-                certified_shift(e, mu, sign)
+                assert nonsingular_shift(e, certified_shift(e, mu, sign))
         homotopy_distinct_embeddings(e, 3)
-    info = shift_prime_product.cache_info()
-    assert (info.misses, info.currsize) == (50, 1), info
-    assert info.hits >= 50 * (6 + 3 - 1), info  # the distinct hosts take at least three shifts
+    assert prime_product_calls == list(spaces)
+    assert (counts["is_free"], counts["_moduli"]) == (50, 50), counts
+    assert counts["shift_prime_product"] >= 50 * (6 + 3), counts  # the distinct hosts take at least three shifts
 
 
 @pytest.mark.parametrize(("e", "reason"), [
     (EschParams((1, 0, 0), (3, 1, -3)), "only for free parameters"),
     (EschParams((0, 2, 2), (0, 1, 3)), "vanishing difference"),  # free, a1 - b1 vanishes
 ])
-def test_checked_prime_product_never_caches_an_error(e, reason):
-    shift_prime_product.cache_clear()
+def test_checked_prime_product_never_caches_an_error(prime_product_calls, e, reason):
     shift_prime_product(E_RUNNING)
+    raised = []
     for _ in range(3):
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(ValueError, match=reason) as info:
             shift_prime_product(e)
-        with pytest.raises(ValueError, match=reason):
+        raised.append(info.value)
+        with pytest.raises(ValueError, match=reason) as info:
             certified_shift(e, 1, 1)
-    info = shift_prime_product.cache_info()
-    assert (info.hits, info.currsize) == (0, 1)
+        raised.append(info.value)
+        # the record holds e's freeness and moduli, never a P or an error
+        assert embedding._walked == (e, _moduli(*e.a, *e.b) if is_free(e) else None, None)
+    assert len({id(error) for error in raised}) == len(raised)  # each call raised afresh
+    assert prime_product_calls == [E_RUNNING]
+
+
+def distinct_host_shifts(e, p, n):
+    """The first n certified shifts sign * 2**(mu-1) * p**mu with distinct |H^6|, from the oracle."""
+    shifts, seen = [], set()
+    for mu in range(1, n + 2):
+        for sign in (1, -1):
+            c = sign * 2 ** (mu - 1) * p**mu
+            h6 = h6_order_oracle(candidate_q(e, c))
+            if h6 not in seen:
+                seen.add(h6)
+                shifts.append(c)
+    return shifts[:n]
+
+
+def test_record_follows_interleaved_spaces():
+    # spaces A, B, A walked in turn, and a space equal to A but not A itself,
+    # get the uncached answers from every function that reads the record
+    rng = random.Random(4205)
+    a, b = E_RUNNING, random_free_esch(rng, -40, 40, nonzero_diffs=True)
+    twin = EschParams(a.a, a.b)
+    assert twin == a and twin is not a and b != a
+    for c in range(-20, 21):  # a new space at every call
+        for e in (a, b, twin):
+            assert nonsingular_shift(e, c) == nonsingular_shift_oracle(e, c), (e, c)
+    results = {}
+    for e in (a, b, a, twin, b, twin):
+        verdicts = [nonsingular_shift(e, c) for c in range(-20, 21)]
+        assert verdicts == [nonsingular_shift_oracle(e, c) for c in range(-20, 21)], e
+        p = shift_prime_product_oracle(e)
+        for mu in (1, 2):
+            for sign in (1, -1):
+                c = certified_shift(e, mu, sign)
+                assert c == sign * 2 ** (mu - 1) * p**mu, e
+                assert nonsingular_shift(e, c) and nonsingular_shift_oracle(e, c), (e, c)
+        certs = homotopy_distinct_embeddings(e, 3)
+        assert [cert.shift for cert in certs] == distinct_host_shifts(e, p, 3), e
+        for cert in certs:
+            assert_is_make_certificate(cert)
+        # an equal space gets identical results, not just equal verdicts
+        assert results.setdefault(e, (verdicts, certs)) == (verdicts, certs), e
+    assert embedding._walked[0] is twin
+
+
+def test_record_is_consistent_across_two_threads(monkeypatch):
+    # two threads walk disjoint seeded spaces at once, switching as often as
+    # the interpreter allows and whenever one works out a space's facts;
+    # every P and verdict must be the space's own
+    def yielding(fn):
+        def call(*args):
+            time.sleep(0)  # let the other thread run
+            return fn(*args)
+        return call
+
+    for name in ("is_free", "_moduli", "_prime_product"):
+        monkeypatch.setattr(embedding, name, yielding(getattr(embedding, name)))
+    rng = random.Random(4204)
+    spaces = list(dict.fromkeys(random_free_esch(rng, -60, 60, nonzero_diffs=True) for _ in range(400)))
+    halves = spaces[::2], spaces[1::2]
+    expected = {e: shift_prime_product_oracle(e) for e in spaces}
+    got = [[], []]
+
+    start = threading.Barrier(2, timeout=60)
+
+    def walk(index):
+        start.wait()
+        for _ in range(ROUNDS):
+            for e in halves[index]:
+                p = shift_prime_product(e)
+                got[index].append((e, p, certified_shift(e, 1, -1) == -p, nonsingular_shift(e, p)))
+
+    ROUNDS = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(index,)) for index in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in (0, 1):
+        assert len(got[index]) == ROUNDS * len(halves[index])
+        for e, p, certified, nonsingular in got[index]:
+            assert (p, certified, nonsingular) == (expected[e], True, True), e
 
 
 def test_shift_prime_product_matches_its_definition():
