@@ -4,18 +4,11 @@ A Bazaikin biquotient is parameterized by five integers q1..q5.  Oddness is
 a predicate input rather than a structural invariant so that singular
 candidates can still be represented and reported.  Freeness demands all q_i
 odd and gcd(q_i + q_j, q_k + q_l) == 2 for every pair of disjoint index
-pairs; the 15 gcds, taken once in ``_freeness_failures``, force the oddness.
+pairs; the 15 gcds, taken once in ``freeness_failures``, force the oddness.
 One to four even q_i give an odd pair sum (even plus odd), so odd gcds.
 With five, the halves split by parity 5+0, 4+1 or 3+2, so two disjoint
 pairs each lie inside a class: both pair sums, hence their gcd, are 0 mod 4.
 Positive curvature demands all ten pairwise sums share a strict sign.
-
-Each of ``freeness_failures``, ``is_pc_baz`` and ``h6_order`` is a thin
-wrapper over one private function of the plain 5-tuple (``_freeness_failures``,
-``_is_pc``, ``_h6_order``), which ``embedding.make_certificate`` calls on its
-candidate's tuple.  ``_h6_order`` does not check oddness: ``h6_order`` does,
-with ``all_odd``, and ``make_certificate`` takes |H^6| only from an empty
-failure list, which has proved it.
 
 |H^6| is |sigma_3| / 8 of the six-tuple (q1, ..., q6) = (q1, ..., q5,
 -qsum).  That tuple sums to zero, so sigma_3 = p_3 / 3 (Newton's
@@ -88,17 +81,12 @@ def is_free_baz(b: BazParams) -> bool:
 
 
 def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The disjoint index pairs violating the gcd-equals-2 condition: ``_freeness_failures`` of b.q."""
-    return _freeness_failures(b.q)
-
-
-def _freeness_failures(q: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The failures of a 5-tuple of ints, in ``_DISJOINT_PAIRS`` order.
+    """The disjoint index pairs violating the gcd-equals-2 condition, in ``_DISJOINT_PAIRS`` order.
 
     Entries ((i, j), (k, l), g) have 1-based indices and g = gcd(q_i + q_j,
-    q_k + q_l) != 2, from ten pair sums formed once; empty iff q is free.
+    q_k + q_l) != 2, from ten pair sums formed once; empty iff b is free.
     """
-    q1, q2, q3, q4, q5 = q
+    q1, q2, q3, q4, q5 = b.q
     s12, s13, s14, s15 = q1 + q2, q1 + q3, q1 + q4, q1 + q5
     s23, s24, s25 = q2 + q3, q2 + q4, q2 + q5
     s34, s35, s45 = q3 + q4, q3 + q5, q4 + q5
@@ -115,41 +103,30 @@ def _freeness_failures(q: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[
 
 
 def is_pc_baz(b: BazParams) -> bool:
-    """Positive curvature: all ten pairwise sums > 0, or all < 0 (``_is_pc`` of b.q)."""
-    return _is_pc(b.q)
-
-
-def _is_pc(q: tuple[int, ...]) -> bool:
-    """Positive curvature of a 5-tuple of ints.
+    """Positive curvature: all ten pairwise sums > 0, or all < 0.
 
     With q sorted, the smallest pair sum is q[0] + q[1] and the largest is
     q[3] + q[4], so one comparison decides each sign.
     """
-    q = sorted(q)
+    q = sorted(b.q)
     return q[0] + q[1] > 0 or q[3] + q[4] < 0
 
 
 def h6_order(b: BazParams) -> int:
-    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8; ValueError unless every entry is odd."""
-    if not b.all_odd():
-        raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
-    return _h6_order(b.q)
-
-
-def _h6_order(q: tuple[int, ...]) -> int:
-    """|sigma_3(q1, ..., q5, -qsum)| / 8 of an odd 5-tuple of ints, which it does not check.
+    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples.
 
     sigma_3 is minus the sum of two triple products of pair sums (see the
     module docstring); each pair sum of two odd entries is even, so each
-    product is a multiple of 8.  Callers prove oddness first (see the
-    module docstring).
+    product is a multiple of 8.
     """
-    q1, q2, q3, q4, q5 = q
+    if not b.all_odd():
+        raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
+    q1, q2, q3, q4, q5 = b.q
     q6 = -(q1 + q2 + q3 + q4 + q5)
     sigma3 = -((q1 + q2) * (q1 + q4) * (q2 + q4) + (q3 + q5) * (q3 + q6) * (q5 + q6))
     magnitude, remainder = divmod(abs(sigma3), 8)
     if remainder:
-        raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(q)} not divisible by 8")
+        raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
     return magnitude
 
 

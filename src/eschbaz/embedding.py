@@ -12,7 +12,7 @@ is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
 ``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
 the CLI's ``embed`` build every certificate through it, and each call
 evaluates the straight-line ``is_pc_metric`` and the candidate's one
-freeness failure list, free iff empty.  ``certified_shift``
+``bazaikin.freeness_failures`` list, free iff empty.  ``certified_shift``
 is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
 
@@ -22,13 +22,13 @@ values or None when it is not free, its P or None until asked).  Every
 caller asks about one space in consecutive calls, so the certified shifts
 of one space, their ``nonsingular_shift`` checks and its distinct hosts
 share one freeness test, one set of moduli and one P.  The record is found
-by identity (``is``), so no call hashes the space (an equal space that
-is another object is worked out again, to the same facts), and the
-record keeps its space alive, so no other object can take its identity.  Each call
-reads the record once and replaces it by one assignment of a new tuple,
-so a thread never sees one space's facts under another's.  Errors are
-never stored: an invalid space raises on every call.  Factors are reused
-across spaces by ``arith.factorize``'s own memo.
+by identity (``is``), so no call hashes the space (an equal space that is
+another object is worked out again, to the same facts), and the record
+keeps its space alive, so no other object can take its identity.  Each
+call reads the record once and replaces it by one assignment of a new
+tuple, so a thread never sees one space's facts under another's.  Errors
+are never stored: an invalid space raises on every call.  Factors are
+reused across spaces by ``arith.factorize``'s own memo.
 
 The window bounds, the moduli and the three-gcd shift test each live in
 one private helper on plain ints (``_window``, ``_moduli``,
@@ -41,9 +41,7 @@ per tail (b3, b2), whose rows share the window's end and start it at
 neither ``_moduli`` nor the shift test: those serve the per-space path
 (``nonsingular_shift``, ``shift_prime_product`` and
 ``survey._counterexample_row``, which re-walks every row the scan prints)
-and the tests' per-form oracle.  ``make_certificate`` decides its
-candidate with the plain-int ``bazaikin`` functions on the candidate's
-5-tuple (``_freeness_failures``, ``_is_pc``, ``_h6_order``).
+and the tests' per-form oracle.
 """
 
 from __future__ import annotations
@@ -186,24 +184,18 @@ def _first_nonsingular(window: Iterable[int], s1: int, d1: int, s2: int, d2: int
 
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
-    """Every certificate field for the shift-c candidate of e; free iff no freeness failures.
-
-    The candidate is decided on its 5-tuple by ``bazaikin``'s plain-int
-    functions; |H^6| is taken only when the failure list is empty, which
-    proves every entry odd.
-    """
-    baz = candidate_q(e, c)
-    q = baz.q
-    offending = bazaikin._freeness_failures(q)
+    """Every certificate field for the shift-c candidate of e; free iff no ``freeness_failures``."""
+    q = candidate_q(e, c)
+    offending = bazaikin.freeness_failures(q)
     free = not offending
     return EmbeddingCertificate(
         esch=e,
         shift=c,
-        baz=baz,
+        baz=q,
         baz_free=free,
-        baz_pc=bazaikin._is_pc(q),
+        baz_pc=bazaikin.is_pc_baz(q),
         esch_pc=is_pc_metric(e),
-        h6=bazaikin._h6_order(q) if free else 0,
+        h6=bazaikin.h6_order(q) if free else 0,
         offending_pairs=tuple(offending),
     )
 

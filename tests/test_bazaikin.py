@@ -14,8 +14,6 @@ from oracles import (
 from eschbaz import (
     BazParams,
     EschParams,
-    InternalError,
-    bazaikin,
     candidate_q,
     canonicalize,
     certified_shift,
@@ -196,29 +194,6 @@ def test_predicates_match_oracles_past_the_digit_limit():
         assert min(abs(x) for x in q.q) > 10**4300
         assert is_free_baz(q) and is_free_baz_oracle(q)
         _assert_matches_oracles(q)
-
-
-def test_plain_int_functions_match_oracles_even_entries_included():
-    # the functions the BazParams predicates wrap, on bare 5-tuples; |H^6| is
-    # |sigma_3| / 8 wherever 8 divides sigma_3 (every odd tuple, some others)
-    # and an internal error elsewhere, since no caller passes an even entry
-    rng = random.Random(263)
-    odd = indivisible = 0
-    for i in range(4000):
-        q = random_odd_baz(rng) if i % 4 == 0 else BazParams(tuple(rng.randint(-49, 49) for _ in range(5)))
-        assert bazaikin._freeness_failures(q.q) == freeness_failures_oracle(q), q
-        assert bazaikin._is_pc(q.q) == is_pc_baz_oracle(q), q
-        sigma3 = elementary_symmetric(3, q.q + (-q.qsum,))
-        if q.all_odd():
-            assert bazaikin._h6_order(q.q) == h6_order_oracle(q), q
-            odd += 1
-        elif sigma3 % 8:
-            with pytest.raises(InternalError, match="not divisible by 8"):
-                bazaikin._h6_order(q.q)
-            indivisible += 1
-        else:
-            assert bazaikin._h6_order(q.q) == abs(sigma3) // 8, q
-    assert 1000 < odd < 2000 and indivisible > 1000
 
 
 # ---------------------------------------------------------------------------

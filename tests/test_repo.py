@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -105,6 +106,7 @@ def test_pairs_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsy
     calls = []
 
     def fake_run(directory, workload, seed, seconds):
+        assert seconds == json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
         calls.append((directory, seed))
         wall = 1.0 if directory == "old" else 0.5
         metrics = {"wall_s": wall + seed / 100, "setup_s": 0.2, "peak_rss_mb": 25.0, "ok_frac": 1.0}

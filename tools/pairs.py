@@ -1,12 +1,13 @@
 """Compare two checkouts on one benchmark workload in interleaved pairs.
 
-    python tools/pairs.py PARENT CHANGE --workload NAME [--pairs 10] [--seconds 20] [--seed 1]
+    python tools/pairs.py PARENT CHANGE --workload NAME [--pairs 10] [--seed 1]
 
 PARENT and CHANGE are checkout directories.  Pair i runs
 ``bench/run.py --workload NAME --seed SEED+i --seconds S --trace 0`` once in
 each, PARENT first in even pairs and CHANGE first in odd ones, so a drift of
-the host's speed falls on both sides alike.  For each end-to-end metric of
-``BENCHMARK.json`` (read from this tool's checkout) it prints each side's
+the host's speed falls on both sides alike.  S is ``run_seconds`` of
+``BENCHMARK.json`` (read from this tool's checkout), the same on both sides.
+For each end-to-end metric of that file it prints each side's
 median and quartiles, the pairs each side wins by the metric's ``better``
 field (a tie counts for neither), and whether a gain holds: CHANGE wins at
 least 9 pairs in 10, and its median is better than PARENT's by more than
@@ -85,19 +86,19 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     results = {"parent": [], "change": []}
     failed = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(getattr(args, side), args.workload, seed, args.seconds)
+            result = run(getattr(args, side), args.workload, seed, seconds)
             if result.get("correct") is not True:
                 failed.append(f"{side} seed {seed}: {result.get('error') or result}")
             results[side].append(result)
@@ -109,7 +110,7 @@ def main(argv: list[str]) -> int:
         print("runs not correct:", *failed, sep="\n")
         return 1
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-          f"--seconds {args.seconds}")
+          f"--seconds {seconds}")
     rows = summarize(metrics, [values(r) for r in results["parent"]], [values(r) for r in results["change"]])
     print(*report(rows, args.pairs), sep="\n")
     return 0
