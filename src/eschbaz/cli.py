@@ -27,11 +27,8 @@ parses the space and echoes it with every declared integer flag as the JSON
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
 invariant of the package failed (a bug; the error kind is "internal-error"),
-71 the operating system refused a resource a command needed before any output
-(as when the ``scan`` worker pool cannot start; the error kind is
-"os-error", reported in the requested format), 74 stdout could not be
-written (as in ``eschbaz families > /dev/full``; one "output-failed" line on
-stderr), 141 the reader of stdout closed it early (as in
+74 stdout could not be written (as in ``eschbaz families > /dev/full``; one
+"output-failed" line on stderr), 141 the reader of stdout closed it early (as in
 ``eschbaz families | head``).
 A usage error exits 2 with argparse's usage text on stderr; when the
 arguments ask for JSON it also writes an "invalid-input" report with
@@ -61,7 +58,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_EFFORT_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
-EXIT_OS_ERROR = 71  # EX_OSERR in sysexits.h
 EXIT_OUTPUT_FAILED = 74  # EX_IOERR in sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
@@ -73,7 +69,7 @@ N_LIMIT = 1000
 # cohom1 0.37 MB.
 K_MAX_LIMIT = 10_000
 P_MAX_LIMIT = 10_000
-# The largest box ever scanned: 7.77M spaces, 0.86-1.6 s serial (2026-10-20, each
+# The largest box scan allows: 7.77M spaces, 0.76-1.6 s serial (2026-10-20, each
 # call in its own process) on a 2-core Xeon VM with Python 3.11.7.
 MAX_ABS_LIMIT = 200
 # Shifts in the curvature window that ``window`` builds certificates for; the
@@ -108,8 +104,7 @@ def _bounds() -> dict[str, tuple[int, int | None]]:
     itself and its error names the flag, never a library parameter.
     """
     return {"mu_max": (1, MU_MAX_LIMIT), "n": (1, N_LIMIT), "k_max": (0, K_MAX_LIMIT),
-            "p_max": (1, P_MAX_LIMIT), "max_abs": (1, MAX_ABS_LIMIT), "limit": (1, None),
-            "workers": (1, None)}
+            "p_max": (1, P_MAX_LIMIT), "max_abs": (1, MAX_ABS_LIMIT), "limit": (1, None)}
 
 
 def _read_input(args: argparse.Namespace) -> tuple[EschParams | BazParams | None, dict]:
@@ -462,7 +457,7 @@ def _cmd_cohom1(_, args) -> dict:
 
 
 def _cmd_scan(_, args) -> dict:
-    stats, rows = survey.scan_box(args.max_abs, args.limit, workers=args.workers)
+    stats, rows = survey.scan_box(args.max_abs, args.limit)
     beyond = stats.counterexamples - len(rows)
     return {
         "json": lambda: {
@@ -623,7 +618,7 @@ def _parser() -> argparse.ArgumentParser:
     add("counterexamples", _cmd_counterexamples, "re-verify the nine stored counterexample spaces")
     add("families", _cmd_families, "verify the two infinite counterexample families", k_max=None)
     add("cohom1", _cmd_cohom1, "verify the cohomogeneity-one family at shift -1", p_max=None)
-    add("scan", _cmd_scan, "survey a parameter box for counterexamples", max_abs=None, limit=None, workers=1)
+    add("scan", _cmd_scan, "survey a parameter box for counterexamples", max_abs=None, limit=None)
     return parser
 
 
@@ -659,9 +654,6 @@ def run(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         _emit_error(fmt, command, "internal-error", str(exc))
         return EXIT_INTERNAL_ERROR
-    except OSError as exc:
-        _emit_error(fmt, command, "os-error", exc.strerror or str(exc))
-        return EXIT_OS_ERROR
     _emit(fmt, command, echo, builders)
     return EXIT_OK
 
@@ -669,10 +661,11 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     """Run the command line; exit 141 if the reader of stdout goes away, 74 if stdout fails.
 
-    SIGPIPE keeps its Python default (ignored) so that the ``scan`` worker
-    pool's pipes are untouched; a write into a closed pipe raises
-    BrokenPipeError instead.  Any other OSError (a full device, say) writes
-    one "output-failed" line to stderr.  Either way devnull replaces stdout
+    SIGPIPE keeps its Python default (ignored): a write into a closed pipe
+    raises BrokenPipeError, which becomes 141, the code a shell reports for
+    a tool that SIGPIPE ended, with no process-wide signal handler set.  Any
+    other OSError (a full device, say) writes one "output-failed" line to
+    stderr.  Either way devnull replaces stdout
     so the flush at interpreter exit stays silent.
     """
     try:

@@ -29,16 +29,11 @@ counterexample jobs, the scan included, build every row in one helper,
 residue classes: a space that embeds after all fails, naming its
 non-singular shifts.  The cohomogeneity-one job and the ``window`` command
 keep the full-certificate path, which is also the test oracle for the fast
-one.  ``scan_box`` can shard its tails over worker processes, at most one
-per CPU this process may use; rows are merged by deterministic sort, so
-output is identical for any worker count.  The pool's modules
-(``concurrent.futures``, ``multiprocessing``) load only when a pool starts,
-so no other caller of the package pays for them.
+one.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .arith import InternalError, to_decimal
@@ -199,11 +194,11 @@ def _gcd_patterns(max_abs: int) -> list[int]:
     return g
 
 
-def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tuple]]:
-    """The number of normal forms of a shard, and those whose whole window is singular.
+def _scan_shard(tails: list[tuple[int, int]], max_abs: int) -> tuple[int, list[tuple]]:
+    """The number of normal forms of the tails, and those whose whole window is singular.
 
     One loop enumerates the normal forms a=(a1, a2, 0), b=(b1, b2, b3),
-    b1 = a1 + a2 - b2 - b3, of the shard's tails (b3, b2), b3 <= b2 <= -1,
+    b1 = a1 + a2 - b2 - b3, of the tails (b3, b2), b3 <= b2 <= -1,
     in the box b3 >= a1 - max_abs, b1 <= a1 + max_abs, that is
     a2 <= max_abs + b2 + b3 and a2 <= a1 <= max_abs + b3, and decides each
     row of a1 at once.  The row of (b3, b2, a2) is one int, bit i standing
@@ -253,7 +248,6 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     candidate, and the bits left over are the forms whose whole window is
     singular, emitted in increasing a1.
     """
-    tails, max_abs = args
     g = _gcd_patterns(max_abs)
     count, singular = 0, []
     for b3, b2 in tails:
@@ -293,12 +287,6 @@ def _scan_shard(args: tuple[list[tuple[int, int]], int]) -> tuple[int, list[tupl
     return count, singular
 
 
-def _pool_size(workers: int, n_tasks: int) -> int:
-    """Processes to start for ``workers`` requested: at most one per usable CPU and per task."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, cpus, n_tasks))
-
-
 def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, list[SurveyRow]]:
     """Survey every space with a canonical form inside the box.
 
@@ -309,29 +297,17 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     ``_counterexample_row``, so a form that embeds after all raises
     ``VerificationFailure`` headed ``scan_box(max_abs)``.  Returns counts
     plus up to ``limit`` rows sorted by |H^4| (ties broken lexicographically).
-    ``workers`` is capped at the CPUs this process may use (and at the
-    number of tails); a value of 1, or a cap of 1, scans in this process,
-    and only a pooled scan loads the pool's modules.
+    ``workers`` is accepted for callers that pass 1 and selects nothing:
+    the scan runs in this process.
     """
     if max_abs < 1:
         raise ValueError(f"max_abs must be >= 1, got {to_decimal(max_abs)}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {to_decimal(limit)}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {to_decimal(workers)}")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {to_decimal(workers)}")
     tails = [(b3, b2) for b3 in range(-max_abs, 0) for b2 in range(max(b3, -max_abs - b3), 0)]
-    processes = _pool_size(workers, len(tails))
-
-    if processes == 1:
-        shards = [_scan_shard((tails, max_abs))]
-    else:
-        # strided shards mix cheap (b3 near -max_abs) and costly (b3 near -1) tails
-        n = min(4 * processes, len(tails))
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled scan needs these modules
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            shards = list(pool.map(_scan_shard, [(tails[i::n], max_abs) for i in range(n)]))
-
-    total = sum(count for count, _ in shards)
-    rows = sorted((_counterexample_row(EschParams(a, b), f"scan_box({max_abs})") for _, keys in shards
-                   for a, b in keys), key=lambda row: (row.h4, row.esch.a, row.esch.b))
+    total, keys = _scan_shard(tails, max_abs)
+    rows = sorted((_counterexample_row(EschParams(a, b), f"scan_box({max_abs})") for a, b in keys),
+                  key=lambda row: (row.h4, row.esch.a, row.esch.b))
     return ScanStats(total, total - len(rows), len(rows)), rows[:limit]

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import errno
 import io
 import json
 import os
@@ -82,11 +81,6 @@ def test_exit_two_on_malformed_input(capsys):
     assert "5 comma-separated integers" in err
     code, _, _ = invoke(capsys, "verify-baz", "--q", "a,b,c,d,e")
     assert code == 2
-
-
-def test_exit_two_on_scan_workers_below_one(capsys):
-    argv = ("scan", "--max-abs", "8", "--limit", "5", "--workers", "0")
-    assert invoke(capsys, *argv) == (2, "", "error (invalid-input): --workers must be >= 1\n")
 
 
 def test_exit_two_on_unknown_arguments(capsys):
@@ -310,7 +304,6 @@ _INTEGER_FLAGS = [
     (("cohom1",), "--p-max"),
     (("scan", "--limit", "1"), "--max-abs"),
     (("scan", "--max-abs", "8"), "--limit"),
-    (("scan", "--max-abs", "8", "--limit", "1"), "--workers"),
 ]
 
 
@@ -329,7 +322,6 @@ _RANGE_CHECKED = [
     (("cohom1",), "--p-max", "--p-max must be >= 1"),
     (("scan", "--limit", "1"), "--max-abs", "--max-abs must be >= 1"),
     (("scan", "--max-abs", "8"), "--limit", "--limit must be >= 1"),
-    (("scan", "--max-abs", "8", "--limit", "1"), "--workers", "--workers must be >= 1"),
 ]
 
 
@@ -353,7 +345,6 @@ _LIBRARY_CALLS = {
     "p_max": verify_cohomogeneity_one,
     "max_abs": lambda v: scan_box(v, 1),
     "limit": lambda v: scan_box(1, v),
-    "workers": lambda v: scan_box(1, 1, workers=v),
 }
 
 
@@ -423,8 +414,7 @@ def test_console_exits_74_when_stdout_cannot_be_written():
     assert proc.stderr.decode().splitlines() == ["error (output-failed): No space left on device"]
 
 
-# boxes 8 and 12 hold no counterexample; box 60 holds one, so a scan row is
-# rendered, serially and from a pooled shard
+# box 8 holds no counterexample; box 60 holds one, so a scan row is rendered
 _ROW_60 = "a=(39, 0, 0) b=(55, -3, -13)  window 0 <= c <= 7  [xxxxxxxx]  |H4|=841  counterexample"
 # (argv, exit code, second stdout line or None, stderr)
 _CONSOLE_RUNS = [
@@ -441,9 +431,8 @@ _CONSOLE_RUNS = [
         "families --k-max 3 --format json",
         "cohom1 --p-max 3 --format csv",
         "scan --max-abs 8 --limit 5 --format csv",
-        "scan --max-abs 12 --limit 5 --workers 2 --format json",
     )),
-    *((f"scan --max-abs 60 --limit 1 --workers {workers}", 0, _ROW_60, "") for workers in (1, 2)),
+    ("scan --max-abs 60 --limit 1", 0, _ROW_60, ""),
     # a value below a flag's least value exits 2 with one error line that names the flag
     ("families --k-max -1", 2, None, "error (invalid-input): --k-max must be >= 0\n"),
 ]
@@ -458,34 +447,16 @@ def test_console_runs_on_the_standard_library_alone(argv, code, row, err):
         assert proc.stdout.splitlines()[1] == row
 
 
-def _refused_pool(*args, **kwargs):
-    """A ``ProcessPoolExecutor`` whose processes the operating system will not start."""
-    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-
-def test_scan_exits_71_when_its_worker_pool_cannot_start(capsys, schema, monkeypatch):
-    # an OSError raised before any output is the operating system's, not
-    # stdout's: exit 71 and a report in the requested format, not exit 74
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _refused_pool)
-    monkeypatch.setattr("eschbaz.survey._pool_size", lambda workers, n_tasks: workers)  # on one CPU too
-    argv = ("scan", "--max-abs", "12", "--limit", "3", "--workers", "2")
-    reason = os.strerror(errno.EAGAIN)
-    assert invoke(capsys, *argv) == (cli.EXIT_OS_ERROR, "", f"error (os-error): {reason}\n")
-    assert cli.EXIT_OS_ERROR == 71
-    code, report = invoke_json(capsys, schema, *argv)
-    assert code == 71
-    assert report["error"] == {"kind": "os-error", "reason": reason}
-
-
-def test_no_pool_modules_load_without_a_pool():
-    # only a pooled scan_box may load concurrent.futures and multiprocessing:
-    # every other process would pay their memory and import time for nothing.
-    # Every module loaded is the standard library's or eschbaz's, and none is
-    # fractions or decimal, which only the tests need.
+def test_no_process_pool_modules_load():
+    # no path of the package, the scan included, loads concurrent.futures or
+    # multiprocessing: every process would pay their memory and import time
+    # for nothing.  Every module loaded is the standard library's or
+    # eschbaz's, and none is fractions or decimal, which only the tests need.
     script = (
         "import sys, eschbaz, eschbaz.cli\n"
-        "eschbaz.scan_box(12, 5, workers=1)\n"
+        "eschbaz.scan_box(12, 5)\n"
         "assert eschbaz.cli.run(['verify-esch', '--a=2,0,0', '--b=15,-2,-11']) == 0\n"
+        "assert eschbaz.cli.run(['scan', '--max-abs=12', '--limit=3']) == 0\n"
         "top = {m.split('.')[0] for m in sys.modules} - {'__main__'}\n"
         "print(sorted(top & {'concurrent', 'multiprocessing'}))\n"
         "print(sorted(top - set(sys.stdlib_module_names) - {'eschbaz'}))\n"
@@ -680,7 +651,6 @@ def test_json_error_kinds_are_the_ones_run_writes(capsys, schema, monkeypatch):
         (FactorizationIncomplete("f"), cli.EXIT_EFFORT_EXCEEDED),
         (ValueError("x"), cli.EXIT_INVALID_INPUT),
         (InternalError("i"), cli.EXIT_INTERNAL_ERROR),
-        (OSError(errno.EAGAIN, os.strerror(errno.EAGAIN)), cli.EXIT_OS_ERROR),
     ]
     written = set()
     for exc, expected in raised:
@@ -707,10 +677,13 @@ def test_json_variants_are_the_family_table(schema):
      "certified-shifts", "the following arguments are required: --mu-max"),
     (("embed", "--format", "csv", "--a=2,0,0", "--b=15,-2,-11", "--c=1", "--bogus", "--form", "json"),
      "embed", "unrecognized arguments: --bogus"),
+    # scan runs in one process and has no --workers flag
+    (("scan", "--max-abs=8", "--limit=5", "--workers=2", "--format=json"),
+     "scan", "unrecognized arguments: --workers=2"),
     (("no-such-command", "--format", "json"), "no-such-command", "argument command: invalid choice: "),
     # the top-level parser has no --format, so it reads json as the command
     (("--format", "json"), "", "argument command: invalid choice: 'json'"),
-], ids=["malformed-flag", "missing-flag", "unknown-flag", "unknown-command", "no-command"])
+], ids=["malformed-flag", "missing-flag", "unknown-flag", "workers-flag", "unknown-command", "no-command"])
 def test_usage_errors_under_json_write_an_invalid_input_report(capsys, schema, argv, command, reason):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and err.startswith("usage: ")
@@ -727,7 +700,7 @@ def test_usage_errors_outside_json_leave_stdout_empty(capsys, fmt):
     assert (code, out) == (2, "") and err.startswith("usage: ")
 
 
-# one valid invocation of every subcommand; scan leaves --workers at its default
+# one valid invocation of every subcommand
 _VALID = {
     "verify-esch": ("--a=2,0,0", "--b=15,-2,-11"),
     "verify-baz": ("--q=3,-1,-1,5,23",),

@@ -70,7 +70,6 @@ _PER_FORMAT = [
     ("verify-esch", "--a=1,0,0", "--b=1,1,0"),
     ("verify-baz", "--q=1,2,3"),
     ("verify-baz", "--q=a,b,c,d,e"),
-    ("scan", "--max-abs=8", "--limit=5", "--workers=0"),
     ("dual", *RUNNING, "--c=0"),
     ("distinct", "--a=1,0,0", "--b=3,1,-3", "--n=2"),  # not free
     ("distinct", "--a=0,2,2", "--b=0,1,3", "--n=2"),  # free, a1 - b1 vanishes

@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import pickle
 import random
 import re
@@ -57,7 +56,6 @@ import eschbaz.survey as survey_mod
 from eschbaz.survey import (
     KNOWN_COUNTEREXAMPLES,
     ScanStats,
-    _pool_size,
 )
 
 E_RUNNING = EschParams((2, 0, 0), (15, -2, -11))
@@ -124,7 +122,7 @@ def _planted_failure(monkeypatch, job, e):
         monkeypatch.setattr(survey_mod, "family_cohomogeneity_two", family)
         where, call = "family A, k=1", lambda: verify_infinite_families(2)
     else:
-        monkeypatch.setattr(survey_mod, "_scan_shard", lambda args: (1, [(e.a, e.b)]))
+        monkeypatch.setattr(survey_mod, "_scan_shard", lambda tails, max_abs: (1, [(e.a, e.b)]))
         where, call = "scan_box(10)", lambda: scan_box(10, 3)
     with pytest.raises(VerificationFailure) as info:
         call()
@@ -188,8 +186,7 @@ def test_every_row_is_built_by_counterexample_row(monkeypatch):
     monkeypatch.setattr(survey_mod, "_counterexample_row", recorded)
     for call in (verify_known_counterexamples,
                  lambda: [row for _, _, row in verify_infinite_families(2)],
-                 lambda: scan_box(60, 10**6)[1],
-                 lambda: scan_box(60, 10**6, workers=2)[1]):
+                 lambda: scan_box(60, 10**6)[1]):
         built.clear()
         rows = call()
         # the scan sorts its rows, so compare as sets of the very objects built
@@ -239,13 +236,9 @@ def _scan_digest(outcome):
     return hashlib.sha256(repr(outcome).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("max_abs", SCAN_BOXES)
-def test_scan_box_matches_golden_digest(max_abs, workers, box60):
-    if (max_abs, workers) == (60, 1):
-        outcome = box60
-    else:
-        outcome = scan_box(max_abs, 10**6, workers=workers)
+def test_scan_box_matches_golden_digest(max_abs, box60):
+    outcome = box60 if max_abs == 60 else scan_box(max_abs, 10**6)
     assert _scan_digest(outcome) == json.loads(SCAN_GOLDEN.read_text())[str(max_abs)]
 
 
@@ -255,6 +248,8 @@ def test_scan_box_small_is_empty():
     assert stats.counterexamples == 0
     assert stats.total == stats.embeddable
     assert stats.total > 0
+    # box 1 has no tail (b3, b2), so it holds no space
+    assert scan_box(1, 10) == (ScanStats(total=0, embeddable=0, counterexamples=0), [])
 
 
 def test_scan_box_rows_are_counterexamples_and_sorted(box60):
@@ -266,14 +261,6 @@ def test_scan_box_rows_are_counterexamples_and_sorted(box60):
     # each row equals the one the full-certificate path builds, which
     # checks every shift of the window singular
     assert all(r == row_from_report(window_scan(r.esch)) for r in rows)
-
-
-def test_scan_box_deterministic_across_workers():
-    base = scan_box(24, 50)
-    assert base == scan_box(24, 50, workers=2)
-    assert base == scan_box(24, 50, workers=8)
-    # repeated single-worker runs are bit-identical too
-    assert base == scan_box(24, 50)
 
 
 def test_scan_box_counts_each_space_once(box60):
@@ -290,8 +277,9 @@ def test_scan_box_validates_arguments():
         scan_box(0, 10)
     with pytest.raises(ValueError):
         scan_box(10, 0)
-    with pytest.raises(ValueError):
-        scan_box(10, 10, workers=0)
+    # the scan runs in this process; the keyword stays for callers that pass 1
+    with pytest.raises(ValueError, match="^workers must be 1, got 2$"):
+        scan_box(10, 10, workers=2)
 
 
 def test_range_errors_write_values_past_the_int_to_str_limit():
@@ -305,7 +293,7 @@ def test_range_errors_write_values_past_the_int_to_str_limit():
         scan_box(-big, 10)
     with pytest.raises(ValueError, match=f"^limit must be >= 1, {got}"):
         scan_box(10, -big)
-    with pytest.raises(ValueError, match=f"^workers must be >= 1, {got}"):
+    with pytest.raises(ValueError, match=f"^workers must be 1, {got}"):
         scan_box(10, 10, workers=-big)
 
 
@@ -334,20 +322,6 @@ def test_value_types_are_slotted_frozen_dataclasses(name, make):
     for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
         assert other == value
         assert hash(other) == hash(value)
-
-
-def test_pool_size_is_bounded():
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    assert _pool_size(10**6, 10**9) == cores
-    assert _pool_size(8, 3) == min(3, cores)
-    assert _pool_size(1, 10**9) == 1
-
-
-def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
-    # under `taskset -c 0` a 2-core machine reports cpu_count() == 2 but lets the process use one CPU
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert _pool_size(8, 100) == 1
 
 
 @functools.cache
@@ -389,16 +363,6 @@ def test_every_normal_form_that_fits_the_box_has_its_mirror_in_it():
         assert fitting > 0 or max_abs == 1
 
 
-def test_scan_box_with_fewer_tails_than_shards():
-    # boxes 1, 2, 3 and 5 have 0, 1, 2 and 6 tails (b3, b2): boxes 1 and 2
-    # scan in this process at any worker count, and boxes 3 and 5 have fewer
-    # tails than the 8 shards of a 2-process pool, so each shard is one
-    # tail; box 1 holds no space
-    assert scan_box(1, 10) == (ScanStats(total=0, embeddable=0, counterexamples=0), [])
-    for max_abs in (1, 2, 3, 5):
-        assert scan_box(max_abs, 10, workers=2) == scan_box(max_abs, 10), max_abs
-
-
 def _kernel_verdict(f, c):
     moduli = _moduli(*f.a, *f.b)
     return all(gcd(s + 2 * c, d) == 1 for s, d in zip(moduli[::2], moduli[1::2]))
@@ -428,7 +392,7 @@ def _check_shard(shard, keys):
 
     Each once, in enumeration order: by a2, then a1.
     """
-    count, singular = survey_mod._scan_shard(shard)
+    count, singular = survey_mod._scan_shard(*shard)
     assert count == len(keys), shard
     assert singular == sorted(set(singular), key=lambda key: (key[0][1], key[0][0])), shard
     assert set(singular) == _per_form_singular(keys), shard
@@ -463,7 +427,7 @@ def test_scan_shard_decides_rows_without_the_per_form_walk(monkeypatch):
         raise AssertionError(f"_scan_shard walked a form's window: {args}")
 
     monkeypatch.setattr(survey_mod, "_first_nonsingular", walk)
-    count, singular = survey_mod._scan_shard((tails, 30))
+    count, singular = survey_mod._scan_shard(tails, 30)
     forms = list(normal_forms(tails, 30))
     assert count == len(forms)
     assert singular == [(a, b) for a, b in forms if first_nonsingular_shift(EschParams(a, b)) is None]
@@ -500,7 +464,7 @@ def test_gcd_patterns_hold_the_shared_factors_of_each_k():
 
 def test_scan_shard_checks_each_enumerated_form():
     shard = ([(-11, -2)], 15)  # holds the running example a=(2, 0, 0), b=(15, -2, -11)
-    assert survey_mod._scan_shard(shard)[0] > 0
+    assert survey_mod._scan_shard(*shard)[0] > 0
     # out-of-domain tails: (-1, -3) has b2 < b3; (-1, 0) has b2 = 0, and its
     # first form an empty window too (a form in the chain never has one);
     # (-3, -3) lies outside box 5 (b2 + b3 < -5), so its last a2 is -1
@@ -508,7 +472,7 @@ def test_scan_shard_checks_each_enumerated_form():
                         (([(-3, -3)], 5), "(-3, -3, -1)")):
         message = f"tail (b3, b2, a2) = {tail} breaks the normal-form chain or has an empty shift window"
         with pytest.raises(InternalError, match=re.escape(message)):
-            survey_mod._scan_shard(shard)
+            survey_mod._scan_shard(*shard)
 
 
 def test_checking_each_tails_first_and_last_a2_covers_its_rows(monkeypatch):
@@ -529,7 +493,7 @@ def test_checking_each_tails_first_and_last_a2_covers_its_rows(monkeypatch):
 
     monkeypatch.setattr(survey_mod, "_in_chain", recorded)
     tails = list(_box_keys(30))
-    survey_mod._scan_shard((tails, 30))
+    survey_mod._scan_shard(tails, 30)
     ends = [(a2, a2, 0, 2 * a2 - b2 - b3, b2, b3) for b3, b2 in tails for a2 in (0, 30 + b2 + b3)]
     assert checked == ends
 
