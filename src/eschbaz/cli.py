@@ -18,11 +18,12 @@ held to the interpreter's 4300-digit int/str limit.
 The argument parser is built once per process, on the first ``run``, and
 reused by every later call; each parse starts from a fresh namespace, and
 help and usage text are written to the ``sys.stdout``/``sys.stderr`` of the
-moment.  ``_parser`` declares each parameter once; ``_read_input``, run
-between parsing and the handler, checks every lower bound and cap of
-``_bounds`` (so a bound error names the flag, as ``--k-max must be >= 0``),
-parses the space and echoes it with every declared integer flag as the JSON
-``input``.
+moment.  ``_parser`` declares each parameter once, and each integer flag's
+least value and cap beside it, so the bounds are read once per process, when
+the parser is built.  ``_read_input``, run between parsing and the handler,
+walks the subcommand's integer flags once: it checks each bound (so a bound
+error names the flag, as ``--k-max must be >= 0``), then parses the space and
+echoes it with every integer flag as the JSON ``input``.
 
 Exit codes: 0 all checks passed, 1 a mathematical verification failed,
 2 invalid input, 3 a computational effort limit was reached, 4 an internal
@@ -97,41 +98,31 @@ def _ints(text: str, count: int, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {text!r}") from None
 
 
-def _bounds() -> dict[str, tuple[int, int | None]]:
-    """(least, cap or None) of each bounded integer flag, read at call time.
-
-    Every bounded flag has a least value, so the CLI checks each lower bound
-    itself and its error names the flag, never a library parameter.
-    """
-    return {"mu_max": (1, MU_MAX_LIMIT), "n": (1, N_LIMIT), "k_max": (0, K_MAX_LIMIT),
-            "p_max": (1, P_MAX_LIMIT), "max_abs": (1, MAX_ABS_LIMIT), "limit": (1, None)}
-
-
 def _read_input(args: argparse.Namespace) -> tuple[EschParams | BazParams | None, dict]:
     """(space or None, JSON ``input``), checking every bound before parsing the space.
 
-    A value below its flag's least value or above its cap is refused as
+    One pass over the subcommand's integer flags and the bounds declared
+    beside them refuses a value below its least value or above its cap as
     ``--flag must be >= least`` or ``--flag must be <= cap``.  The echo holds
-    the space, then each declared integer flag, with ``--c`` as "shift".
+    the space, then each integer flag, with ``--c`` as "shift".
     """
-    given = vars(args)
-    for key, (least, cap) in _bounds().items():
-        if key in given:
+    given, integers = vars(args), {}
+    for key, bounds in args.integers.items():
+        value = integers["shift" if key == "c" else key] = given[key]
+        if bounds:
+            least, cap = bounds
             flag = "--" + key.replace("_", "-")
-            if given[key] < least:
+            if value < least:
                 raise ValueError(f"{flag} must be >= {least}")
-            if cap is not None and given[key] > cap:
+            if cap is not None and value > cap:
                 raise ValueError(f"{flag} must be <= {cap}")
-    space, echo = None, {}
     if "a" in given:
         space = EschParams(_ints(args.a, 3, "--a"), _ints(args.b, 3, "--b"))
-        echo["esch"] = _esch_dict(space)
-    elif "q" in given:
+        return space, {"esch": _esch_dict(space), **integers}
+    if "q" in given:
         space = BazParams(_ints(args.q, 5, "--q"))
-        echo["baz"] = _baz_dict(space)
-    for key in args.integers:
-        echo["shift" if key == "c" else key] = given[key]
-    return space, echo
+        return space, {"baz": _baz_dict(space), **integers}
+    return None, integers
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +504,6 @@ def _json_write(x, newline: str, parts: list[str]) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key, v in x.items():
-            if not isinstance(key, str):
-                raise TypeError(f"cannot serialize a {type(key)!r} key")
             parts.append(separator + _json_string(key) + ": ")
             _json_write(v, inner, parts)
             separator = "," + inner
@@ -599,26 +588,30 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *parents, **integers):
-        """A subcommand; each keyword is an integer flag, required unless it has a default."""
+        """A subcommand; each keyword is a required integer flag and its bounds.
+
+        Bounds are (least, cap or None), or None if unbounded, kept as ``integers``:
+        each flag's bounds sit beside it and are read once per process, here.
+        """
         p = sub.add_parser(name, parents=[common, *parents], help=help_text)
-        for key, default in integers.items():
-            p.add_argument("--" + key.replace("_", "-"), type=integer,
-                           required=default is None, default=default)
-        p.set_defaults(handler=handler, integers=tuple(integers))
+        for key in integers:
+            p.add_argument("--" + key.replace("_", "-"), type=integer, required=True)
+        p.set_defaults(handler=handler, integers=integers)
 
     add("verify-esch", _cmd_verify_esch, "freeness, curvature, |H4|, kernel order, canonical form", esch)
     add("verify-baz", _cmd_verify_baz, "freeness (with offending gcd pairs), curvature, |H6|", baz)
     add("embed", _cmd_embed, "one embedding certificate at a given shift", esch, c=None)
     add("window", _cmd_window, "scan the whole positive-curvature shift window", esch)
     add("certified-shifts", _cmd_certified_shifts,
-        "shifts of the form +-2^(mu-1) P^mu, guaranteed non-singular", esch, mu_max=None)
-    add("distinct", _cmd_distinct, "non-singular hosts with pairwise distinct |H6|", esch, n=None)
+        "shifts of the form +-2^(mu-1) P^mu, guaranteed non-singular", esch, mu_max=(1, MU_MAX_LIMIT))
+    add("distinct", _cmd_distinct, "non-singular hosts with pairwise distinct |H6|", esch, n=(1, N_LIMIT))
     add("submanifolds", _cmd_submanifolds, "the ten embedded Eschenburg parameter sets of a 5-tuple", baz)
     add("dual", _cmd_dual, "swapped space and its host at a non-singular shift", esch, c=None)
     add("counterexamples", _cmd_counterexamples, "re-verify the nine stored counterexample spaces")
-    add("families", _cmd_families, "verify the two infinite counterexample families", k_max=None)
-    add("cohom1", _cmd_cohom1, "verify the cohomogeneity-one family at shift -1", p_max=None)
-    add("scan", _cmd_scan, "survey a parameter box for counterexamples", max_abs=None, limit=None)
+    add("families", _cmd_families, "verify the two infinite counterexample families", k_max=(0, K_MAX_LIMIT))
+    add("cohom1", _cmd_cohom1, "verify the cohomogeneity-one family at shift -1", p_max=(1, P_MAX_LIMIT))
+    add("scan", _cmd_scan, "survey a parameter box for counterexamples",
+        max_abs=(1, MAX_ABS_LIMIT), limit=(1, None))
     return parser
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -215,6 +216,8 @@ def test_resource_flags_are_capped(capsys, schema, monkeypatch, command, flag, l
     cap, rest = _CAPPED[command]
     assert getattr(cli, limit) == cap
     monkeypatch.setattr(cli, limit, 2)
+    # caps are read when the parser is built, so build a fresh one
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
     argv = (command, *rest)
     assert invoke(capsys, *argv, flag, "2")[0] == 0
     assert invoke(capsys, *argv, flag, "3") == (2, "", f"error (invalid-input): {flag} must be <= 2\n")
@@ -348,13 +351,41 @@ _LIBRARY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("key", list(cli._bounds()))
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, as ``_parser`` declares it."""
+    (subparsers,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def _integer_flags() -> list[tuple[str, str, tuple[int, int | None] | None]]:
+    """(subcommand, flag key, declared bounds) of every integer flag ``_parser`` declares."""
+    return [(command, key, bounds) for command, subparser in _subparsers().items()
+            for key, bounds in subparser.get_default("integers").items()]
+
+
+def _bounded_flags() -> dict[str, tuple[int, int | None]]:
+    return {key: bounds for _, key, bounds in _integer_flags() if bounds is not None}
+
+
+@pytest.mark.parametrize("key", list(_bounded_flags()))
 def test_flag_least_values_are_the_library_least_values(key):
     # the CLI writes each least value a second time, to name the flag in its error
-    least, _ = cli._bounds()[key]
+    least, _ = _bounded_flags()[key]
     with pytest.raises(ValueError, match=f"must be >= {least}"):
         _LIBRARY_CALLS[key](least - 1)
     _LIBRARY_CALLS[key](least)
+
+
+def test_integer_flags_are_required_and_carry_least_values_and_caps():
+    assert _bounded_flags() == {"mu_max": (1, 1000), "n": (1, 1000), "k_max": (0, 10_000),
+                                "p_max": (1, 10_000), "max_abs": (1, 200), "limit": (1, None)}
+    assert [(command, key) for command, key, bounds in _integer_flags() if bounds is None] == [
+        ("embed", "c"), ("dual", "c")]
+    integer_actions = [(command, action) for command, subparser in _subparsers().items()
+                       for action in subparser._actions if action.type is cli.integer]
+    assert [(command, action.dest) for command, action in integer_actions] == [
+        (command, key) for command, key, _ in _integer_flags()]
+    assert all(action.required and action.default is None for _, action in integer_actions)
 
 
 def test_exit_one_on_verification_failure(capsys, monkeypatch):
@@ -726,9 +757,8 @@ def test_json_all_commands_validate(capsys, schema):
 
 
 def test_json_input_echoes_the_space_and_every_declared_integer_flag(capsys, schema):
-    (subparsers,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert sorted(subparsers.choices) == sorted(_VALID)
-    for command, subparser in subparsers.choices.items():
+    assert sorted(_subparsers()) == sorted(_VALID)
+    for command, subparser in _subparsers().items():
         given = dict(arg[2:].split("=") for arg in _VALID[command])
         expected = {}
         if "a" in given:
@@ -740,7 +770,7 @@ def test_json_input_echoes_the_space_and_every_declared_integer_flag(capsys, sch
         for action in subparser._actions:
             if action.type is cli.integer:
                 key = "shift" if action.dest == "c" else action.dest
-                expected[key] = int(given.get(action.option_strings[0][2:], action.default))
+                expected[key] = int(given[action.option_strings[0][2:]])
         code, report = invoke_json(capsys, schema, command, *_VALID[command])
         assert code == 0, command
         assert list(report["input"].items()) == list(expected.items()), command

@@ -1,5 +1,6 @@
-"""Checks on the repository's own files: the package source, pyproject.toml and tools/."""
+"""Checks on the repository's own files: the package source, README.md, pyproject.toml and tools/."""
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -79,14 +80,18 @@ def _load_pairs():
 
 def test_pairs_summary_on_fixed_numbers():
     pairs = _load_pairs()
-    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
-               {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
-               {"name": "ok_frac", "unit": "ratio", "better": "higher"},
-               {"name": "score", "unit": "count", "better": "higher"}]
-    parent = [{"wall_s": 1 + i / 10, "peak_rss_mb": 30 + i / 100, "ok_frac": 1.0, "score": 5} for i in range(10)]
-    change = [{"wall_s": 0.5 + i / 10, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 5 + (i > 0)} for i in range(9)]
-    change.append({"wall_s": 2.5, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 6})
-    wall, rss, ok, score = pairs.summarize(metrics, parent, change)
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+               {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.01},
+               {"name": "score", "unit": "count", "better": "higher", "bound": 0.25},
+               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "hits", "unit": "count", "better": "higher", "bound": 0.1}]
+    parent = [{"wall_s": 1 + i / 10, "peak_rss_mb": 30 + i / 100, "ok_frac": 1.0, "score": 5,
+               "setup_s": 0.2, "hits": 10} for i in range(10)]
+    change = [{"wall_s": 0.5 + i / 10, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 5 + (i > 0),
+               "setup_s": 0.26, "hits": 9} for i in range(9)]
+    change.append({"wall_s": 2.5, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 6, "setup_s": 0.24, "hits": 9})
+    wall, rss, ok, score, setup, hits = pairs.summarize(metrics, parent, change)
     # parent quartiles 1.175, 1.45, 1.725 (exclusive method); the change wins
     # 9 pairs of 10, but its median 0.95 is 0.5 below, inside the IQR 0.55
     assert wall["parent"] == pytest.approx((1.175, 1.45, 1.725))
@@ -95,10 +100,20 @@ def test_pairs_summary_on_fixed_numbers():
     assert (rss["change_wins"], rss["parent_wins"], rss["holds"]) == (10, 0, True)
     assert (ok["change_wins"], ok["parent_wins"], ok["holds"]) == (0, 0, False)  # ties count for neither side
     assert (score["change_wins"], score["parent_wins"], score["holds"]) == (9, 0, True)  # higher is better here
-    lines = pairs.report([wall, rss], 10)
+    # the bound verdict: CHANGE's median may be worse than PARENT's by at most
+    # bound times PARENT's median, in the direction of the metric's better field
+    assert (wall["worse_by"], wall["within"]) == (pytest.approx(-0.5 / 1.45), True)
+    assert (ok["worse_by"], ok["within"]) == (0.0, True)
+    assert (score["worse_by"], score["within"]) == (pytest.approx(-0.2), True)
+    assert (setup["worse_by"], setup["within"]) == (pytest.approx(0.3), False)  # 0.2 -> 0.26 s, bound 25%
+    assert (hits["worse_by"], hits["within"]) == (pytest.approx(0.1), True)  # 10 -> 9, at the 10% bound
+    lines = pairs.report([wall, rss, setup], 10)
     assert lines[0] == ("wall_s (s): parent 1.45 [1.175, 1.725] -> change 0.95 [0.675, 1.225]; "
-                        "change wins 9/10, parent wins 1/10; gain does not hold")
-    assert lines[1].endswith("change wins 10/10, parent wins 0/10; gain holds")
+                        "change wins 9/10, parent wins 1/10; gain does not hold; "
+                        "median worse by -34.5%, within the 25% bound")
+    assert lines[1].endswith("change wins 10/10, parent wins 0/10; gain holds; "
+                             "median worse by -33.4%, within the 10% bound")
+    assert lines[2].endswith("gain does not hold; median worse by +30.0%, outside the 25% bound")
 
 
 def test_pairs_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsys):
@@ -123,3 +138,21 @@ def test_pairs_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsy
     assert pairs.main(["old", "new", "--workload", "certify", "--pairs", "4", "--seed", "10"]) == 1
     assert len(calls) == 8 and calls[-2:] == [("new", 13), ("old", 13)]
     assert "runs not correct:\nchange seed 13:" in capsys.readouterr().out
+
+
+def test_readme_cli_table_lists_the_parser_subcommands_and_caps():
+    from eschbaz import cli
+
+    (subparsers,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9-]+)[^`]*` \| (.*) \|$", section, re.M)
+    assert [command for command, _ in rows] == list(subparsers.choices)
+    stated = {command: [int(n) for pair in re.findall(r"<= (\d+)`|at most (\d+) shifts", does)
+                        for n in pair if n]
+              for command, does in rows}
+    declared = {command: [bounds[1] for bounds in subparser.get_default("integers").values()
+                          if bounds and bounds[1] is not None]
+                for command, subparser in subparsers.choices.items()}
+    declared["window"] = [cli.WINDOW_LIMIT]
+    assert stated == declared
+    assert sum(map(len, stated.values())) == 6

@@ -9,17 +9,20 @@ the host's speed falls on both sides alike.  S is ``run_seconds`` of
 ``BENCHMARK.json`` (read from this tool's checkout), the same on both sides.
 For each end-to-end metric of that file it prints each side's
 median and quartiles, the pairs each side wins by the metric's ``better``
-field (a tie counts for neither), and whether a gain holds: CHANGE wins at
+field (a tie counts for neither), whether a gain holds: CHANGE wins at
 least 9 pairs in 10, and its median is better than PARENT's by more than
-PARENT's interquartile range.  Quartiles are ``statistics.quantiles(values,
-n=4)``, the exclusive method.  Exits 1 if any run does not report
-``"correct": true``.  Stdlib only.
+PARENT's interquartile range, and whether CHANGE stays within the metric's
+``bound``: its median is worse than PARENT's by no more than ``bound`` times
+PARENT's median (the verdict a change that claims no gain needs).  Quartiles
+are ``statistics.quantiles(values, n=4)``, the exclusive method.  Exits 1 if
+any run does not report ``"correct": true``.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -47,9 +50,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
-    """Per metric: both sides' quartiles, the pairs each side wins and whether CHANGE's gain holds.
+    """Per metric: both sides' quartiles, the pairs each side wins, whether CHANGE's gain holds
+    and whether it stays within the metric's bound.
 
     ``parent[i]`` and ``change[i]`` map metric names to the values of pair i.
+    ``worse_by`` is how much worse CHANGE's median is, as a fraction of
+    PARENT's median (negative when it is better).
     """
     rows = []
     for metric in metrics:
@@ -59,20 +65,25 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         change_wins = sum(sign * (c - p) > 0 for p, c in pairs)
         parent_wins = sum(sign * (p - c) > 0 for p, c in pairs)
         holds = 10 * change_wins >= 9 * len(pairs) and sign * (new[1] - old[1]) > old[2] - old[0]
+        worse = sign * (old[1] - new[1])
+        worse_by = worse / abs(old[1]) if old[1] else (math.inf if worse > 0 else 0.0)
         rows.append({"name": name, "unit": metric["unit"], "parent": old, "change": new,
-                     "change_wins": change_wins, "parent_wins": parent_wins, "holds": holds})
+                     "change_wins": change_wins, "parent_wins": parent_wins, "holds": holds,
+                     "worse_by": worse_by, "bound": metric["bound"], "within": worse_by <= metric["bound"]})
     return rows
 
 
 def report(rows: list[dict], n: int) -> list[str]:
-    """One line per metric: medians with quartiles, wins of each side, and the verdict on a gain."""
+    """One line per metric: medians with quartiles, wins of each side, and the verdicts on a gain and the bound."""
     lines = []
     for row in rows:
         sides = [f"{label} {median:.4g} [{q1:.4g}, {q3:.4g}]"
                  for label, (q1, median, q3) in (("parent", row["parent"]), ("change", row["change"]))]
         lines.append(f"{row['name']} ({row['unit']}): {sides[0]} -> {sides[1]}; "
                      f"change wins {row['change_wins']}/{n}, parent wins {row['parent_wins']}/{n}; "
-                     f"gain {'holds' if row['holds'] else 'does not hold'}")
+                     f"gain {'holds' if row['holds'] else 'does not hold'}; "
+                     f"median worse by {row['worse_by']:+.1%}, "
+                     f"{'within' if row['within'] else 'outside'} the {row['bound']:.0%} bound")
     return lines
 
 
