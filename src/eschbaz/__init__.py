@@ -11,6 +11,7 @@ from .bazaikin import (
     BazParams,
     freeness_failures,
     h6_order,
+    host_facts,
     is_free_baz,
     is_pc_baz,
     submanifolds,

@@ -4,7 +4,7 @@ A Bazaikin biquotient is parameterized by five integers q1..q5.  Oddness is
 a predicate input rather than a structural invariant so that singular
 candidates can still be represented and reported.  Freeness demands all q_i
 odd and gcd(q_i + q_j, q_k + q_l) == 2 for every pair of disjoint index
-pairs; the 15 gcds, taken once in ``freeness_failures``, force the oddness.
+pairs; the 15 gcds force the oddness.
 One to four even q_i give an odd pair sum (even plus odd), so odd gcds.
 With five, the halves split by parity 5+0, 4+1 or 3+2, so two disjoint
 pairs each lie inside a class: both pair sums, hence their gcd, are 0 mod 4.
@@ -20,6 +20,12 @@ sums are negatives of each other; with (x+y+z)^3 = x^3 + y^3 + z^3 +
 
 For a shift candidate the pair sums q1+q4, q2+q4, q3+q5 and q3+q6 do not
 depend on the shift, so each product has one factor that grows with it.
+
+``host_facts`` reads all three facts (the failing gcds, the curvature
+signs and |H^6|) off the ten pair sums, formed once; ``freeness_failures``,
+``is_pc_baz`` and ``h6_order`` are views of it, so each fact is written
+once and a caller that needs all three (an embedding certificate, the
+CLI's ``verify-baz``) makes one pass.
 
 Each 5-tuple carries ten totally geodesic Eschenburg parameter sets, one per
 2-subset of indices; ``submanifolds`` extracts them.
@@ -47,17 +53,18 @@ if len(_DISJOINT_PAIRS) != 15:
     raise InternalError(f"expected 15 pairs of disjoint index pairs, got {len(_DISJOINT_PAIRS)}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BazParams:
     """An integer 5-tuple q; qsum is the derived total.
 
     Entries go through ``operator.index``: floats and strings raise TypeError.
+    The constructor validates before it writes q, once.
     """
 
     q: tuple[int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        q = tuple(map(index, self.q))
+    def __init__(self, q: tuple[int, int, int, int, int]) -> None:
+        q = tuple(map(index, q))
         if len(q) != 5:
             raise ValueError(f"expected a 5-tuple, got {tuple_to_decimal(q)}")
         object.__setattr__(self, "q", q)
@@ -75,16 +82,18 @@ class BazParams:
         return f"q={tuple_to_decimal(self.q)}"
 
 
-def is_free_baz(b: BazParams) -> bool:
-    """Freeness: no ``freeness_failures``, which also forces every q_i odd (see the module docstring)."""
-    return not freeness_failures(b)
+def host_facts(b: BazParams) -> tuple[list[tuple[tuple[int, int], tuple[int, int], int]], bool, int | None]:
+    """(``freeness_failures``, ``is_pc_baz``, ``h6_order`` or None when an entry is even) of b.
 
-
-def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The disjoint index pairs violating the gcd-equals-2 condition, in ``_DISJOINT_PAIRS`` order.
-
-    Entries ((i, j), (k, l), g) have 1-based indices and g = gcd(q_i + q_j,
-    q_k + q_l) != 2, from ten pair sums formed once; empty iff b is free.
+    One pass over the ten pair sums s_ij = q_i + q_j, formed once.
+    Freeness: the 15 gcds, labelled ((i, j), (k, l), g) with 1-based
+    indices in ``_DISJOINT_PAIRS`` order only for g != 2, so the list is
+    empty iff b is free.  Curvature: the ten sums share a strict sign; with
+    r the sorted entries, the least is r1 + r2 and the greatest r4 + r5.
+    |H^6|: sigma_3 = -[s12 s14 s24 + s35 (s12 + s45)(s12 + s34)], the
+    module docstring's form with q3 + q6 = -(s12 + s45) and
+    q5 + q6 = -(s12 + s34); each pair sum of two odd entries is even, so
+    each product is a multiple of 8.
     """
     q1, q2, q3, q4, q5 = b.q
     s12, s13, s14, s15 = q1 + q2, q1 + q3, q1 + q4, q1 + q5
@@ -97,37 +106,43 @@ def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, in
         gcd(s15, s23), gcd(s15, s24), gcd(s15, s34),
         gcd(s23, s45), gcd(s24, s35), gcd(s25, s34),
     )
-    if gcds == (2,) * 15:
-        return []
-    return [(p1, p2, g) for (p1, p2), g in zip(_DISJOINT_PAIRS, gcds) if g != 2]
+    failures = [] if gcds == (2,) * 15 else [(p1, p2, g) for (p1, p2), g in zip(_DISJOINT_PAIRS, gcds) if g != 2]
+    r1, r2, _, r4, r5 = sorted(b.q)
+    pc = r1 + r2 > 0 or r4 + r5 < 0
+    # no failing gcd forces every entry odd (see the module docstring)
+    if failures and not b.all_odd():
+        return failures, pc, None
+    sigma3 = -(s12 * s14 * s24 + s35 * (s12 + s45) * (s12 + s34))
+    h6, remainder = divmod(abs(sigma3), 8)
+    if remainder:
+        raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
+    return failures, pc, h6
+
+
+def is_free_baz(b: BazParams) -> bool:
+    """Freeness: no ``freeness_failures``, which also forces every q_i odd (see the module docstring)."""
+    return not freeness_failures(b)
+
+
+def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
+    """The ((i, j), (k, l), g) with g = gcd(q_i + q_j, q_k + q_l) != 2, 1-based, in ``_DISJOINT_PAIRS`` order.
+
+    Empty iff b is free; read off ``host_facts``.
+    """
+    return host_facts(b)[0]
 
 
 def is_pc_baz(b: BazParams) -> bool:
-    """Positive curvature: all ten pairwise sums > 0, or all < 0.
-
-    With q sorted, the smallest pair sum is q[0] + q[1] and the largest is
-    q[3] + q[4], so one comparison decides each sign.
-    """
-    q = sorted(b.q)
-    return q[0] + q[1] > 0 or q[3] + q[4] < 0
+    """Positive curvature: all ten pairwise sums > 0, or all < 0 (``host_facts``)."""
+    return host_facts(b)[1]
 
 
 def h6_order(b: BazParams) -> int:
-    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples.
-
-    sigma_3 is minus the sum of two triple products of pair sums (see the
-    module docstring); each pair sum of two odd entries is even, so each
-    product is a multiple of 8.
-    """
-    if not b.all_odd():
+    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples (``host_facts``)."""
+    h6 = host_facts(b)[2]
+    if h6 is None:
         raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
-    q1, q2, q3, q4, q5 = b.q
-    q6 = -(q1 + q2 + q3 + q4 + q5)
-    sigma3 = -((q1 + q2) * (q1 + q4) * (q2 + q4) + (q3 + q5) * (q3 + q6) * (q5 + q6))
-    magnitude, remainder = divmod(abs(sigma3), 8)
-    if remainder:
-        raise InternalError(f"sigma_3 of odd tuple {tuple_to_decimal(b.q)} not divisible by 8")
-    return magnitude
+    return h6
 
 
 def submanifolds(b: BazParams) -> list[tuple[tuple[int, int], EschParams]]:

@@ -6,11 +6,13 @@ library call first, so every error is raised before any output, and hands
 back one builder per format, each over the library's own values
 (``EschParams``, ``BazParams``, ``range``, certificates, survey rows) or the
 handler's locals: ``_emit`` calls only the one for the requested format, and
-no text or CSV builder reads a JSON dict.  JSON is written by one walk of
-the report tree, ``_json_text``, with the layout of ``json.dumps(indent=2)``;
-it follows the schema shipped as ``report_schema.json``, and integers beyond
-the 53-bit float-safe range are written as decimal strings so no consumer
-can lose precision.
+no text or CSV builder reads a JSON dict; ``verify-baz`` reads freeness,
+curvature and |H6| off one ``bazaikin.host_facts`` pass, as an embedding
+certificate does.  JSON is written by one walk of the report tree,
+``_json_text``, with the layout of ``json.dumps(indent=2)``; it follows the
+schema shipped as ``report_schema.json``, and integers beyond the 53-bit
+float-safe range are written as decimal strings so no consumer can lose
+precision.
 Integers cross the command line in both directions through
 ``arith.from_decimal`` and ``arith.to_decimal``, so no argument or output is
 held to the interpreter's 4300-digit int/str limit.
@@ -274,10 +276,8 @@ def _cmd_verify_esch(e: EschParams, args) -> dict:
 
 
 def _cmd_verify_baz(q: BazParams, args) -> dict:
-    all_odd = q.all_odd()
-    offenses = bazaikin.freeness_failures(q)
-    free, pc = not offenses, bazaikin.is_pc_baz(q)
-    h6 = bazaikin.h6_order(q) if all_odd else None
+    offenses, pc, h6 = bazaikin.host_facts(q)
+    all_odd, free = h6 is not None, not offenses
 
     def text() -> list[str]:
         evens = ", ".join(f"q{i}" for i, v in enumerate(q.q, 1) if v % 2 == 0)

@@ -11,10 +11,14 @@ candidate is non-singular (``nonsingular_shift``) and positively curved
 is the one constructor of an ``EmbeddingCertificate``: ``window_scan``,
 ``homotopy_distinct_embeddings``, ``survey.verify_cohomogeneity_one`` and
 the CLI's ``embed`` build every certificate through it, and each call
-evaluates the straight-line ``is_pc_metric`` and the candidate's one
-``bazaikin.freeness_failures`` list, free iff empty.  ``certified_shift``
-is the one construction of the non-singular shifts +-2**(mu-1) * P**mu;
+evaluates the straight-line ``is_pc_metric`` and one ``bazaikin.host_facts``
+pass over the candidate, which gives its failing gcds (free iff none), its
+curvature and its |H^6|.  ``certified_shift`` is the one construction of
+the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
+``make_certificate``'s shift and ``certified_shift``'s mu and sign go
+through ``operator.index``, as the entries of ``EschParams`` and
+``BazParams`` do: a float raises TypeError and a bool becomes an int.
 
 ``nonsingular_shift`` and ``shift_prime_product`` read one record of the
 space being walked, ``_walked``: the tuple (space, its six ``_moduli``
@@ -49,6 +53,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from . import bazaikin
 from .arith import InternalError, factorize, to_decimal
@@ -115,16 +120,10 @@ class WindowReport:
 
 def candidate_q(e: EschParams, c: int) -> BazParams:
     """The Bazaikin candidate for e rewritten with shift c; sum is 2(b1+c)+1."""
-    a, b = e.a, e.b
-    return BazParams(
-        (
-            2 * (a[0] + c) + 1,
-            2 * (a[1] + c) + 1,
-            2 * (a[2] + c) + 1,
-            -(2 * (b[1] + c) + 1),
-            -(2 * (b[2] + c) + 1),
-        )
-    )
+    a1, a2, a3 = e.a
+    _, b2, b3 = e.b
+    t = 2 * c + 1
+    return BazParams((2 * a1 + t, 2 * a2 + t, 2 * a3 + t, -(2 * b2 + t), -(2 * b3 + t)))
 
 
 def _moduli(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> tuple[int, ...]:
@@ -184,20 +183,16 @@ def _first_nonsingular(window: Iterable[int], s1: int, d1: int, s2: int, d2: int
 
 
 def make_certificate(e: EschParams, c: int) -> EmbeddingCertificate:
-    """Every certificate field for the shift-c candidate of e; free iff no ``freeness_failures``."""
+    """Every certificate field for the shift-c candidate of e, from one ``bazaikin.host_facts`` pass.
+
+    c goes through ``operator.index``: a float raises TypeError and a bool is
+    recorded as an int.  Free iff no gcd fails; h6 is 0 when singular.
+    """
+    c = index(c)
     q = candidate_q(e, c)
-    offending = bazaikin.freeness_failures(q)
-    free = not offending
-    return EmbeddingCertificate(
-        esch=e,
-        shift=c,
-        baz=q,
-        baz_free=free,
-        baz_pc=bazaikin.is_pc_baz(q),
-        esch_pc=is_pc_metric(e),
-        h6=bazaikin.h6_order(q) if free else 0,
-        offending_pairs=tuple(offending),
-    )
+    offending, pc, h6 = bazaikin.host_facts(q)
+    # in field order: positional arguments cost a quarter less than keywords
+    return EmbeddingCertificate(e, c, q, not offending, pc, is_pc_metric(e), 0 if offending else h6, tuple(offending))
 
 
 def pc_shift_window(e: EschParams) -> range:
@@ -293,7 +288,7 @@ def _prime_product(e: EschParams, pair_sums: tuple[int, int, int]) -> int:
     for ak, pair_sum in zip(e.a, pair_sums):
         for bl in e.b:
             for p, _ in factorize(ak - bl):
-                if gcd(p, pair_sum) == 1:
+                if pair_sum % p:
                     product *= p
     return product
 
@@ -305,7 +300,9 @@ def certified_shift(e: EschParams, mu: int, sign: int) -> int:
     Requires mu >= 1, sign in (1, -1), and e free with all nine differences
     a_k - b_l nonzero; e is checked and P computed once per space walked
     (see ``shift_prime_product``); ``FactorizationIncomplete`` propagates.
+    mu and sign go through ``operator.index``: a float raises TypeError.
     """
+    mu, sign = index(mu), index(sign)
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {to_decimal(mu)}")
     if sign not in (1, -1):

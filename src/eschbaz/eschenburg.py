@@ -23,19 +23,20 @@ from operator import index
 from .arith import InternalError, to_decimal, tuple_to_decimal
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EschParams:
     """Integer triples (a, b) with sum(a) == sum(b).
 
     Entries go through ``operator.index``: floats and strings raise TypeError.
+    The constructor validates before it writes a and b, once each.
     """
 
     a: tuple[int, int, int]
     b: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        a = tuple(map(index, self.a))
-        b = tuple(map(index, self.b))
+    def __init__(self, a: tuple[int, int, int], b: tuple[int, int, int]) -> None:
+        a = tuple(map(index, a))
+        b = tuple(map(index, b))
         if len(a) != 3 or len(b) != 3:
             raise ValueError(
                 f"expected two triples, got a={tuple_to_decimal(a)}, b={tuple_to_decimal(b)}"

@@ -19,6 +19,7 @@ from eschbaz import (
     certified_shift,
     freeness_failures,
     h6_order,
+    host_facts,
     is_free,
     is_free_baz,
     is_pc_baz,
@@ -144,10 +145,17 @@ def test_permutation_invariance_all_120():
 # straight-line predicates against their generic oracles, at three magnitudes
 
 
+def _oracle_facts(q):
+    """``host_facts`` composed from the three generic oracles."""
+    return freeness_failures_oracle(q), is_pc_baz_oracle(q), h6_order_oracle(q) if q.all_odd() else None
+
+
 def _assert_matches_oracles(q):
-    assert is_pc_baz(q) == is_pc_baz_oracle(q), q
-    assert h6_order(q) == h6_order_oracle(q), q
-    assert freeness_failures(q) == freeness_failures_oracle(q), q
+    failures, pc, h6 = facts = _oracle_facts(q)
+    assert host_facts(q) == facts, q
+    assert is_pc_baz(q) == pc, q
+    assert h6_order(q) == h6, q
+    assert freeness_failures(q) == failures, q
     assert is_free_baz(q) == is_free_baz_oracle(q), q
 
 
@@ -178,6 +186,17 @@ def test_predicates_match_oracles_at_certified_shifts():
                 _assert_matches_oracles(q)
 
 
+def test_host_facts_match_oracles_on_every_small_tuple():
+    # every tuple with entries in -5..5: even entries, zero pair sums and both curvature signs
+    free_seen = 0
+    for entries in product(range(-5, 6), repeat=5):
+        q = BazParams(entries)
+        facts = host_facts(q)
+        assert facts == _oracle_facts(q), entries
+        free_seen += not facts[0]
+    assert free_seen
+
+
 def test_predicates_match_oracles_past_the_digit_limit():
     rng = random.Random(257)
     bound = 10**4400
@@ -193,6 +212,7 @@ def test_predicates_match_oracles_past_the_digit_limit():
         q = candidate_q(e, certified_shift(e, 640, sign))
         assert min(abs(x) for x in q.q) > 10**4300
         assert is_free_baz(q) and is_free_baz_oracle(q)
+        assert h6_order(q).bit_length() > 14300  # |H6| is affine in the shift: past the digit limit too
         _assert_matches_oracles(q)
 
 

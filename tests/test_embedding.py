@@ -19,12 +19,15 @@ from oracles import (
     freeness_failures_oracle,
     h6_order_oracle,
     is_free_baz_oracle,
+    is_pc_baz_oracle,
+    is_pc_metric_oracle,
     nonsingular_shift_oracle,
     shift_prime_product_oracle,
     sigma3_shift_closed_form,
 )
 from eschbaz import (
     BazParams,
+    EmbeddingCertificate,
     EschParams,
     InternalError,
     candidate_q,
@@ -677,6 +680,60 @@ def test_make_certificate_freeness_matches_oracles(digits, samples):
         assert cert.h6 == (h6_order(cert.baz) if cert.baz_free else 0), (e, c)
         free_seen += cert.baz_free
     assert 0 < free_seen < samples
+
+
+def oracle_certificate(e, c):
+    """The certificate for shift c of e, composed from the generic oracles."""
+    entries = six_tuple(e, c)
+    q = BazParams(entries[:3] + entries[4:])
+    failures = freeness_failures_oracle(q)
+    return EmbeddingCertificate(esch=e, shift=c, baz=q, baz_free=is_free_baz_oracle(q), baz_pc=is_pc_baz_oracle(q),
+                                esch_pc=is_pc_metric_oracle(e), h6=0 if failures else h6_order_oracle(q),
+                                offending_pairs=tuple(failures))
+
+
+def assert_matches_oracle_certificate(e, c):
+    cert, expected = make_certificate(e, c), oracle_certificate(e, c)
+    for field in dataclasses.fields(cert):
+        assert getattr(cert, field.name) == getattr(expected, field.name), (e, c, field.name)
+    return cert
+
+
+def test_make_certificate_matches_the_oracles_on_window_shifts():
+    rng = random.Random(421)
+    free_seen = singular_seen = 0
+    for _ in range(150):
+        f = pc_normal_form(random_pc_esch(rng, -40, 40))
+        for c in pc_shift_window(f):
+            cert = assert_matches_oracle_certificate(f, c)
+            free_seen += cert.baz_free
+            singular_seen += not cert.baz_free
+    assert free_seen and singular_seen
+
+
+def test_make_certificate_matches_the_oracles_on_certified_shifts():
+    rng = random.Random(431)
+    for _ in range(40):
+        e = random_free_esch(rng, -50, 50, nonzero_diffs=True)
+        for mu in range(1, 5):
+            for sign in (1, -1):
+                assert assert_matches_oracle_certificate(e, certified_shift(e, mu, sign)).baz_free
+    for sign in (1, -1):
+        assert assert_matches_oracle_certificate(E_RUNNING, certified_shift(E_RUNNING, 640, sign)).baz_free
+
+
+def test_shift_arguments_go_through_operator_index():
+    # a float shift, mu or sign raises, as a float parameter does; a bool is recorded as an int
+    for mu, sign in ((2.5, 1), (1.0, 1), (1, 1.0), (1, -1.0)):
+        with pytest.raises(TypeError):
+            certified_shift(E_RUNNING, mu, sign)
+    for c in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            make_certificate(E_RUNNING, c)
+    c = certified_shift(E_RUNNING, True, True)
+    assert c == certified_shift(E_RUNNING, 1, 1) and type(c) is int
+    cert = make_certificate(E_RUNNING, True)
+    assert cert == make_certificate(E_RUNNING, 1) and type(cert.shift) is int
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from oracles import (
     is_pc_metric_oracle,
 )
 from eschbaz import (
+    BazParams,
     EschParams,
     admits_positive_curvature,
     canonicalize,
@@ -48,6 +50,29 @@ def test_construction_examples():
 def test_construction_rejects_wrong_arity():
     with pytest.raises(ValueError):
         EschParams((1, 0), (1, 0, 0))
+
+
+def test_construction_messages():
+    with pytest.raises(ValueError) as info:
+        EschParams((1, 0), (1, 0, 0))
+    assert str(info.value) == "expected two triples, got a=(1, 0), b=(1, 0, 0)"
+    with pytest.raises(ValueError) as info:
+        EschParams((1, 0, 0), (1, 1, 0))
+    assert str(info.value) == "parameter sums differ: sum(a) = 1, sum(b) = 2"
+
+
+def test_construction_by_keyword_and_replace():
+    # dataclasses.replace passes every field by keyword
+    e = EschParams(a=(2, 0, 0), b=(15, -2, -11))
+    assert e == EschParams((2, 0, 0), (15, -2, -11))
+    assert dataclasses.replace(e, b=(14, -1, -11)) == EschParams((2, 0, 0), (14, -1, -11))
+    with pytest.raises(ValueError, match="parameter sums differ"):
+        dataclasses.replace(e, b=(15, -2, -12))
+    q = BazParams(q=[5, 1, 1, 3, 21])
+    assert q == BazParams((5, 1, 1, 3, 21)) and type(q.q) is tuple
+    assert dataclasses.replace(q, q=(1, 1, 1, 1, 1)) == BazParams((1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="expected a 5-tuple"):
+        dataclasses.replace(q, q=(1, 1, 1))
 
 
 @pytest.mark.parametrize(("a", "b"), [

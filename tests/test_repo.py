@@ -140,6 +140,71 @@ def test_pairs_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsy
     assert "runs not correct:\nchange seed 13:" in capsys.readouterr().out
 
 
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
+
+
+def test_ab_summary_on_fixed_numbers():
+    ab = _load_ab()
+    parent = [1.0, 2.0, 1.0, 1.0, 4.0]
+    change = [0.9, 1.6, 1.0, 1.1, 2.0]  # ratios 0.9, 0.8, 1.0, 1.1, 0.5
+    summary = ab.summarize(parent, change)
+    # sorted ratios 0.5, 0.8, 0.9, 1.0, 1.1: exclusive quartiles 0.65 and 1.05
+    assert summary["median"] == pytest.approx(0.9)
+    assert summary["quartiles"] == pytest.approx((0.65, 1.05))
+    assert (summary["rounds"], summary["change_wins"], summary["parent_wins"]) == (5, 3, 1)  # a tie counts for neither
+    assert (summary["parent_s"], summary["change_s"]) == (1.0, 1.1)
+    assert ab.report("certify", summary) == (
+        "certify: change/parent 0.900 (quartiles 0.650-1.050) over 5 rounds; change faster in 3/5, "
+        "parent faster in 1/5; IQR not below 1; median process time parent 1.000 s, change 1.100 s")
+    assert "; IQR below 1; " in ab.report("certify", ab.summarize([1.0, 1.0, 1.0], [0.9, 0.8, 0.95]))
+
+
+class _FakeWorkload:
+    """Two ops whose results are the side's answers; a check fails on a negative result."""
+
+    calls: list = []
+
+    def __init__(self, label, answers):
+        self.label, self.answers, self.inputs = label, answers, [0, 1]
+
+    def warm_up(self):
+        pass
+
+    def run(self, inp):
+        self.calls.append(self.label)
+        return self.answers[inp]
+
+    def check(self, inp, result):
+        return argparse.Namespace(failed=int(result < 0), problems=[f"op {inp} is negative"] if result < 0 else [])
+
+
+@pytest.mark.parametrize("change_answers, code, message", [
+    ((1, 2), 0, "change faster in"),
+    ((1, 3), 1, "op 1: the two sides' results differ"),
+    ((1, -2), 1, "change op 1: op 1 is negative"),
+])
+def test_ab_alternates_sides_and_fails_only_on_results(monkeypatch, capsys, change_answers, code, message):
+    ab = _load_ab()
+    answers = {"parent": (1, 2), "change": change_answers}
+    monkeypatch.setattr(ab, "extract", lambda revision, directory: revision)
+    monkeypatch.setattr(ab, "load", lambda label, src: argparse.Namespace(WORKLOADS={
+        "w": lambda seed, seconds: _FakeWorkload(src, answers[src])}))
+    _FakeWorkload.calls = []
+    assert ab.main(["parent", "change", "--workload", "w", "--rounds", "3"]) == code
+    out = capsys.readouterr().out
+    assert message in out
+    if code == 0:
+        # round 0 (untimed) and round 2 run the parent first, rounds 1 and 3 the change
+        assert _FakeWorkload.calls == ["parent"] * 2 + ["change"] * 4 + ["parent"] * 4 + ["change"] * 4 + ["parent"] * 2
+        assert sum(line.startswith("round ") for line in out.splitlines()) == 3
+    else:
+        assert _FakeWorkload.calls == ["parent"] * 2 + ["change"] * 2  # stops after the untimed round
+
+
 def test_readme_cli_table_lists_the_parser_subcommands_and_caps():
     from eschbaz import cli
 
