@@ -16,9 +16,10 @@ pass over the candidate, which gives its failing gcds (free iff none), its
 curvature and its |H^6|.  ``certified_shift`` is the one construction of
 the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
-``make_certificate``'s shift and ``certified_shift``'s mu and sign go
-through ``operator.index``, as the entries of ``EschParams`` and
-``BazParams`` do: a float raises TypeError and a bool becomes an int.
+``make_certificate``'s shift, ``certified_shift``'s mu and sign and
+``window_scan``'s cap go through ``operator.index``, as the entries of
+``EschParams`` and ``BazParams`` do: a float raises TypeError and a bool
+becomes an int.
 
 ``nonsingular_shift`` and ``shift_prime_product`` read one record of the
 space being walked, ``_walked``: the tuple (space, its six ``_moduli``
@@ -228,8 +229,11 @@ def window_scan(e: EschParams, max_shifts: int | None = None) -> WindowReport:
     Normalizes e first, so the window is reported in normal-form
     coordinates.  Certificates are ordered by shift.  A window of more than
     ``max_shifts`` shifts, if given, raises ValueError before any
-    certificate is built.
+    certificate is built; ``max_shifts`` goes through ``operator.index``
+    first, so a float raises TypeError.
     """
+    if max_shifts is not None:
+        max_shifts = index(max_shifts)
     f = pc_normal_form(e)
     window = pc_shift_window(f)
     # stop - start, since len() of a range overflows past 2**63 - 1

@@ -35,6 +35,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .arith import InternalError, to_decimal
 from .bazaikin import BazParams
@@ -298,8 +299,11 @@ def scan_box(max_abs: int, limit: int, workers: int = 1) -> tuple[ScanStats, lis
     ``VerificationFailure`` headed ``scan_box(max_abs)``.  Returns counts
     plus up to ``limit`` rows sorted by |H^4| (ties broken lexicographically).
     ``workers`` is accepted for callers that pass 1 and selects nothing:
-    the scan runs in this process.
+    the scan runs in this process.  max_abs and limit go through
+    ``operator.index`` before the scan: a float raises TypeError and a
+    bool becomes an int.
     """
+    max_abs, limit = index(max_abs), index(limit)
     if max_abs < 1:
         raise ValueError(f"max_abs must be >= 1, got {to_decimal(max_abs)}")
     if limit < 1:

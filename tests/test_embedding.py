@@ -503,6 +503,11 @@ def test_window_scan_cap_is_checked_before_any_certificate(monkeypatch):
     with pytest.raises(ValueError) as info:
         window_scan(e, 5)
     assert str(info.value) == f"the curvature window of {e} has 6 shifts; window is capped at 5 shifts"
+    # the cap is an integer: a float is refused, a bool counts as 0 or 1
+    with pytest.raises(TypeError):
+        window_scan(e, 2.5)
+    with pytest.raises(ValueError, match="; window is capped at 1 shifts$"):
+        window_scan(e, True)
 
 
 def _has_cohom1_shape(f):

@@ -272,11 +272,24 @@ def test_scan_box_counts_each_space_once(box60):
     assert len(hits) == 1
 
 
-def test_scan_box_validates_arguments():
+def test_scan_box_validates_arguments(monkeypatch):
+    assert scan_box(True, True) == scan_box(1, 1)
+
+    def no_scan(*args):
+        raise AssertionError("the box was scanned before its arguments were checked")
+
+    monkeypatch.setattr(survey_mod, "_scan_shard", no_scan)
     with pytest.raises(ValueError):
         scan_box(0, 10)
     with pytest.raises(ValueError):
         scan_box(10, 0)
+    with pytest.raises(ValueError, match="^max_abs must be >= 1, got 0$"):
+        scan_box(False, 10)
+    # max_abs and limit are integers: a float is refused
+    with pytest.raises(TypeError):
+        scan_box(60, 5.0)
+    with pytest.raises(TypeError):
+        scan_box(5.0, 60)
     # the scan runs in this process; the keyword stays for callers that pass 1
     with pytest.raises(ValueError, match="^workers must be 1, got 2$"):
         scan_box(10, 10, workers=2)
