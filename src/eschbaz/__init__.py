@@ -9,11 +9,8 @@ curved Bazaikin host.
 from .arith import FactorizationIncomplete, InternalError, factorize
 from .bazaikin import (
     BazParams,
-    freeness_failures,
-    h6_order,
     host_facts,
     is_free_baz,
-    is_pc_baz,
     submanifolds,
 )
 from .embedding import (

@@ -21,11 +21,11 @@ sums are negatives of each other; with (x+y+z)^3 = x^3 + y^3 + z^3 +
 For a shift candidate the pair sums q1+q4, q2+q4, q3+q5 and q3+q6 do not
 depend on the shift, so each product has one factor that grows with it.
 
-``host_facts`` reads all three facts (the failing gcds, the curvature
-signs and |H^6|) off the ten pair sums, formed once; ``freeness_failures``,
-``is_pc_baz`` and ``h6_order`` are views of it, so each fact is written
-once and a caller that needs all three (an embedding certificate, the
-CLI's ``verify-baz``) makes one pass.
+``host_facts`` is the one function that computes these facts: it reads
+all three (the failing gcds, the curvature signs and |H^6|) off the ten
+pair sums, formed once, so a caller that needs all three (an embedding
+certificate, the CLI's ``verify-baz``) makes one pass and a caller that
+needs one takes its element of the tuple.
 
 Each 5-tuple carries ten totally geodesic Eschenburg parameter sets, one per
 2-subset of indices; ``submanifolds`` extracts them.
@@ -83,14 +83,16 @@ class BazParams:
 
 
 def host_facts(b: BazParams) -> tuple[list[tuple[tuple[int, int], tuple[int, int], int]], bool, int | None]:
-    """(``freeness_failures``, ``is_pc_baz``, ``h6_order`` or None when an entry is even) of b.
+    """(failures, pc, h6): b's failing freeness gcds, its positive curvature, and |H^6| or None.
 
     One pass over the ten pair sums s_ij = q_i + q_j, formed once.
-    Freeness: the 15 gcds, labelled ((i, j), (k, l), g) with 1-based
-    indices in ``_DISJOINT_PAIRS`` order only for g != 2, so the list is
-    empty iff b is free.  Curvature: the ten sums share a strict sign; with
-    r the sorted entries, the least is r1 + r2 and the greatest r4 + r5.
-    |H^6|: sigma_3 = -[s12 s14 s24 + s35 (s12 + s45)(s12 + s34)], the
+    Freeness: the 15 gcds g = gcd(q_i + q_j, q_k + q_l), labelled
+    ((i, j), (k, l), g) with 1-based indices in ``_DISJOINT_PAIRS`` order
+    only for g != 2, so the list is empty iff b is free.  Curvature: all
+    ten sums > 0, or all < 0; with r the sorted entries, the least is
+    r1 + r2 and the greatest r4 + r5.  |H^6| = |sigma_3(q1, ..., q5,
+    -qsum)| / 8, exact for odd tuples and None when an entry is even:
+    sigma_3 = -[s12 s14 s24 + s35 (s12 + s45)(s12 + s34)], the
     module docstring's form with q3 + q6 = -(s12 + s45) and
     q5 + q6 = -(s12 + s34); each pair sum of two odd entries is even, so
     each product is a multiple of 8.
@@ -120,29 +122,11 @@ def host_facts(b: BazParams) -> tuple[list[tuple[tuple[int, int], tuple[int, int
 
 
 def is_free_baz(b: BazParams) -> bool:
-    """Freeness: no ``freeness_failures``, which also forces every q_i odd (see the module docstring)."""
-    return not freeness_failures(b)
+    """Freeness: ``host_facts`` finds no failing gcd, which also forces every q_i odd (see the module docstring).
 
-
-def freeness_failures(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
-    """The ((i, j), (k, l), g) with g = gcd(q_i + q_j, q_k + q_l) != 2, 1-based, in ``_DISJOINT_PAIRS`` order.
-
-    Empty iff b is free; read off ``host_facts``.
+    Kept only because the benchmark's workloads import it; the package reads freeness off ``host_facts``.
     """
-    return host_facts(b)[0]
-
-
-def is_pc_baz(b: BazParams) -> bool:
-    """Positive curvature: all ten pairwise sums > 0, or all < 0 (``host_facts``)."""
-    return host_facts(b)[1]
-
-
-def h6_order(b: BazParams) -> int:
-    """|H^6| = |sigma_3(q1, ..., q5, -qsum)| / 8, exact for odd tuples (``host_facts``)."""
-    h6 = host_facts(b)[2]
-    if h6 is None:
-        raise ValueError(f"h6_order needs all entries odd, got {tuple_to_decimal(b.q)}")
-    return h6
+    return not host_facts(b)[0]
 
 
 def submanifolds(b: BazParams) -> list[tuple[tuple[int, int], EschParams]]:

@@ -198,7 +198,7 @@ def _fmt_window(w: range) -> str:
 
 
 def _fmt_offenses(offenses) -> str:
-    """The ((i, j), (k, l), g) gcd conditions of ``bazaikin.freeness_failures``, on one line."""
+    """The failing ((i, j), (k, l), g) gcd conditions of ``bazaikin.host_facts``, on one line."""
     return "; ".join(f"gcd(q{i}+q{j}, q{k}+q{l}) = {to_decimal(g)}" for (i, j), (k, l), g in offenses)
 
 
@@ -387,7 +387,8 @@ def _cmd_submanifolds(q: BazParams, args) -> dict:
 def _cmd_dual(e: EschParams, args) -> dict:
     q = embedding.candidate_q(e, args.c)
     dual_esch, dual_baz = embedding.dual_embedding(e, args.c)
-    h6, dual_h6 = bazaikin.h6_order(q), bazaikin.h6_order(dual_baz)
+    # both hosts are odd: dual_embedding refuses a singular shift, so neither |H6| is None
+    h6, dual_h6 = bazaikin.host_facts(q)[2], bazaikin.host_facts(dual_baz)[2]
     return {
         "json": lambda: {"results": [{
             "original": {"esch": _esch_dict(e), "shift": args.c, "baz": _baz_dict(q), "h6": h6},

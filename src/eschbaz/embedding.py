@@ -16,10 +16,10 @@ pass over the candidate, which gives its failing gcds (free iff none), its
 curvature and its |H^6|.  ``certified_shift`` is the one construction of
 the non-singular shifts +-2**(mu-1) * P**mu;
 ``homotopy_distinct_embeddings`` walks it for hosts with distinct |H^6|.
-``make_certificate``'s shift, ``certified_shift``'s mu and sign and
-``window_scan``'s cap go through ``operator.index``, as the entries of
-``EschParams`` and ``BazParams`` do: a float raises TypeError and a bool
-becomes an int.
+``make_certificate``'s shift, ``certified_shift``'s mu and sign,
+``homotopy_distinct_embeddings``' n and ``window_scan``'s cap go through
+``operator.index``, as the entries of ``EschParams`` and ``BazParams`` do:
+a float raises TypeError and a bool becomes an int.
 
 ``nonsingular_shift`` and ``shift_prime_product`` read one record of the
 space being walked, ``_walked``: the tuple (space, its six ``_moduli``
@@ -324,6 +324,7 @@ def homotopy_distinct_embeddings(e: EschParams, n: int) -> list[EmbeddingCertifi
     for free parameters), each |H^6| value is shared by at most two shifts,
     so mu <= n + 1 always suffices.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {to_decimal(n)}")
     out: list[EmbeddingCertificate] = []

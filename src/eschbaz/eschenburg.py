@@ -153,7 +153,8 @@ def h4_order(e: EschParams) -> int:
 
 
 def family_cohomogeneity_one(p: int) -> EschParams:
-    """The positively curved cohomogeneity-one member a=(p,1,1), b=(p+2,0,0)."""
+    """The positively curved cohomogeneity-one member a=(p,1,1), b=(p+2,0,0); p goes through ``operator.index``."""
+    p = index(p)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {to_decimal(p)}")
     return EschParams((p, 1, 1), (p + 2, 0, 0))
@@ -169,8 +170,9 @@ def family_cohomogeneity_two(variant: str, k: int) -> EschParams:
     With (a1, b1) the variant's entry in ``_FAMILIES``, the member is
     a = (15015k + a1, 0, 0), b = (15015k + b1, -3, -13).
     15015 = 3*5*7*11*13, which is what keeps every shift in the curvature
-    window singular for every k.
+    window singular for every k.  k goes through ``operator.index``.
     """
+    k = index(k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {to_decimal(k)}")
     if variant not in _FAMILIES:

@@ -141,7 +141,11 @@ def verify_known_counterexamples() -> list[SurveyRow]:
 
 
 def verify_infinite_families(k_max: int) -> list[tuple[str, int, SurveyRow]]:
-    """Check members 0..k_max of both infinite families are counterexamples; (variant, k, row) each."""
+    """Check members 0..k_max of both infinite families are counterexamples; (variant, k, row) each.
+
+    k_max goes through ``operator.index``.
+    """
+    k_max = index(k_max)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {to_decimal(k_max)}")
     return [
@@ -156,8 +160,9 @@ def verify_cohomogeneity_one(p_max: int) -> list[tuple[int, EmbeddingCertificate
 
     The candidate must be (2p-1, 1, 1, 1, 1), non-singular, and positively
     curved.  The pairs come in order of p; the family's window note is
-    ``embedding.COHOM1_WINDOW_NOTE``.
+    ``embedding.COHOM1_WINDOW_NOTE``.  p_max goes through ``operator.index``.
     """
+    p_max = index(p_max)
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {to_decimal(p_max)}")
     labelled = []

@@ -147,7 +147,7 @@ def is_free_baz_oracle(b: BazParams) -> bool:
 
 
 def freeness_failures_oracle(b: BazParams) -> list[tuple[tuple[int, int], tuple[int, int], int]]:
-    """``freeness_failures`` with one gcd per pair of disjoint index pairs.
+    """The failing gcds of ``host_facts``, with one gcd per pair of disjoint index pairs.
 
     The pairs come from ``itertools.combinations`` on the 1-based indices, in
     lexicographic order; each ((i, j), (k, l), g) with
@@ -176,7 +176,7 @@ def h6_order_oracle(b: BazParams) -> int:
     divisible by 8.
     """
     if not b.all_odd():
-        raise ValueError(f"h6_order needs all entries odd, got {b}")
+        raise ValueError(f"h6_order_oracle needs all entries odd, got {b}")
     magnitude, remainder = divmod(abs(elementary_symmetric(3, b.q + (-b.qsum,))), 8)
     if remainder:
         raise ArithmeticError(f"sigma_3 of {b} is not divisible by 8")

@@ -20,12 +20,10 @@ from eschbaz import (
     candidate_q,
     certified_shift,
     dual_embedding,
-    freeness_failures,
     h4_order,
-    h6_order,
+    host_facts,
     is_free,
     is_free_baz,
-    is_pc_baz,
     is_pc_metric,
     kernel_order,
     nonsingular_shift,
@@ -59,22 +57,22 @@ def test_criterion_01_running_example():
             q0 = candidate_q(E_RUNNING, 0)
             assert q0 == BazParams((5, 1, 1, 3, 21))
             assert not is_free_baz(q0)
-            assert ((1, 2), (4, 5), 6) in freeness_failures(q0)
+            assert ((1, 2), (4, 5), 6) in host_facts(q0)[0]
 
             qm1 = candidate_q(E_RUNNING, -1)
             assert qm1 == BazParams((3, -1, -1, 5, 23))
-            assert is_free_baz(qm1) and not is_pc_baz(qm1)
+            assert is_free_baz(qm1) and not host_facts(qm1)[1]
 
             q2 = candidate_q(E_RUNNING, 2)
             q5 = candidate_q(E_RUNNING, 5)
             assert q2 == BazParams((9, 5, 5, -1, 17))
             assert q5 == BazParams((15, 11, 11, -7, 11))
-            assert is_free_baz(q2) and is_pc_baz(q2)
-            assert is_free_baz(q5) and is_pc_baz(q5)
+            assert is_free_baz(q2) and host_facts(q2)[1]
+            assert is_free_baz(q5) and host_facts(q5)[1]
 
-            assert h6_order(qm1) == 503
-            assert h6_order(q2) == 1541
-            assert h6_order(q5) == 2579
+            assert host_facts(qm1)[2] == 503
+            assert host_facts(q2)[2] == 1541
+            assert host_facts(q5)[2] == 2579
 
         reproduce()  # warm up bytecode and caches before timing
         started = time.perf_counter()
@@ -210,8 +208,8 @@ def test_criterion_09_structural_properties():
             rng.shuffle(s5)
             p = BazParams(tuple(q.q[i] for i in s5))
             assert is_free_baz(p) == is_free_baz(q)
-            assert is_pc_baz(p) == is_pc_baz(q)
-            assert h6_order(p) == h6_order(q)
+            assert host_facts(p)[1] == host_facts(q)[1]
+            assert host_facts(p)[2] == host_facts(q)[2]
         # duality preserves |H6| on 10^3 non-singular certificates
         checked = 0
         while checked < 1000:
@@ -222,7 +220,7 @@ def test_criterion_09_structural_properties():
             checked += 1
             swapped, dual = dual_embedding(e, c)
             assert is_free_baz(dual)
-            assert h6_order(dual) == h6_order(candidate_q(e, c))
+            assert host_facts(dual)[2] == host_facts(candidate_q(e, c))[2]
 
     _report(9, "h4 odd; sigma_3 div by 8; shift/permutation invariance; duality preserves |H6| (10^3)", body)
 

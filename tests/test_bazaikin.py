@@ -17,12 +17,9 @@ from eschbaz import (
     candidate_q,
     canonicalize,
     certified_shift,
-    freeness_failures,
-    h6_order,
     host_facts,
     is_free,
     is_free_baz,
-    is_pc_baz,
     is_pc_metric,
     submanifolds,
 )
@@ -35,18 +32,18 @@ def test_is_free_baz_examples():
 
 
 def test_offending_pairs():
-    fails = freeness_failures(BazParams((5, 1, 1, 3, 21)))
+    fails = host_facts(BazParams((5, 1, 1, 3, 21)))[0]
     assert ((1, 2), (4, 5), 6) in fails
-    assert freeness_failures(BazParams((1, 1, 1, 1, 1))) == []
+    assert host_facts(BazParams((1, 1, 1, 1, 1)))[0] == []
     # in pair order; pair sums s12 = s34 = 0, s13 = 4, s14 = -2, s15 = 6, s23 = 2, s24 = -4,
     # s25 = 4, s35 = 8, s45 = 2: gcd(0, 0) == 0 and gcd(0, s) == |s|
-    assert freeness_failures(BazParams((1, -1, 3, -3, 5))) == [
+    assert host_facts(BazParams((1, -1, 3, -3, 5)))[0] == [
         ((1, 2), (3, 4), 0), ((1, 2), (3, 5), 8), ((1, 3), (2, 4), 4), ((1, 3), (2, 5), 4),
         ((1, 5), (3, 4), 6), ((2, 4), (3, 5), 4), ((2, 5), (3, 4), 4),
     ]
     assert not is_free_baz(BazParams((1, -1, 3, -3, 5)))
     # an even entry makes every sum with it odd: gcd 1 for the 12 pairs that hold index 1
-    fails = freeness_failures(BazParams((2, 1, 1, 1, 1)))
+    fails = host_facts(BazParams((2, 1, 1, 1, 1)))[0]
     assert [g for *_, g in fails] == [1] * 12 and all(1 in p1 for p1, _, _ in fails)
 
 
@@ -64,7 +61,7 @@ def test_even_entries_block_freeness():
     free = 0
     for q in product(range(-5, 6), repeat=5):
         b = BazParams(q)
-        if not freeness_failures(b):
+        if not host_facts(b)[0]:
             assert b.all_odd(), q
             free += 1
     assert free
@@ -84,9 +81,9 @@ def test_oracle_agreement_bulk():
 
 
 def test_is_pc_baz_examples():
-    assert is_pc_baz(BazParams((9, 5, 5, -1, 17)))
-    assert not is_pc_baz(BazParams((3, -1, -1, 5, 23)))
-    assert is_pc_baz(BazParams((-1, -1, -1, -1, -1)))
+    assert host_facts(BazParams((9, 5, 5, -1, 17)))[1]
+    assert not host_facts(BazParams((3, -1, -1, 5, 23)))[1]
+    assert host_facts(BazParams((-1, -1, -1, -1, -1)))[1]
 
 
 def test_baz_params_need_five_entries():
@@ -102,14 +99,9 @@ def test_baz_params_reject_non_integer_entries(q):
 
 
 def test_h6_order_examples():
-    assert h6_order(BazParams((3, -1, -1, 5, 23))) == 503
-    assert h6_order(BazParams((9, 5, 5, -1, 17))) == 1541
-    assert h6_order(BazParams((15, 11, 11, -7, 11))) == 2579
-
-
-def test_h6_order_rejects_even():
-    with pytest.raises(ValueError):
-        h6_order(BazParams((2, 1, 1, 1, 1)))
+    assert host_facts(BazParams((3, -1, -1, 5, 23)))[2] == 503
+    assert host_facts(BazParams((9, 5, 5, -1, 17)))[2] == 1541
+    assert host_facts(BazParams((15, 11, 11, -7, 11)))[2] == 2579
 
 
 def test_sigma3_of_odd_six_tuple_divisible_by_8():
@@ -118,7 +110,7 @@ def test_sigma3_of_odd_six_tuple_divisible_by_8():
         q = random_odd_baz(rng)
         s3 = elementary_symmetric(3, q.q + (-q.qsum,))
         assert s3 % 8 == 0
-        h6_order(q)  # must not raise the internal invariant
+        host_facts(q)  # must not raise the internal invariant
 
 
 def test_h6_negation_symmetry():
@@ -126,19 +118,19 @@ def test_h6_negation_symmetry():
     for _ in range(2000):
         q = random_odd_baz(rng)
         negated = BazParams(tuple(-x for x in q.q))
-        assert h6_order(negated) == h6_order(q)
+        assert host_facts(negated)[2] == host_facts(q)[2]
 
 
 def test_permutation_invariance_all_120():
     rng = random.Random(227)
     for _ in range(60):
         q = random_odd_baz(rng, -19, 19)
-        free, pc, h6 = is_free_baz(q), is_pc_baz(q), h6_order(q)
+        free, pc, h6 = is_free_baz(q), host_facts(q)[1], host_facts(q)[2]
         for s in permutations(range(5)):
             p = BazParams(tuple(q.q[i] for i in s))
             assert is_free_baz(p) == free
-            assert is_pc_baz(p) == pc
-            assert h6_order(p) == h6
+            assert host_facts(p)[1] == pc
+            assert host_facts(p)[2] == h6
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +143,11 @@ def _oracle_facts(q):
 
 
 def _assert_matches_oracles(q):
-    failures, pc, h6 = facts = _oracle_facts(q)
-    assert host_facts(q) == facts, q
-    assert is_pc_baz(q) == pc, q
-    assert h6_order(q) == h6, q
-    assert freeness_failures(q) == failures, q
+    """Assert q's ``host_facts`` and ``is_free_baz`` against the oracles; return the facts."""
+    facts = host_facts(q)
+    assert facts == _oracle_facts(q), q
     assert is_free_baz(q) == is_free_baz_oracle(q), q
+    return facts
 
 
 def test_predicates_match_oracles_on_small_tuples():
@@ -164,14 +155,13 @@ def test_predicates_match_oracles_on_small_tuples():
     pc_seen = free_seen = 0
     for _ in range(5000):
         q = random_odd_baz(rng)
-        _assert_matches_oracles(q)
-        pc_seen += is_pc_baz(q)
+        pc_seen += _assert_matches_oracles(q)[1]
         free_seen += is_free_baz(q)
     assert pc_seen and free_seen
     for _ in range(2000):
         q = BazParams(tuple(rng.randint(-49, 49) for _ in range(5)))
-        assert is_pc_baz(q) == is_pc_baz_oracle(q), q
-        assert freeness_failures(q) == freeness_failures_oracle(q), q
+        assert host_facts(q)[1] == is_pc_baz_oracle(q), q
+        assert host_facts(q)[0] == freeness_failures_oracle(q), q
         assert is_free_baz(q) == is_free_baz_oracle(q), q
 
 
@@ -204,16 +194,15 @@ def test_predicates_match_oracles_past_the_digit_limit():
     for _ in range(200):
         signs = rng.choice(((1,) * 5, (-1,) * 5, tuple(rng.choice((1, -1)) for _ in range(5))))
         q = BazParams(tuple(sign * (2 * rng.randrange(bound) + 1) for sign in signs))
-        _assert_matches_oracles(q)
-        pc_outcomes.add(is_pc_baz(q))
+        pc_outcomes.add(_assert_matches_oracles(q)[1])
     assert pc_outcomes == {True, False}
     e = EschParams((2, 0, 0), (15, -2, -11))
     for sign in (1, -1):
         q = candidate_q(e, certified_shift(e, 640, sign))
         assert min(abs(x) for x in q.q) > 10**4300
         assert is_free_baz(q) and is_free_baz_oracle(q)
-        assert h6_order(q).bit_length() > 14300  # |H6| is affine in the shift: past the digit limit too
-        _assert_matches_oracles(q)
+        h6 = _assert_matches_oracles(q)[2]
+        assert h6.bit_length() > 14300  # |H6| is affine in the shift: past the digit limit too
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def test_pc_forward_direction_and_converse_report():
     for _ in range(10_000):
         q = random_odd_baz(rng)
         all_pc = all(is_pc_metric(e) for _, e in submanifolds(q))
-        if is_pc_baz(q):
+        if host_facts(q)[1]:
             pc_seen += 1
             assert all_pc, q
         elif all_pc:

@@ -34,11 +34,10 @@ from eschbaz import (
     certified_shift,
     dual_embedding,
     family_cohomogeneity_one,
-    h6_order,
     homotopy_distinct_embeddings,
+    host_facts,
     is_free,
     is_free_baz,
-    is_pc_baz,
     is_pc_metric,
     nonsingular_shift,
     pc_normal_form,
@@ -175,6 +174,8 @@ def test_range_errors_write_values_past_the_int_to_str_limit():
         certified_shift(E_RUNNING, 1, big)
     with pytest.raises(ValueError, match=f"^n must be >= 1, got -{decimal_by_digits(big)}$"):
         homotopy_distinct_embeddings(E_RUNNING, -big)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        homotopy_distinct_embeddings(E_RUNNING, False)
 
 
 def test_certified_shift_rejects_vanishing_differences():
@@ -455,7 +456,7 @@ def test_window_membership_is_curvature():
         window = pc_shift_window(f)
         assert len(window) > 0
         for c in range(window.start - 3, window.stop + 3):
-            assert is_pc_baz(candidate_q(f, c)) == (c in window), (f, c)
+            assert host_facts(candidate_q(f, c))[1] == (c in window), (f, c)
 
 
 def test_window_scan_table_row_one():
@@ -540,8 +541,8 @@ def test_window_scan_certificates_recompute():
             assert cert.baz == candidate_q(cert.esch, cert.shift)
             assert cert.baz_free == is_free_baz_oracle(cert.baz)
             assert cert.offending_pairs == tuple(freeness_failures_oracle(cert.baz))
-            assert cert.baz_pc == is_pc_baz(cert.baz)
-            assert cert.h6 == (h6_order(cert.baz) if cert.baz_free else 0)
+            assert cert.baz_pc == host_facts(cert.baz)[1]
+            assert cert.h6 == (host_facts(cert.baz)[2] if cert.baz_free else 0)
             assert_is_make_certificate(cert)
         assert report.any_nonsingular == any(c.baz_free for c in report.certificates)
 
@@ -635,11 +636,11 @@ def test_dual_embedding_examples():
     swapped, dual = dual_embedding(E_RUNNING, -1)
     assert dual.q == (29, -5, -23, 1, 1)
     assert swapped == EschParams((14, -3, -12), (1, -1, -1))
-    assert h6_order(dual) == 503
+    assert host_facts(dual)[2] == 503
 
     swapped, dual = dual_embedding(EschParams((3, 1, 1), (5, 0, 0)), -1)
     assert dual.q == (9, -1, -1, -1, -1)
-    assert h6_order(dual) == h6_order(candidate_q(EschParams((3, 1, 1), (5, 0, 0)), -1))
+    assert host_facts(dual)[2] == host_facts(candidate_q(EschParams((3, 1, 1), (5, 0, 0)), -1))[2]
 
 
 def test_dual_embedding_requires_nonsingular():
@@ -659,7 +660,7 @@ def test_dual_embedding_preserves_h6_and_freeness_bulk():
         q = candidate_q(e, c)
         swapped, dual = dual_embedding(e, c)
         assert is_free_baz(dual), (e, c)
-        assert h6_order(dual) == h6_order(q)
+        assert host_facts(dual)[2] == host_facts(q)[2]
         assert dual == candidate_q(swapped, 0)
 
 
@@ -682,7 +683,7 @@ def test_make_certificate_freeness_matches_oracles(digits, samples):
         cert = make_certificate(e, c)
         assert cert.baz_free == is_free_baz_oracle(cert.baz), (e, c)
         assert cert.offending_pairs == tuple(freeness_failures_oracle(cert.baz)), (e, c)
-        assert cert.h6 == (h6_order(cert.baz) if cert.baz_free else 0), (e, c)
+        assert cert.h6 == (host_facts(cert.baz)[2] if cert.baz_free else 0), (e, c)
         free_seen += cert.baz_free
     assert 0 < free_seen < samples
 
@@ -764,7 +765,7 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         # (2, 1, 1, 1, 1) has sigma_3 = -(3 * 3 * 2 + 2 * (-5) * (-5)) = -68, which is 4 mod 8
         mp.setattr(bazaikin_mod.BazParams, "all_odd", lambda self: True)
         with pytest.raises(InternalError, match="not divisible by 8"):
-            h6_order(BazParams((2, 1, 1, 1, 1)))
+            host_facts(BazParams((2, 1, 1, 1, 1)))
 
     with monkeypatch.context() as mp:
         mp.setattr(embedding_mod, "make_certificate",

@@ -383,6 +383,8 @@ def test_family_range_errors_write_values_past_the_int_to_str_limit():
     big = decimal_by_digits(10**5000)
     with pytest.raises(ValueError, match=f"^p must be >= 1, got -{big}$"):
         family_cohomogeneity_one(-10**5000)
+    with pytest.raises(ValueError, match="^p must be >= 1, got 0$"):
+        family_cohomogeneity_one(False)
     with pytest.raises(ValueError, match=f"^k must be >= 0, got -{big}$"):
         family_cohomogeneity_two("A", -10**5000)
 

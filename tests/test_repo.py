@@ -27,6 +27,29 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def _names_used(path):
+    """Every name and attribute name the code of path reads, docstrings and comments aside."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_function_has_a_caller_outside_its_module():
+    # a function the package exports but no other module uses exists only for its tests; the
+    # benchmark's workloads count as users and classes are exempt.  Any name read counts, a
+    # local of the same name too, so the check can miss an unused function but never flags a used one
+    package = ROOT / "src" / "eschbaz"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [(alias.name, node.module) for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if not isinstance(getattr(eschbaz, alias.name), type)]
+    assert len(exported) > 20
+    used = {path.stem: _names_used(path) for path in package.glob("*.py") if path.name != "__init__.py"}
+    workloads = _names_used(ROOT / "bench" / "workloads.py")
+    uncalled = [name for name, module in exported
+                if name not in workloads and not any(name in names for other, names in used.items() if other != module)]
+    assert uncalled == []
+
+
 def test_pyproject_version_is_the_package_version():
     # a regex, not tomllib, which Python 3.10 lacks
     text = (ROOT / "pyproject.toml").read_text()
@@ -85,13 +108,17 @@ def test_pairs_summary_on_fixed_numbers():
                {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.01},
                {"name": "score", "unit": "count", "better": "higher", "bound": 0.25},
                {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
-               {"name": "hits", "unit": "count", "better": "higher", "bound": 0.1}]
+               {"name": "hits", "unit": "count", "better": "higher", "bound": 0.1},
+               {"name": "bimodal_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "apart_s", "unit": "s", "better": "lower", "bound": 0.25}]
     parent = [{"wall_s": 1 + i / 10, "peak_rss_mb": 30 + i / 100, "ok_frac": 1.0, "score": 5,
-               "setup_s": 0.2, "hits": 10} for i in range(10)]
+               "setup_s": 0.2, "hits": 10, "bimodal_s": 0.1 + 0.1 * (i % 2), "apart_s": 0.1 + 0.1 * (i % 2)}
+              for i in range(10)]
     change = [{"wall_s": 0.5 + i / 10, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 5 + (i > 0),
-               "setup_s": 0.26, "hits": 9} for i in range(9)]
-    change.append({"wall_s": 2.5, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 6, "setup_s": 0.24, "hits": 9})
-    wall, rss, ok, score, setup, hits = pairs.summarize(metrics, parent, change)
+               "setup_s": 0.26, "hits": 9, "bimodal_s": 0.19, "apart_s": 0.04} for i in range(9)]
+    change.append({"wall_s": 2.5, "peak_rss_mb": 20.0, "ok_frac": 1.0, "score": 6, "setup_s": 0.24, "hits": 9,
+                   "bimodal_s": 0.19, "apart_s": 0.09})
+    wall, rss, ok, score, setup, hits, bimodal, apart = pairs.summarize(metrics, parent, change)
     # parent quartiles 1.175, 1.45, 1.725 (exclusive method); the change wins
     # 9 pairs of 10, but its median 0.95 is 0.5 below, inside the IQR 0.55
     assert wall["parent"] == pytest.approx((1.175, 1.45, 1.725))
@@ -107,13 +134,23 @@ def test_pairs_summary_on_fixed_numbers():
     assert (score["worse_by"], score["within"]) == (pytest.approx(-0.2), True)
     assert (setup["worse_by"], setup["within"]) == (pytest.approx(0.3), False)  # 0.2 -> 0.26 s, bound 25%
     assert (hits["worse_by"], hits["within"]) == (pytest.approx(0.1), True)  # 10 -> 9, at the 10% bound
-    lines = pairs.report([wall, rss, setup], 10)
+    # a parent spread wider than the bound leaves the bound verdict unresolved, unless
+    # every CHANGE run is better than every PARENT run: wall_s's IQR is 0.55 / 1.45 = 38%
+    # of its median, and bimodal_s's (0.1 and 0.2 s runs) 0.1 / 0.15 = 67%
+    assert [row["unresolved"] for row in (wall, rss, ok, score, setup, hits)] == [True] + [False] * 5
+    assert (bimodal["spread"], bimodal["worse_by"]) == (pytest.approx(2 / 3), pytest.approx(0.04 / 0.15))
+    assert (bimodal["within"], bimodal["unresolved"]) == (False, True)
+    assert (apart["spread"], apart["within"], apart["unresolved"]) == (pytest.approx(2 / 3), True, False)
+    lines = pairs.report([wall, rss, setup, bimodal, apart], 10)
     assert lines[0] == ("wall_s (s): parent 1.45 [1.175, 1.725] -> change 0.95 [0.675, 1.225]; "
                         "change wins 9/10, parent wins 1/10; gain does not hold; "
-                        "median worse by -34.5%, within the 25% bound")
+                        "median worse by -34.5%, unresolved against the 25% bound (parent IQR 38% of its median)")
     assert lines[1].endswith("change wins 10/10, parent wins 0/10; gain holds; "
                              "median worse by -33.4%, within the 10% bound")
     assert lines[2].endswith("gain does not hold; median worse by +30.0%, outside the 25% bound")
+    assert lines[3].endswith("median worse by +26.7%, unresolved against the 25% bound (parent IQR 67% of its median)")
+    assert lines[4].endswith("change wins 10/10, parent wins 0/10; gain holds; "
+                             "median worse by -73.3%, within the 25% bound")
 
 
 def test_pairs_alternates_sides_and_fails_on_an_incorrect_run(monkeypatch, capsys):

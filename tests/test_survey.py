@@ -302,6 +302,8 @@ def test_range_errors_write_values_past_the_int_to_str_limit():
         verify_infinite_families(-big)
     with pytest.raises(ValueError, match=f"^p_max must be >= 1, {got}"):
         verify_cohomogeneity_one(-big)
+    with pytest.raises(ValueError, match="^p_max must be >= 1, got 0$"):
+        verify_cohomogeneity_one(False)
     with pytest.raises(ValueError, match=f"^max_abs must be >= 1, {got}"):
         scan_box(-big, 10)
     with pytest.raises(ValueError, match=f"^limit must be >= 1, {got}"):

@@ -13,7 +13,11 @@ field (a tie counts for neither), whether a gain holds: CHANGE wins at
 least 9 pairs in 10, and its median is better than PARENT's by more than
 PARENT's interquartile range, and whether CHANGE stays within the metric's
 ``bound``: its median is worse than PARENT's by no more than ``bound`` times
-PARENT's median (the verdict a change that claims no gain needs).  Quartiles
+PARENT's median (the verdict a change that claims no gain needs).  That
+verdict is ``unresolved`` when PARENT's interquartile range is more than
+``bound`` times its median, since such runs cannot tell a change within the
+bound from one outside it, unless every CHANGE run is better than every
+PARENT run.  Quartiles
 are ``statistics.quantiles(values, n=4)``, the exclusive method.  Exits 1 if
 any run does not report ``"correct": true``.  Stdlib only.
 """
@@ -55,7 +59,10 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
 
     ``parent[i]`` and ``change[i]`` map metric names to the values of pair i.
     ``worse_by`` is how much worse CHANGE's median is, as a fraction of
-    PARENT's median (negative when it is better).
+    PARENT's median (negative when it is better); ``spread`` is PARENT's
+    interquartile range as a fraction of its median.  ``unresolved`` is
+    True when the spread exceeds the bound and some CHANGE run is not
+    better than every PARENT run.
     """
     rows = []
     for metric in metrics:
@@ -64,12 +71,16 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         old, new = quartiles([p for p, _ in pairs]), quartiles([c for _, c in pairs])
         change_wins = sum(sign * (c - p) > 0 for p, c in pairs)
         parent_wins = sum(sign * (p - c) > 0 for p, c in pairs)
-        holds = 10 * change_wins >= 9 * len(pairs) and sign * (new[1] - old[1]) > old[2] - old[0]
+        iqr = old[2] - old[0]
+        holds = 10 * change_wins >= 9 * len(pairs) and sign * (new[1] - old[1]) > iqr
         worse = sign * (old[1] - new[1])
         worse_by = worse / abs(old[1]) if old[1] else (math.inf if worse > 0 else 0.0)
+        spread = iqr / abs(old[1]) if old[1] else (math.inf if iqr > 0 else 0.0)
+        all_better = all(sign * (c - p) > 0 for p, _ in pairs for _, c in pairs)
         rows.append({"name": name, "unit": metric["unit"], "parent": old, "change": new,
                      "change_wins": change_wins, "parent_wins": parent_wins, "holds": holds,
-                     "worse_by": worse_by, "bound": metric["bound"], "within": worse_by <= metric["bound"]})
+                     "worse_by": worse_by, "bound": metric["bound"], "within": worse_by <= metric["bound"],
+                     "spread": spread, "unresolved": spread > metric["bound"] and not all_better})
     return rows
 
 
@@ -77,13 +88,16 @@ def report(rows: list[dict], n: int) -> list[str]:
     """One line per metric: medians with quartiles, wins of each side, and the verdicts on a gain and the bound."""
     lines = []
     for row in rows:
+        if row["unresolved"]:
+            verdict = f"unresolved against the {row['bound']:.0%} bound (parent IQR {row['spread']:.0%} of its median)"
+        else:
+            verdict = f"{'within' if row['within'] else 'outside'} the {row['bound']:.0%} bound"
         sides = [f"{label} {median:.4g} [{q1:.4g}, {q3:.4g}]"
                  for label, (q1, median, q3) in (("parent", row["parent"]), ("change", row["change"]))]
         lines.append(f"{row['name']} ({row['unit']}): {sides[0]} -> {sides[1]}; "
                      f"change wins {row['change_wins']}/{n}, parent wins {row['parent_wins']}/{n}; "
                      f"gain {'holds' if row['holds'] else 'does not hold'}; "
-                     f"median worse by {row['worse_by']:+.1%}, "
-                     f"{'within' if row['within'] else 'outside'} the {row['bound']:.0%} bound")
+                     f"median worse by {row['worse_by']:+.1%}, {verdict}")
     return lines
 
 
